@@ -4,8 +4,8 @@ Every trial draws a symmetric matrix with entries uniform in [-1, 1],
 embeds it, amplifies a random input for the standard iteration count, and
 records the closeness measures next to the probability and fidelity at
 the peak-probability iteration.
-Seeds are derived per (dimension, trial), so rerunning this script (or
-running it with more threads) reproduces identical files byte for byte.
+Seeds are derived per (dimension, trial), so rerunning this script
+reproduces identical files byte for byte.
 """
 
 from pathlib import Path

@@ -26,6 +26,7 @@ from .circuit import (
     build_row_encoding,
     collapse_good,
     dense_matrix_of,
+    encode,
     prepare_input,
 )
 from .embedding import (
@@ -132,6 +133,7 @@ __all__ = [
     "dense_matrix_of",
     "derive_seed",
     "emit_outputs",
+    "encode",
     "exp_product_factors",
     "fidelity",
     "householder_from_vector",

@@ -1,24 +1,26 @@
 """Structured two-register block-encoding circuits.
 
-Both circuit forms act on a state over an ancilla-role register of dimension
+Both circuit types act on a state over an ancilla-role register of dimension
 M and a system register of dimension N, stored flat with basis state (a, s)
 at position a * N + s. The operator itself is always orthogonal; the matrix
 being encoded appears, scaled by 1/sqrt(M), in the amplitudes of the "good"
 states, the positions whose designated register component is index 0.
 
-Sum-of-unitaries form: coefficient reflector K on the first register, a
-block-diagonal layer applying unitary U_i inside ancilla sector i, then a
-uniform-superposition (Walsh-Hadamard) layer on the first register. Good
-states live where the first register is 0, and the dense operator's
-top-left N x N block equals sum_i k_i U_i / sqrt(M).
+LcuCircuit (sum of unitaries): coefficient reflector K on the first
+register, a block-diagonal layer applying unitary U_i inside ancilla sector
+i, then a uniform-superposition (Walsh-Hadamard) layer on the first
+register. Good states live where the first register is 0, and the dense
+operator's top-left N x N block equals sum_i k_i U_i / sqrt(M).
 
-Row-encoding form: M = N and block i is the Householder reflector whose
+RowEncodingCircuit: M = N and block i is the Householder reflector whose
 first row is row i of the encoded matrix U (legal because U has unit-norm
 rows). The registers are swapped on entry, then the Hadamard layer and the
 block layer run. Good states live where the second register is 0; feeding
 the state (in x e0) makes their amplitudes exactly U @ in / sqrt(M). Keeping
 input marker and good marker on the same register is what lets the
-amplification iterate reuse a single reflection.
+amplification iterate reuse a single reflection. encode runs the whole
+path from a symmetric matrix and an input vector to this circuit, its
+input state and the fidelity target.
 
 Applications cost O(M N^2) and never materialize the M N x M N operator;
 dense_matrix_of exists only as a small-dimension oracle for tests.
@@ -31,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .embedding import Embedding, build_estimated_embedding, mu_normalize
 from .errors import (
     DimensionError,
     NoGoodAmplitudeError,
@@ -40,6 +43,7 @@ from .errors import (
     ValidationError,
 )
 from .linalg import as_square_array, householder_from_vector
+from .metrics import check_fidelity_mode
 
 DENSE_ORACLE_CAP = 256
 GOOD_MASS_FLOOR = 1e-30
@@ -68,45 +72,61 @@ class StateVector:
     def norm(self) -> float:
         return math.sqrt(float((self.amplitudes * self.amplitudes).sum()))
 
-    def copy(self) -> "StateVector":
-        return StateVector(self.amplitudes.copy(), self.m_dim, self.n_dim)
-
 
 class CircuitU:
     """Immutable structured block-encoding operator.
 
-    form is "lcu" or "row-encoding"; good_register names which register's
-    index-0 component marks good states ("first" for lcu, "second" for
-    row-encoding). blocks materializes the per-sector orthogonal matrices
-    on demand; k_reflector is the coefficient reflector of the lcu form.
+    good_register names which register's index-0 component marks good
+    states. Each subclass owns its layers: _forward and _inverse map the
+    (M, N) amplitude grid to a new one.
     """
 
-    def __init__(self, form, m_dim, n_dim, good_register, block_stack=None,
-                 hh_vectors=None, k_reflector=None):
-        self.form = form
+    good_register = ""
+
+    def __init__(self, m_dim, n_dim):
         self.m_dim = int(m_dim)
         self.n_dim = int(n_dim)
-        self.good_register = good_register
-        self.k_reflector = k_reflector
-        self._stack = block_stack
-        self._hh = hh_vectors
-        self._blocks_cache = None
 
-    @property
-    def blocks(self) -> list:
-        if self._blocks_cache is None:
-            if self._stack is not None:
-                self._blocks_cache = [self._stack[i] for i in range(self.m_dim)]
-            else:
-                eye = np.eye(self.n_dim)
-                out = []
-                for v in self._hh:
-                    if (v == 0.0).all():
-                        out.append(eye.copy())
-                    else:
-                        out.append(eye - 2.0 * np.outer(v, v))
-                self._blocks_cache = out
-        return self._blocks_cache
+
+class RowEncodingCircuit(CircuitU):
+    """Row-encoding form: row i of _hh is the unit Householder vector of
+    block i (all zero for an identity block)."""
+
+    good_register = "second"
+
+    def __init__(self, hh_vectors: np.ndarray):
+        super().__init__(hh_vectors.shape[0], hh_vectors.shape[0])
+        self._hh = hh_vectors
+
+    def _householder_layer(self, x: np.ndarray) -> np.ndarray:
+        dots = (self._hh * x).sum(axis=1)
+        return x - 2.0 * dots[:, None] * self._hh
+
+    def _forward(self, x):
+        return self._householder_layer(_fwht_axis0(x.T))
+
+    def _inverse(self, x):
+        return _fwht_axis0(self._householder_layer(x)).T
+
+
+class LcuCircuit(CircuitU):
+    """Sum-of-unitaries form: the (M, N, N) block stack and the M x M
+    coefficient reflector."""
+
+    good_register = "first"
+
+    def __init__(self, block_stack: np.ndarray, k_reflector: np.ndarray):
+        super().__init__(block_stack.shape[0], block_stack.shape[1])
+        self._stack = block_stack
+        self.k_reflector = k_reflector
+
+    def _forward(self, x):
+        x = np.einsum("aij,aj->ai", self._stack, self.k_reflector @ x)
+        return _fwht_axis0(x)
+
+    def _inverse(self, x):
+        x = np.einsum("aji,aj->ai", self._stack, _fwht_axis0(x))
+        return self.k_reflector.T @ x
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -130,7 +150,7 @@ def _fwht_axis0(x: np.ndarray) -> np.ndarray:
     return y / math.sqrt(m)
 
 
-def build_row_encoding(u) -> CircuitU:
+def build_row_encoding(u) -> RowEncodingCircuit:
     """Circuit whose good-state amplitudes realize U @ in / sqrt(M).
 
     Each block is the Householder reflector carrying one row of U as its
@@ -152,11 +172,10 @@ def build_row_encoding(u) -> CircuitU:
         nv = math.sqrt(float((v * v).sum()))
         if nv >= 1e-12:
             hh[i] = v / nv
-    return CircuitU(form="row-encoding", m_dim=m, n_dim=m,
-                    good_register="second", hh_vectors=hh)
+    return RowEncodingCircuit(hh)
 
 
-def build_lcu_encoding(unitaries, coeffs) -> CircuitU:
+def build_lcu_encoding(unitaries, coeffs) -> LcuCircuit:
     """Circuit encoding sum_i k_i U_i / sqrt(M) in its top-left block.
 
     The unitary list is padded with identity blocks (and zero coefficients)
@@ -189,8 +208,7 @@ def build_lcu_encoding(unitaries, coeffs) -> CircuitU:
     padded = np.zeros(m)
     padded[: k.size] = k
     reflector = householder_from_vector(padded)
-    return CircuitU(form="lcu", m_dim=m, n_dim=n, good_register="first",
-                    block_stack=stack, k_reflector=reflector)
+    return LcuCircuit(stack, reflector)
 
 
 def _check_dims(c: CircuitU, s: StateVector) -> None:
@@ -206,24 +224,7 @@ def apply_circuit(c: CircuitU, s: StateVector, inverse: bool = False) -> StateVe
     sequence of inverted layers). Preserves the state norm to 1e-12."""
     _check_dims(c, s)
     x = s.reshaped()
-    if c.form == "row-encoding":
-        if not inverse:
-            x = _fwht_axis0(x.T)
-            dots = (c._hh * x).sum(axis=1)
-            x = x - 2.0 * dots[:, None] * c._hh
-        else:
-            dots = (c._hh * x).sum(axis=1)
-            x = x - 2.0 * dots[:, None] * c._hh
-            x = _fwht_axis0(x).T
-    else:
-        if not inverse:
-            x = c.k_reflector @ x
-            x = np.einsum("aij,aj->ai", c._stack, x)
-            x = _fwht_axis0(x)
-        else:
-            x = _fwht_axis0(x)
-            x = np.einsum("aji,aj->ai", c._stack, x)
-            x = c.k_reflector.T @ x
+    x = c._inverse(x) if inverse else c._forward(x)
     out = StateVector(np.ascontiguousarray(x).ravel(), c.m_dim, c.n_dim)
     if abs(out.norm() - s.norm()) > NORM_DRIFT_TOL * max(1.0, s.norm()):
         raise NumericalError("circuit application failed to preserve the norm")
@@ -271,6 +272,8 @@ def prepare_input(c: CircuitU, system) -> StateVector:
     """Build the canonical input state: the unit vector `system` on the data
     register with the good register fixed at index 0."""
     vec = np.asarray(system, dtype=float).ravel()
+    if not np.isfinite(vec).all():
+        raise ValidationError("input vector has a non-finite entry")
     norm = math.sqrt(float((vec * vec).sum()))
     if abs(norm - 1.0) > 1e-12:
         raise UnitNormError(f"input norm {norm!r} is not 1 within 1e-12")
@@ -284,6 +287,54 @@ def prepare_input(c: CircuitU, system) -> StateVector:
             raise DimensionError(f"input length {vec.size} != data dim {c.m_dim}")
         x[:, 0] = vec
     return StateVector(x.ravel(), c.m_dim, c.n_dim)
+
+
+@dataclass(frozen=True)
+class Encoded:
+    """A matrix made ready for amplification: its estimated embedding, the
+    row-encoding circuit of the embedded operator, the prepared input
+    state, the fidelity target, and whether collapse projects onto the
+    system's top half (projected fidelity mode)."""
+
+    embedding: Embedding
+    circuit: RowEncodingCircuit
+    state: StateVector
+    target: np.ndarray
+    project: bool
+
+
+def encode(a, vec, fidelity_mode: str = "embedded") -> Encoded:
+    """Scale the symmetric matrix `a` by mu, embed it, build its row
+    encoding, and prepare the unit vector `vec` as the circuit input.
+
+    A vec of the matrix order is placed in the top half of the embedded
+    space; one of the embedded order is taken as is, in embedded mode
+    only. The target is U @ input in embedded mode and (a / mu) @ vec in
+    projected mode.
+    """
+    check_fidelity_mode(fidelity_mode)
+    normalized, mu = mu_normalize(a)
+    emb = build_estimated_embedding(normalized, mu)
+    circ = build_row_encoding(emb.u)
+    vec = np.asarray(vec, dtype=float).ravel()
+    order = normalized.shape[0]
+    project = fidelity_mode == "projected"
+    if vec.size == order:
+        padded = np.zeros(2 * order)
+        padded[:order] = vec
+    elif project:
+        raise ValidationError(
+            f"projected mode needs an input of length {order}, got {vec.size}"
+        )
+    elif vec.size == 2 * order:
+        padded = vec
+    else:
+        raise ValidationError(
+            f"input length {vec.size} matches neither {order} nor {2 * order}"
+        )
+    state = prepare_input(circ, padded)
+    target = normalized @ vec if project else emb.u @ padded
+    return Encoded(emb, circ, state, target, project)
 
 
 def dense_matrix_of(c: CircuitU) -> np.ndarray:

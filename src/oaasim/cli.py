@@ -8,21 +8,20 @@ matfunc (chained circuits for exp or cos truncations).
 
 Exit codes: 0 on success, 1 for invalid arguments or inputs, 2 for
 numerical failures (non-convergence, degenerate spectra, lost amplitude).
-The resolved configuration, including seeds and thread counts, is printed
-to stderr before any computation; result payloads go to stdout or files.
+The resolved configuration, including seeds, is printed to stderr before
+any computation; result payloads go to stdout or files.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from .amplification import VARIANTS, iteration_count, oblivious_aa
-from .circuit import build_row_encoding, prepare_input
+from .circuit import encode
 from .embedding import (
     build_estimated_embedding,
     build_exact_embedding,
@@ -30,13 +29,7 @@ from .embedding import (
     mu_normalize,
 )
 from .errors import NumericalError, ValidationError
-from .experiments import (
-    ExperimentConfig,
-    emit_outputs,
-    run_ensemble,
-    run_trace,
-    _thread_count,
-)
+from .experiments import ExperimentConfig, emit_outputs, run_ensemble, run_trace
 from .linalg import read_matrix, read_vector, write_matrix
 from .matfunc import (
     chained_product_circuit,
@@ -141,39 +134,13 @@ def _cmd_embed(args) -> int:
 
 def _cmd_amplify(args) -> int:
     a = read_matrix(args.matrix)
-    order = a.shape[0]
-    dim = 2 * order
-    normalized, mu = mu_normalize(a)
-    emb = build_estimated_embedding(normalized, mu)
-    circ = build_row_encoding(emb.u)
-    vec = _load_unit_vector(args.input, order)
-    if args.fidelity == "projected":
-        if vec.size != order:
-            raise ValidationError(
-                f"projected mode needs an input of length {order}, got {vec.size}"
-            )
-        padded = np.zeros(dim)
-        padded[:order] = vec
-        target = normalized @ vec
-        project = True
-    else:
-        if vec.size == order:
-            padded = np.zeros(dim)
-            padded[:order] = vec
-        elif vec.size == dim:
-            padded = vec
-        else:
-            raise ValidationError(
-                f"input length {vec.size} matches neither {order} nor {dim}"
-            )
-        target = emb.u @ padded
-        project = False
-    k = args.k if args.k is not None else iteration_count(dim)
+    enc = encode(a, _load_unit_vector(args.input, a.shape[0]), args.fidelity)
+    k = args.k if args.k is not None else iteration_count(enc.circuit.m_dim)
     if k < 0:
         raise ValidationError("k must be nonnegative")
-    state = prepare_input(circ, padded)
     trace = oblivious_aa(
-        circ, state, k, args.variant, target, project_system_zero=project
+        enc.circuit, enc.state, k, args.variant, enc.target,
+        project_system_zero=enc.project,
     )
     lines = trace.csv_lines()
     if args.out is None:
@@ -275,8 +242,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     config = {k: v for k, v in sorted(vars(args).items()) if k != "command"}
     config["command"] = args.command
-    if args.command == "experiment":
-        config["threads"] = _thread_count()
     _print_config(config)
     try:
         return _DISPATCH[args.command](args)

@@ -15,25 +15,22 @@ A trial at embedded dimension ``dim`` draws the symmetric matrix at order
 ``dim // 2``, scales it by the row-sum bound, embeds with the estimated
 diagonal blocks, builds the row-encoding circuit, and amplifies for
 ``iteration_count(dim)`` steps. Per-trial generator seeds are derived from
-(seed, dim, trial, purpose) so results are independent of execution order
-and thread count.
+(seed, dim, trial, purpose) so results are independent of execution order.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .amplification import VARIANTS, IterationTrace, iteration_count, oblivious_aa
-from .circuit import build_row_encoding, prepare_input
+from .circuit import Encoded, _is_power_of_two, encode
 from .embedding import ClosenessReport, build_estimated_embedding, closeness, mu_normalize
 from .errors import NumericalError, ValidationError
-from .metrics import FIDELITY_MODES, check_fidelity_mode
+from .metrics import check_fidelity_mode
 from .rng import SplitMix64, derive_seed
 from .svgplot import line_chart
 
@@ -41,10 +38,6 @@ EXPERIMENT_KINDS = ("ensemble", "fixed-matrix", "trace")
 
 ENSEMBLE_CSV_HEADER = "trial,dim,c2,ef,final_fidelity,final_probability,k_used"
 TRACE_CSV_HEADER = "dim,iteration,probability,fidelity,k_marker"
-
-
-def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
 
 
 @dataclass(frozen=True)
@@ -64,7 +57,7 @@ class ExperimentConfig:
         if not dims:
             raise ValidationError("dims must be nonempty")
         for d in dims:
-            if d < 2 or d % 2 != 0 or not _is_power_of_two(d):
+            if d < 2 or not _is_power_of_two(d):
                 raise ValidationError(
                     f"embedded dimension {d} must be an even power of two"
                 )
@@ -158,17 +151,16 @@ def random_input(length: int, rng: SplitMix64) -> np.ndarray:
     raise NumericalError("random input drew the zero vector twice")
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("OAA_THREADS", "").strip()
-    if raw:
-        try:
-            n = int(raw)
-        except ValueError:
-            raise ValidationError(f"OAA_THREADS must be an integer, got {raw!r}")
-        if n < 1:
-            raise ValidationError("OAA_THREADS must be at least 1")
-        return n
-    return os.cpu_count() or 1
+def _trial_matrix(cfg: ExperimentConfig, dim: int, trial: int) -> np.ndarray:
+    return random_symmetric(dim // 2, SplitMix64(derive_seed(cfg.seed, dim, trial, 0)))
+
+
+def _encode_trial(cfg: ExperimentConfig, a: np.ndarray, dim: int, trial: int) -> Encoded:
+    """Encode `a` with the trial's random input: embedded-order in embedded
+    mode, matrix-order in projected mode."""
+    rng_in = SplitMix64(derive_seed(cfg.seed, dim, trial, 1))
+    length = dim if cfg.fidelity_mode == "embedded" else dim // 2
+    return encode(a, random_input(length, rng_in), cfg.fidelity_mode)
 
 
 def _run_trial(
@@ -178,31 +170,13 @@ def _run_trial(
     fixed_matrix: np.ndarray | None = None,
     fixed_report: ClosenessReport | None = None,
 ) -> EnsembleRecord:
-    half = dim // 2
-    if fixed_matrix is None:
-        a = random_symmetric(half, SplitMix64(derive_seed(cfg.seed, dim, trial, 0)))
-    else:
-        a = fixed_matrix
-    normalized, mu = mu_normalize(a)
-    emb = build_estimated_embedding(normalized, mu)
-    report = fixed_report if fixed_report is not None else closeness(emb.u)
-    circ = build_row_encoding(emb.u)
+    a = _trial_matrix(cfg, dim, trial) if fixed_matrix is None else fixed_matrix
+    enc = _encode_trial(cfg, a, dim, trial)
+    report = fixed_report if fixed_report is not None else closeness(enc.embedding.u)
     k = iteration_count(dim)
-
-    rng_in = SplitMix64(derive_seed(cfg.seed, dim, trial, 1))
-    if cfg.fidelity_mode == "embedded":
-        vec = random_input(dim, rng_in)
-        target = emb.u @ vec
-        project = False
-    else:
-        half_vec = random_input(half, rng_in)
-        vec = np.zeros(dim)
-        vec[:half] = half_vec
-        target = normalized @ half_vec
-        project = True
-    state = prepare_input(circ, vec)
     trace = oblivious_aa(
-        circ, state, k, cfg.variant, target, project_system_zero=project
+        enc.circuit, enc.state, k, cfg.variant, enc.target,
+        project_system_zero=enc.project,
     )
     best = trace.peak
     return EnsembleRecord(
@@ -224,26 +198,15 @@ def run_ensemble(cfg: ExperimentConfig) -> list:
     fixed: dict = {}
     if cfg.experiment == "fixed-matrix":
         for dim in cfg.dims:
-            a = random_symmetric(
-                dim // 2, SplitMix64(derive_seed(cfg.seed, dim, 0, 0))
-            )
+            a = _trial_matrix(cfg, dim, 0)
             normalized, mu = mu_normalize(a)
             emb = build_estimated_embedding(normalized, mu)
             fixed[dim] = (a, closeness(emb.u))
-    tasks = [(dim, trial) for dim in cfg.dims for trial in range(cfg.trials)]
-
-    def work(task):
-        dim, trial = task
-        if cfg.experiment == "fixed-matrix":
-            a, report = fixed[dim]
-            return _run_trial(cfg, dim, trial, fixed_matrix=a, fixed_report=report)
-        return _run_trial(cfg, dim, trial)
-
-    threads = _thread_count()
-    if threads > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(work, tasks))
-    return [work(t) for t in tasks]
+    return [
+        _run_trial(cfg, dim, trial, *fixed.get(dim, (None, None)))
+        for dim in cfg.dims
+        for trial in range(cfg.trials)
+    ]
 
 
 def run_trace(cfg: ExperimentConfig) -> list:
@@ -253,31 +216,11 @@ def run_trace(cfg: ExperimentConfig) -> list:
         raise ValidationError(f"not a trace experiment: {cfg.experiment!r}")
     results = []
     for dim in cfg.dims:
-        half = dim // 2
-        a = random_symmetric(half, SplitMix64(derive_seed(cfg.seed, dim, 0, 0)))
-        normalized, mu = mu_normalize(a)
-        emb = build_estimated_embedding(normalized, mu)
-        circ = build_row_encoding(emb.u)
-        rng_in = SplitMix64(derive_seed(cfg.seed, dim, 0, 1))
-        if cfg.fidelity_mode == "embedded":
-            vec = random_input(dim, rng_in)
-            target = emb.u @ vec
-            project = False
-        else:
-            half_vec = random_input(half, rng_in)
-            vec = np.zeros(dim)
-            vec[:half] = half_vec
-            target = normalized @ half_vec
-            project = True
-        state = prepare_input(circ, vec)
+        enc = _encode_trial(cfg, _trial_matrix(cfg, dim, 0), dim, 0)
         k_marker = iteration_count(dim)
         trace = oblivious_aa(
-            circ,
-            state,
-            k_marker + 2,
-            cfg.variant,
-            target,
-            project_system_zero=project,
+            enc.circuit, enc.state, k_marker + 2, cfg.variant, enc.target,
+            project_system_zero=enc.project,
         )
         results.append(TraceResult(dim=dim, k_marker=k_marker, trace=trace))
     return results

@@ -55,6 +55,8 @@ def as_square_array(m, name: str = "matrix") -> np.ndarray:
         raise DimensionError(f"{name} must be square, got shape {a.shape}")
     if a.shape[0] < 1:
         raise DimensionError(f"{name} must have at least one row")
+    if not np.isfinite(a).all():
+        raise ValidationError(f"{name} has a non-finite entry")
     return a
 
 

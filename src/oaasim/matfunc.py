@@ -21,12 +21,9 @@ from typing import Sequence
 import numpy as np
 
 from .amplification import iteration_count, oblivious_aa
-from .circuit import build_row_encoding, collapse_good, prepare_input
-from .embedding import build_estimated_embedding, mu_normalize
+from .circuit import collapse_good, encode
 from .errors import DimensionError, ValidationError
 from .linalg import as_square_array, check_symmetric, sym_eigen
-
-PRODUCT_FUNCTIONS = ("exp", "cos", "custom")
 
 STAGE_CSV_HEADER = "stage,probability,fidelity,mu_scale"
 
@@ -186,22 +183,18 @@ def chained_product_circuit(
     records = []
     for stage, w in enumerate(plan.factors):
         _check_factor(w, order)
-        normalized, mu = mu_normalize(w)
-        emb = build_estimated_embedding(normalized, mu)
-        circ = build_row_encoding(emb.u)
-        state = prepare_input(circ, vec)
-        target = emb.u @ vec
-        k = iteration_count(emb.order)
+        enc = encode(w, vec)
+        k = iteration_count(enc.embedding.order)
         trace, final_state = oblivious_aa(
-            circ, state, k, variant, target, return_final_state=True
+            enc.circuit, enc.state, k, variant, enc.target, return_final_state=True
         )
-        collapsed, probability = collapse_good(circ, final_state)
+        collapsed, probability = collapse_good(enc.circuit, final_state)
         records.append(
             StageRecord(
                 stage=stage,
                 probability=probability,
                 fidelity=trace.final.fidelity,
-                mu_scale=mu,
+                mu_scale=enc.embedding.mu,
             )
         )
         vec = collapsed

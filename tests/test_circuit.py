@@ -22,6 +22,7 @@ from oaasim import (
     build_row_encoding,
     collapse_good,
     dense_matrix_of,
+    encode,
     mu_normalize,
     prepare_input,
     random_input,
@@ -189,6 +190,40 @@ def test_builder_validation():
         build_lcu_encoding([np.eye(2), np.eye(2)], [1.0, 1.0])
     with pytest.raises(DimensionError):
         build_lcu_encoding([np.eye(2), np.eye(4)], [0.6, 0.8])
+
+
+def test_encode_matches_inline_recipe():
+    # the normalize -> embed -> row-encode -> input/target steps written out
+    a = random_symmetric(4, SplitMix64(61))
+    normalized, mu = mu_normalize(a)
+    emb = build_estimated_embedding(normalized, mu)
+    circ = build_row_encoding(emb.u)
+    full = random_input(8, SplitMix64(62))
+    half = random_input(4, SplitMix64(63))
+    padded = np.zeros(8)
+    padded[:4] = half
+    cases = [
+        ("embedded", full, full, emb.u @ full, False),
+        ("embedded", half, padded, emb.u @ padded, False),
+        ("projected", half, padded, normalized @ half, True),
+    ]
+    for mode, vec, state_vec, target, project in cases:
+        enc = encode(a, vec, mode)
+        assert enc.embedding.mu == mu
+        assert np.array_equal(enc.embedding.u, emb.u)
+        assert np.array_equal(enc.circuit._hh, circ._hh)
+        expected = prepare_input(circ, state_vec).amplitudes
+        assert np.array_equal(enc.state.amplitudes, expected)
+        assert np.array_equal(enc.target, target)
+        assert enc.project is project
+    for mode, length in (("embedded", 5), ("embedded", 16),
+                         ("projected", 8), ("projected", 2)):
+        with pytest.raises(ValidationError):
+            encode(a, random_input(length, SplitMix64(64)), mode)
+    with pytest.raises(ValidationError):
+        encode(a, full, "exact")
+    with pytest.raises(ValidationError):
+        encode(a, np.full(8, np.nan), "embedded")
 
 
 def test_lcu_pads_to_power_of_two():

@@ -90,6 +90,30 @@ def test_amplify_rejects_negative_k(matrix_file, input_file, capsys):
     assert "error:" in captured.err
 
 
+def test_amplify_rejects_nan_matrix(tmp_path, input_file, capsys):
+    a = random_symmetric(4, SplitMix64(3))
+    a[1, 2] = a[2, 1] = float("nan")
+    path = tmp_path / "nan.txt"
+    write_matrix(path, a)
+    code = main(["amplify", "--matrix", str(path), "--input", str(input_file)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "non-finite" in captured.err
+    assert captured.out == ""
+
+
+def test_amplify_rejects_nan_input(tmp_path, matrix_file, capsys):
+    vec = random_input(4, SplitMix64(5))
+    vec[2] = float("nan")
+    path = tmp_path / "nan_in.txt"
+    write_matrix(path, vec)
+    code = main(["amplify", "--matrix", str(matrix_file), "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "non-finite" in captured.err
+    assert captured.out == ""
+
+
 def test_argument_errors_exit_one(capsys):
     with pytest.raises(SystemExit) as info:
         main(["bogus"])
@@ -108,8 +132,7 @@ def test_missing_file_exits_one(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_experiment_outputs_and_determinism(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("OAA_THREADS", "2")
+def test_experiment_outputs_and_determinism(tmp_path, capsys):
     args = [
         "experiment", "--kind", "trace", "--dims", "8,16", "--trials", "1",
         "--seed", "11", "--variant", "adjoint",
@@ -118,7 +141,6 @@ def test_experiment_outputs_and_determinism(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert code == 0
     assert "seed=11" in captured.err
-    assert "threads=2" in captured.err
     csv1 = (tmp_path / "run1" / "trace.csv").read_text()
     assert csv1.startswith("dim,iteration,probability,fidelity,k_marker")
     assert (tmp_path / "run1" / "trace_dim8.svg").exists()

@@ -25,7 +25,6 @@ from oaasim import (
 from oaasim.experiments import (
     ENSEMBLE_CSV_HEADER,
     TRACE_CSV_HEADER,
-    _thread_count,
     ensemble_csv_lines,
     trace_csv_lines,
 )
@@ -72,16 +71,13 @@ def test_random_input_unit_norm():
     assert np.array_equal(vec, random_input(16, SplitMix64(3)))
 
 
-def test_ensemble_records_order_and_determinism(monkeypatch):
+def test_ensemble_records_order_and_determinism():
     cfg = ExperimentConfig(experiment="ensemble", variant="adjoint", **SMALL)
-    monkeypatch.setenv("OAA_THREADS", "1")
     serial = run_ensemble(cfg)
     assert [(r.dim, r.trial) for r in serial] == [
         (d, t) for d in (8, 16) for t in range(3)
     ]
-    monkeypatch.setenv("OAA_THREADS", "3")
-    threaded = run_ensemble(cfg)
-    assert serial == threaded
+    assert run_ensemble(cfg) == serial
     for rec in serial:
         assert 0.0 <= rec.final_probability <= 1.0 + 1e-12
         assert 0.0 <= rec.final_fidelity <= 1.0 + 1e-12
@@ -193,19 +189,6 @@ def test_emit_rejects_bad_arguments(tmp_path):
     rec = EnsembleRecord(0, 8, 0.1, 0.81, 0.9, 0.7, 2)
     with pytest.raises(ValidationError):
         emit_outputs([rec], "pdf", tmp_path / "x.pdf")
-
-
-def test_thread_count_env(monkeypatch):
-    monkeypatch.setenv("OAA_THREADS", "7")
-    assert _thread_count() == 7
-    monkeypatch.setenv("OAA_THREADS", "zero")
-    with pytest.raises(ValidationError):
-        _thread_count()
-    monkeypatch.setenv("OAA_THREADS", "0")
-    with pytest.raises(ValidationError):
-        _thread_count()
-    monkeypatch.delenv("OAA_THREADS")
-    assert _thread_count() >= 1
 
 
 def test_projected_mode_runs():

@@ -85,6 +85,14 @@ def test_eigen_rejects_asymmetric():
         sym_eigen(np.ones((2, 3)))
 
 
+def test_eigen_rejects_non_finite():
+    nan = float("nan")
+    with pytest.raises(ValidationError):
+        sym_eigen(np.array([[1.0, nan], [nan, 0.5]]))
+    with pytest.raises(ValidationError):
+        sym_eigen(np.array([[float("inf"), 0.0], [0.0, 1.0]]))
+
+
 def test_sqrt_psd_squares_back():
     rng = SplitMix64(21)
     for order in (2, 7, 12):
