@@ -7,10 +7,11 @@ embedding uses the matrix square root sqrt(I - A'^2) instead, making U
 exactly orthogonal whenever the spectral norm of A' is at most 1.
 
 Closeness of an almost-orthogonal U to its nearest orthogonal matrix is
-quantified through the polar decomposition: c2 and cF are squared relative
+read off the spectrum of U alone: c2 and cF are squared relative
 distances in the 2-norm and Frobenius norm, phi is twice the trace of the
 PSD polar cofactor, and ef = (1 - c2)^2 serves as an estimated lower bound
-for the fidelity achievable after amplification.
+for the fidelity achievable after amplification. The polar factors of
+linalg.polar_symmetric are the independent route the tests check against.
 """
 
 from __future__ import annotations
@@ -20,13 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RowNormError, SpectralRadiusError, ZeroMatrixError
+from .errors import PolarDegenerateError, RowNormError, SpectralRadiusError, ZeroMatrixError
 from .linalg import (
+    POLAR_EIGENVALUE_FLOOR,
     check_symmetric,
-    frobenius,
-    polar_symmetric,
     spectral_norm_symmetric,
     sqrt_psd,
+    sym_eigen,
 )
 
 ROW_NORM_CLAMP = 1e-12
@@ -130,24 +131,23 @@ def _assemble(ap: np.ndarray, off: np.ndarray) -> np.ndarray:
 def closeness(u) -> ClosenessReport:
     """Measure how far a symmetric matrix is from its nearest orthogonal one.
 
-    The nearest orthogonal matrix comes from polar_symmetric; c2 and cF are
-    ||U - U~||^2 / ||U||^2 in the 2-norm and Frobenius norm, phi is twice
-    the trace of the PSD factor, and ef = (1 - c2)^2. c2 is reported as
-    computed even when it exceeds 1 (see ClosenessReport.flagged).
+    Everything follows from the eigenvalues lambda of one sym_eigen call:
+    c2 = c2_from_eigenvalues(lambda), cF = sum (|lambda|-1)^2 / sum lambda^2,
+    phi = 2 sum |lambda| and ef = (1 - c2)^2. |lambda| below the polar sign
+    floor raises PolarDegenerateError; c2 above 1 is reported as computed
+    (see ClosenessReport.flagged).
     """
-    mat = check_symmetric(u)
-    u_tilde, h_tilde = polar_symmetric(mat)
-    diff = mat - u_tilde
-    c2 = spectral_norm_symmetric(diff) ** 2 / spectral_norm_symmetric(mat) ** 2
-    cf = frobenius(diff) ** 2 / frobenius(mat) ** 2
-    phi = 2.0 * float(np.trace(h_tilde))
-    ef = (1.0 - c2) ** 2
-    return ClosenessReport(c2=c2, cF=cf, phi=phi, ef=ef)
+    lam = np.abs(sym_eigen(u).values)
+    if float(lam.min()) < POLAR_EIGENVALUE_FLOOR:
+        raise PolarDegenerateError("eigenvalue too close to zero for the polar sign")
+    c2 = c2_from_eigenvalues(lam)
+    cf = float(((lam - 1.0) ** 2).sum() / (lam * lam).sum())
+    return ClosenessReport(c2=c2, cF=cf, phi=2.0 * float(lam.sum()), ef=(1.0 - c2) ** 2)
 
 
 def c2_from_eigenvalues(values) -> float:
-    """Independent route to c2 straight from the eigenvalue magnitudes:
-    (max | |lambda| - 1 |)^2 / (max |lambda|)^2. Used to cross-check the
-    polar route; the two must agree for symmetric input."""
+    """c2 from the eigenvalue magnitudes of a symmetric U, as closeness
+    computes it: (max | |lambda| - 1 |)^2 / (max |lambda|)^2. The polar
+    route (polar_symmetric plus spectral norms) is its test reference."""
     lam = np.abs(np.asarray(values, dtype=float))
     return float((np.abs(lam - 1.0).max() ** 2) / (lam.max() ** 2))

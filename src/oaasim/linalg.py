@@ -239,7 +239,7 @@ def write_matrix(path, m) -> None:
 
 
 def read_matrix(path) -> np.ndarray:
-    """Parse a matrix file written by write_matrix (whitespace separated)."""
+    """Parse a write_matrix file (whitespace separated, finite entries only)."""
     text = Path(path).read_text()
     tokens = text.split()
     if len(tokens) < 2:
@@ -259,6 +259,8 @@ def read_matrix(path) -> np.ndarray:
         flat = np.array([float(tok) for tok in body])
     except ValueError as exc:
         raise ValidationError(f"{path}: non-numeric entry") from exc
+    if not np.isfinite(flat).all():
+        raise ValidationError(f"{path}: non-finite entry")
     return flat.reshape(rows, cols)
 
 

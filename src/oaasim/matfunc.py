@@ -23,7 +23,7 @@ import numpy as np
 from .amplification import iteration_count, oblivious_aa
 from .circuit import collapse_good, encode
 from .errors import DimensionError, ValidationError
-from .linalg import as_square_array, check_symmetric, sym_eigen
+from .linalg import check_symmetric, sym_eigen
 
 STAGE_CSV_HEADER = "stage,probability,fidelity,mu_scale"
 
@@ -65,8 +65,7 @@ def stages_csv_lines(records: Sequence[StageRecord]) -> list:
 
 
 def _check_factor(w: np.ndarray, order: int | None) -> int:
-    w = as_square_array(w)
-    check_symmetric(w)
+    w = check_symmetric(w)
     if order is not None and w.shape[0] != order:
         raise DimensionError(
             f"factor order {w.shape[0]} does not match {order}"
@@ -92,8 +91,7 @@ def product_of_factors(factors: Sequence[np.ndarray]) -> np.ndarray:
 def matrix_function_oracle(a: np.ndarray, function: str) -> np.ndarray:
     """Exact matrix function through the symmetric eigendecomposition:
     exp(A) for "exp", cos(pi A) for "cos"."""
-    a = as_square_array(a)
-    check_symmetric(a)
+    a = check_symmetric(a)
     pair = sym_eigen(a)
     if function == "exp":
         mapped = np.exp(pair.values)
@@ -106,8 +104,7 @@ def matrix_function_oracle(a: np.ndarray, function: str) -> np.ndarray:
 
 def exp_product_factors(a: np.ndarray, truncation: int) -> ProductPlan:
     """Plan for exp(A) ~ (I + A/k)^k with k = truncation."""
-    a = as_square_array(a)
-    check_symmetric(a)
+    a = check_symmetric(a)
     if truncation < 1:
         raise ValidationError("exp truncation must be at least 1")
     w = np.eye(a.shape[0]) + a / float(truncation)
@@ -123,8 +120,7 @@ def cos_product_factors(a: np.ndarray, truncation: int) -> ProductPlan:
     """Plan for cos(pi A) ~ prod_{j=0}^{J-1} (I - 2A/(2j+1))
     (I + 2A/(2j+1)) with J = truncation. The factor pair for j = 0 makes
     the truncation vanish identically at A = I/2."""
-    a = as_square_array(a)
-    check_symmetric(a)
+    a = check_symmetric(a)
     if truncation < 1:
         raise ValidationError("cos truncation must be at least 1")
     eye = np.eye(a.shape[0])

@@ -22,7 +22,7 @@ FIDELITY_MODES = ("embedded", "projected")
 
 
 def fidelity(collapsed, target) -> float:
-    """Absolute normalized inner product of two nonzero real vectors.
+    """Absolute normalized inner product of two nonzero finite real vectors.
 
     Both arguments are normalized first and the absolute value is taken,
     so scaling either vector (including by -1) never changes the result.
@@ -31,6 +31,8 @@ def fidelity(collapsed, target) -> float:
     v = np.asarray(target, dtype=float).ravel()
     if u.size != v.size:
         raise DimensionError(f"length mismatch: {u.size} vs {v.size}")
+    if not (np.isfinite(u).all() and np.isfinite(v).all()):
+        raise ValidationError("fidelity of a non-finite vector is undefined")
     nu = math.sqrt(float((u * u).sum()))
     nv = math.sqrt(float((v * v).sum()))
     if nu == 0.0 or nv == 0.0:

@@ -4,8 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
+import oaasim.embedding
+import oaasim.linalg
 from oaasim import (
+    PolarDegenerateError,
     RowNormError,
     SpectralRadiusError,
     SplitMix64,
@@ -17,8 +22,9 @@ from oaasim import (
     closeness,
     householder_from_vector,
     mu_normalize,
+    polar_symmetric,
     random_symmetric,
-    sym_eigen,
+    spectral_norm_symmetric,
 )
 
 
@@ -26,6 +32,16 @@ def seeded_estimated_embedding(order, seed):
     a = random_symmetric(order, SplitMix64(seed))
     normalized, mu = mu_normalize(a)
     return build_estimated_embedding(normalized, mu)
+
+
+def polar_route(u):
+    """Closeness through the polar factors: (c2, cF, phi, ef) from the
+    distance U - U~ in the 2-norm and Frobenius norm and the trace of H~."""
+    u_tilde, h_tilde = polar_symmetric(u)
+    diff = u - u_tilde
+    c2 = spectral_norm_symmetric(diff) ** 2 / spectral_norm_symmetric(u) ** 2
+    cf = np.linalg.norm(diff) ** 2 / np.linalg.norm(u) ** 2
+    return c2, cf, 2.0 * float(np.trace(h_tilde)), (1.0 - c2) ** 2
 
 
 def test_mu_normalize_hand_case():
@@ -108,12 +124,58 @@ def test_closeness_routes_agree_on_embeddings():
     for seed in range(30):
         emb = seeded_estimated_embedding(2 + (seed % 7), 100 + seed)
         report = closeness(emb.u)
-        via_eigen = c2_from_eigenvalues(sym_eigen(emb.u).values)
-        assert report.c2 == pytest.approx(via_eigen, abs=1e-10)
+        via_polar = polar_route(emb.u)[0]
+        assert report.c2 == pytest.approx(via_polar, abs=1e-10)
         assert report.ef == pytest.approx((1.0 - report.c2) ** 2, abs=1e-12)
         assert 0.0 <= report.c2
         # trace of the symmetric polar factor is at most the order
         assert 2.0 * emb.order - report.phi >= -1e-8
+
+
+def test_closeness_makes_one_eigendecomposition(monkeypatch):
+    u = seeded_estimated_embedding(8, 5).u
+    calls = []
+    real = oaasim.linalg.sym_eigen
+
+    def counting(s):
+        calls.append(s)
+        return real(s)
+
+    # both bindings, so eigendecompositions reached through linalg count too
+    monkeypatch.setattr(oaasim.embedding, "sym_eigen", counting, raising=False)
+    monkeypatch.setattr(oaasim.linalg, "sym_eigen", counting)
+    closeness(u)
+    assert len(calls) == 1
+
+
+def test_closeness_rejects_degenerate_spectrum():
+    with pytest.raises(PolarDegenerateError):
+        closeness(np.diag([1.0, 0.0]))
+    with pytest.raises(PolarDegenerateError):
+        closeness(np.zeros((2, 2)))
+
+
+@st.composite
+def nonsingular_symmetric(draw):
+    n = draw(st.integers(2, 12))
+    count = n * (n + 1) // 2
+    m = np.zeros((n, n))
+    m[np.triu_indices(n)] = draw(st.lists(st.floats(-1.0, 1.0), min_size=count, max_size=count))
+    s = m + np.triu(m, 1).T
+    assume(float(np.abs(np.linalg.eigvalsh(s)).min()) >= 1e-6)
+    return s
+
+
+@given(nonsingular_symmetric())
+def test_closeness_matches_polar_route(s):
+    report = closeness(s)
+    c2, cf, phi, ef = polar_route(s)
+    # c2 ~ 1 / max|lambda|^2 reaches 1e12 when every eigenvalue is small,
+    # so the 1e-10 bound turns relative once a value exceeds 1
+    assert report.c2 == pytest.approx(c2, rel=1e-10, abs=1e-10)
+    assert report.cF == pytest.approx(cf, rel=1e-10, abs=1e-10)
+    assert report.ef == pytest.approx(ef, rel=1e-10, abs=1e-10)
+    assert report.phi == pytest.approx(phi, rel=1e-10)
 
 
 def test_closeness_flag():

@@ -2,6 +2,7 @@
 matrix file format, each checked against an independent route."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -191,3 +192,15 @@ def test_matrix_file_rejects_malformed(tmp_path):
     empty.write_text("")
     with pytest.raises(ValidationError):
         read_matrix(empty)
+
+
+def test_matrix_file_rejects_non_finite(tmp_path):
+    for i, token in enumerate(("nan", "inf", "-inf", "NaN")):
+        path = tmp_path / f"m{i}.txt"
+        path.write_text(f"2 2\n1.0 2.0\n2.0 {token}\n")
+        with pytest.raises(ValidationError, match=re.escape(f"{path}: non-finite")):
+            read_matrix(path)
+    vpath = tmp_path / "v.txt"
+    vpath.write_text("1 3\n0.5 inf 0.125\n")
+    with pytest.raises(ValidationError, match=re.escape(str(vpath))):
+        read_vector(vpath)

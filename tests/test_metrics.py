@@ -34,6 +34,13 @@ def test_rejections():
         fidelity([1.0, 0.0], [0.0, 0.0])
 
 
+def test_rejects_non_finite():
+    with pytest.raises(ValidationError, match="non-finite"):
+        fidelity([math.nan, 1.0], [1.0, 0.0])
+    with pytest.raises(ValidationError, match="non-finite"):
+        fidelity([1.0, 0.0], [math.inf, 0.0])
+
+
 def test_mode_names():
     assert check_fidelity_mode("embedded") == "embedded"
     assert check_fidelity_mode("projected") == "projected"
