@@ -36,6 +36,9 @@ VARIANTS = ("literal", "adjoint")
 
 @dataclass(frozen=True)
 class TraceRecord:
+    """Probability and fidelity after one iteration. The fields, in order,
+    are the columns of the amplify trace CSV table."""
+
     iteration: int
     probability: float
     fidelity: float
@@ -49,12 +52,6 @@ class IterationTrace:
     records: list[TraceRecord] = field(default_factory=list)
     k_target: int = 0
     variant: str = "literal"
-
-    def csv_lines(self) -> list[str]:
-        lines = ["iteration,probability,fidelity"]
-        for r in self.records:
-            lines.append(f"{r.iteration},{r.probability!r},{r.fidelity!r}")
-        return lines
 
     @property
     def final(self) -> TraceRecord:
@@ -147,7 +144,7 @@ def standard_aa(c: CircuitU, input_prep, k: int, target,
         raise DimensionError(
             f"input_prep must be {data_dim} x {data_dim}, got {prep.shape}"
         )
-    if float(np.abs(prep.T @ prep - np.eye(data_dim)).max()) > 1e-10:
+    if not (float(np.abs(prep.T @ prep - np.eye(data_dim)).max()) <= 1e-10):
         raise ValidationError("input_prep is not orthogonal within 1e-10")
     if k < 0:
         raise ValidationError("iteration count must be nonnegative")

@@ -195,7 +195,7 @@ def build_lcu_encoding(unitaries, coeffs) -> LcuCircuit:
     if k.size != len(mats):
         raise DimensionError("one coefficient per unitary required")
     norm = math.sqrt(float((k * k).sum()))
-    if abs(norm - 1.0) > 1e-10:
+    if not (abs(norm - 1.0) <= 1e-10):
         raise UnitNormError(f"coefficient norm {norm!r} is not 1 within 1e-10")
     m = 1
     while m < len(mats):
@@ -226,7 +226,7 @@ def apply_circuit(c: CircuitU, s: StateVector, inverse: bool = False) -> StateVe
     x = s.reshaped()
     x = c._inverse(x) if inverse else c._forward(x)
     out = StateVector(np.ascontiguousarray(x).ravel(), c.m_dim, c.n_dim)
-    if abs(out.norm() - s.norm()) > NORM_DRIFT_TOL * max(1.0, s.norm()):
+    if not (abs(out.norm() - s.norm()) <= NORM_DRIFT_TOL * max(1.0, s.norm())):
         raise NumericalError("circuit application failed to preserve the norm")
     return out
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -29,14 +30,13 @@ from .embedding import (
     mu_normalize,
 )
 from .errors import NumericalError, ValidationError
-from .experiments import ExperimentConfig, emit_outputs, run_ensemble, run_trace
+from .experiments import ExperimentConfig, csv_lines, emit_outputs, run_ensemble, run_trace
 from .linalg import read_matrix, read_vector, write_matrix
 from .matfunc import (
     chained_product_circuit,
     cos_product_factors,
     custom_product_plan,
     exp_product_factors,
-    stages_csv_lines,
 )
 from .metrics import FIDELITY_MODES, fidelity
 
@@ -142,7 +142,7 @@ def _cmd_amplify(args) -> int:
         enc.circuit, enc.state, k, args.variant, enc.target,
         project_system_zero=enc.project,
     )
-    lines = trace.csv_lines()
+    lines = csv_lines([asdict(r) for r in trace.records])
     if args.out is None:
         print("\n".join(lines))
     else:
@@ -189,15 +189,10 @@ def _run_plan(plan, args) -> int:
             f"input length {vec.size} does not match the factor order {order}"
         )
     collapsed, records = chained_product_circuit(plan, vec, args.variant)
-    reference = plan.target_oracle @ vec
-    ref_norm = float(np.linalg.norm(reference))
-    if ref_norm > 0.0:
-        embedded_ref = np.zeros(2 * order)
-        embedded_ref[:order] = reference
-        final_fid = fidelity(collapsed, embedded_ref)
-    else:
-        final_fid = float("nan")
-    lines = stages_csv_lines(records)
+    embedded_ref = np.zeros(2 * order)
+    embedded_ref[:order] = plan.target_oracle @ vec
+    final_fid = fidelity(collapsed, embedded_ref)
+    lines = csv_lines([asdict(r) for r in records])
     if args.out is None:
         print("\n".join(lines))
     else:

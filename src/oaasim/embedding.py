@@ -63,9 +63,6 @@ class ClosenessReport:
         """True when c2 exceeds 1 and ef loses its lower-bound reading."""
         return self.c2 > 1.0
 
-    def csv_row(self) -> str:
-        return f"{self.c2!r},{self.cF!r},{self.phi!r},{self.ef!r}"
-
 
 def mu_normalize(a) -> tuple[np.ndarray, float]:
     """Scale a symmetric matrix so its largest row 2-norm is exactly 1.

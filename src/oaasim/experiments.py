@@ -20,7 +20,7 @@ diagonal blocks, builds the row-encoding circuit, and amplifies for
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -28,16 +28,13 @@ import numpy as np
 
 from .amplification import VARIANTS, IterationTrace, iteration_count, oblivious_aa
 from .circuit import Encoded, _is_power_of_two, encode
-from .embedding import ClosenessReport, build_estimated_embedding, closeness, mu_normalize
+from .embedding import ClosenessReport, closeness
 from .errors import NumericalError, ValidationError
 from .metrics import check_fidelity_mode
 from .rng import SplitMix64, derive_seed
 from .svgplot import line_chart
 
 EXPERIMENT_KINDS = ("ensemble", "fixed-matrix", "trace")
-
-ENSEMBLE_CSV_HEADER = "trial,dim,c2,ef,final_fidelity,final_probability,k_used"
-TRACE_CSV_HEADER = "dim,iteration,probability,fidelity,k_marker"
 
 
 @dataclass(frozen=True)
@@ -78,7 +75,8 @@ class ExperimentConfig:
 class EnsembleRecord:
     """One amplified trial: closeness of the embedding plus the
     probability and fidelity at the peak-probability iteration, which is
-    where a run stops measuring. k_used is the number of iterations run."""
+    where a run stops measuring. k_used is the number of iterations run.
+    The fields, in order, are the columns of the ensemble CSV table."""
 
     trial: int
     dim: int
@@ -88,43 +86,16 @@ class EnsembleRecord:
     final_probability: float
     k_used: int
 
-    def csv_row(self) -> str:
-        return ",".join(
-            [
-                str(self.trial),
-                str(self.dim),
-                repr(self.c2),
-                repr(self.ef),
-                repr(self.final_fidelity),
-                repr(self.final_probability),
-                str(self.k_used),
-            ]
-        )
-
 
 @dataclass(frozen=True)
 class TraceResult:
-    """Per-iteration probability and fidelity for one dimension."""
+    """Per-iteration probability and fidelity for one dimension. Its CSV
+    table has one row per trace record: dim, the TraceRecord fields, then
+    k_marker."""
 
     dim: int
     k_marker: int
     trace: IterationTrace
-
-    def csv_rows(self) -> list:
-        rows = []
-        for rec in self.trace.records:
-            rows.append(
-                ",".join(
-                    [
-                        str(self.dim),
-                        str(rec.iteration),
-                        repr(rec.probability),
-                        repr(rec.fidelity),
-                        str(self.k_marker),
-                    ]
-                )
-            )
-        return rows
 
 
 def random_symmetric(order: int, rng: SplitMix64) -> np.ndarray:
@@ -167,11 +138,12 @@ def _run_trial(
     cfg: ExperimentConfig,
     dim: int,
     trial: int,
-    fixed_matrix: np.ndarray | None = None,
     fixed_report: ClosenessReport | None = None,
 ) -> EnsembleRecord:
-    a = _trial_matrix(cfg, dim, trial) if fixed_matrix is None else fixed_matrix
-    enc = _encode_trial(cfg, a, dim, trial)
+    """One trial. The fixed-matrix experiment reuses trial 0's matrix and
+    the dimension's closeness report in every trial."""
+    matrix_trial = 0 if cfg.experiment == "fixed-matrix" else trial
+    enc = _encode_trial(cfg, _trial_matrix(cfg, dim, matrix_trial), dim, trial)
     report = fixed_report if fixed_report is not None else closeness(enc.embedding.u)
     k = iteration_count(dim)
     trace = oblivious_aa(
@@ -195,15 +167,13 @@ def run_ensemble(cfg: ExperimentConfig) -> list:
     (dim, trial) order."""
     if cfg.experiment not in ("ensemble", "fixed-matrix"):
         raise ValidationError(f"not an ensemble experiment: {cfg.experiment!r}")
-    fixed: dict = {}
+    reports: dict = {}
     if cfg.experiment == "fixed-matrix":
         for dim in cfg.dims:
-            a = _trial_matrix(cfg, dim, 0)
-            normalized, mu = mu_normalize(a)
-            emb = build_estimated_embedding(normalized, mu)
-            fixed[dim] = (a, closeness(emb.u))
+            enc = _encode_trial(cfg, _trial_matrix(cfg, dim, 0), dim, 0)
+            reports[dim] = closeness(enc.embedding.u)
     return [
-        _run_trial(cfg, dim, trial, *fixed.get(dim, (None, None)))
+        _run_trial(cfg, dim, trial, reports.get(dim))
         for dim in cfg.dims
         for trial in range(cfg.trials)
     ]
@@ -226,27 +196,25 @@ def run_trace(cfg: ExperimentConfig) -> list:
     return results
 
 
-def ensemble_csv_lines(records: Sequence[EnsembleRecord]) -> list:
-    return [ENSEMBLE_CSV_HEADER] + [r.csv_row() for r in records]
+def csv_lines(rows: Sequence[dict]) -> list:
+    """CSV table of nonempty dict rows: the header is the first row's keys,
+    and every value is written with repr, so floats round-trip exactly."""
+    return [",".join(rows[0])] + [",".join(map(repr, row.values())) for row in rows]
 
 
-def trace_csv_lines(results: Sequence[TraceResult]) -> list:
-    lines = [TRACE_CSV_HEADER]
-    for res in results:
-        lines.extend(res.csv_rows())
-    return lines
+def _series(rows: Sequence, x_field: str, fields: Sequence[str], mode: str) -> list:
+    """One chart series per record field, plotted against x_field."""
+    xs = [float(getattr(r, x_field)) for r in rows]
+    return [
+        {"label": name, "xs": xs, "ys": [getattr(r, name) for r in rows], "mode": mode}
+        for name in fields
+    ]
 
 
 def _ensemble_svg(records: Sequence[EnsembleRecord], dim: int) -> str:
     rows = [r for r in records if r.dim == dim]
-    xs = [float(r.trial) for r in rows]
-    series = [
-        {"label": "final_fidelity", "xs": xs, "ys": [r.final_fidelity for r in rows], "mode": "scatter"},
-        {"label": "final_probability", "xs": xs, "ys": [r.final_probability for r in rows], "mode": "scatter"},
-        {"label": "ef", "xs": xs, "ys": [r.ef for r in rows], "mode": "scatter"},
-    ]
     return line_chart(
-        series,
+        _series(rows, "trial", ("final_fidelity", "final_probability", "ef"), "scatter"),
         title=f"amplified trials, dim {dim}",
         xlabel="trial",
         ylabel="value",
@@ -254,13 +222,8 @@ def _ensemble_svg(records: Sequence[EnsembleRecord], dim: int) -> str:
 
 
 def _trace_svg(result: TraceResult) -> str:
-    xs = [float(r.iteration) for r in result.trace.records]
-    series = [
-        {"label": "probability", "xs": xs, "ys": [r.probability for r in result.trace.records], "mode": "line"},
-        {"label": "fidelity", "xs": xs, "ys": [r.fidelity for r in result.trace.records], "mode": "line"},
-    ]
     return line_chart(
-        series,
+        _series(result.trace.records, "iteration", ("probability", "fidelity"), "line"),
         title=f"amplification trace, dim {result.dim}",
         xlabel="iteration",
         ylabel="value",
@@ -271,7 +234,10 @@ def _trace_svg(result: TraceResult) -> str:
 
 def emit_outputs(results, fmt: str, path) -> list:
     """Write experiment results as CSV (path names the file) or SVG (path
-    names a directory, one file per dimension). Returns written paths."""
+    names a directory, one file per dimension). Returns written paths.
+
+    The CSV columns are the record fields (see EnsembleRecord and
+    TraceResult); each chart plots record fields named in its legend."""
     if fmt not in ("csv", "svg"):
         raise ValidationError(f"format must be csv or svg, got {fmt!r}")
     results = list(results)
@@ -281,9 +247,13 @@ def emit_outputs(results, fmt: str, path) -> list:
     path = Path(path)
     written = []
     if fmt == "csv":
-        lines = trace_csv_lines(results) if is_trace else ensemble_csv_lines(results)
+        if is_trace:
+            rows = [{"dim": res.dim, **asdict(rec), "k_marker": res.k_marker}
+                    for res in results for rec in res.trace.records]
+        else:
+            rows = [asdict(r) for r in results]
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text("\n".join(lines) + "\n")
+        path.write_text("\n".join(csv_lines(rows)) + "\n")
         written.append(path)
         return written
     path.mkdir(parents=True, exist_ok=True)

@@ -203,7 +203,7 @@ def householder_from_vector(u) -> np.ndarray:
     if vec.size < 1:
         raise DimensionError("vector must have at least one entry")
     norm = math.sqrt(float((vec * vec).sum()))
-    if abs(norm - 1.0) > 1e-12:
+    if not (abs(norm - 1.0) <= 1e-12):
         raise UnitNormError(f"vector norm {norm!r} is not 1 within 1e-12")
     n = vec.size
     v = -vec.copy()

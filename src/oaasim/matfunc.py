@@ -25,8 +25,6 @@ from .circuit import collapse_good, encode
 from .errors import DimensionError, ValidationError
 from .linalg import check_symmetric, sym_eigen
 
-STAGE_CSV_HEADER = "stage,probability,fidelity,mu_scale"
-
 
 @dataclass(frozen=True)
 class ProductPlan:
@@ -42,26 +40,13 @@ class ProductPlan:
 
 @dataclass(frozen=True)
 class StageRecord:
-    """Amplification outcome of one product stage."""
+    """Amplification outcome of one product stage. The fields, in order,
+    are the columns of the stages CSV table."""
 
     stage: int
     probability: float
     fidelity: float
     mu_scale: float
-
-    def csv_row(self) -> str:
-        return ",".join(
-            [
-                str(self.stage),
-                repr(self.probability),
-                repr(self.fidelity),
-                repr(self.mu_scale),
-            ]
-        )
-
-
-def stages_csv_lines(records: Sequence[StageRecord]) -> list:
-    return [STAGE_CSV_HEADER] + [r.csv_row() for r in records]
 
 
 def _check_factor(w: np.ndarray, order: int | None) -> int:

@@ -48,8 +48,6 @@ def line_chart(
     ylabel: str,
     vline: float | None = None,
     vline_label: str = "",
-    width: int = _WIDTH,
-    height: int = _HEIGHT,
 ) -> str:
     """Render series (dicts with keys label, xs, ys, and mode which is
     "line" or "scatter") into an SVG document string."""
@@ -64,8 +62,8 @@ def line_chart(
         all_x.append(float(vline))
     x_lo, x_hi = _data_range(all_x)
     y_lo, y_hi = _data_range(all_y)
-    plot_w = width - _MARGIN_LEFT - _MARGIN_RIGHT
-    plot_h = height - _MARGIN_TOP - _MARGIN_BOTTOM
+    plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
+    plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
 
     def px(x: float) -> float:
         return _MARGIN_LEFT + (x - x_lo) / (x_hi - x_lo) * plot_w
@@ -75,9 +73,9 @@ def line_chart(
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
-        f'<text x="{_fmt(width / 2)}" y="22" font-family="sans-serif" '
+        f'width="{_WIDTH}" height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>',
+        f'<text x="{_fmt(_WIDTH / 2)}" y="22" font-family="sans-serif" '
         f'font-size="14" text-anchor="middle">{title}</text>',
     ]
     # axes frame
@@ -110,7 +108,7 @@ def line_chart(
             f'font-size="10" text-anchor="end">{_tick_label(ty)}</text>'
         )
     parts.append(
-        f'<text x="{_fmt(x0 + plot_w / 2)}" y="{_fmt(height - 10)}" '
+        f'<text x="{_fmt(x0 + plot_w / 2)}" y="{_fmt(_HEIGHT - 10)}" '
         f'font-family="sans-serif" font-size="12" text-anchor="middle">{xlabel}</text>'
     )
     parts.append(

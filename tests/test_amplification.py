@@ -234,3 +234,9 @@ def test_standard_rejects_bad_prep():
         standard_aa(circ, np.ones((4, 4)), 1, np.ones(4))
     with pytest.raises(Exception):
         standard_aa(circ, np.eye(3), 1, np.ones(4))
+
+
+def test_standard_rejects_nan_prep():
+    circ = build_row_encoding(seeded_embedded(4, 99))
+    with pytest.raises(ValidationError, match="not orthogonal"):
+        standard_aa(circ, np.full((4, 4), np.nan), 1, np.ones(4))

@@ -28,7 +28,7 @@ from oaasim import (
     random_input,
     random_symmetric,
 )
-from oaasim.circuit import _fwht_axis0
+from oaasim.circuit import LcuCircuit, _fwht_axis0
 
 from dense_reference import dense_lcu, dense_row_encoding, hadamard, random_orthogonal
 
@@ -190,6 +190,20 @@ def test_builder_validation():
         build_lcu_encoding([np.eye(2), np.eye(2)], [1.0, 1.0])
     with pytest.raises(DimensionError):
         build_lcu_encoding([np.eye(2), np.eye(4)], [0.6, 0.8])
+
+
+def test_lcu_rejects_nan_coefficient():
+    with pytest.raises(UnitNormError, match="coefficient norm"):
+        build_lcu_encoding([np.eye(2), np.eye(2)], [np.nan, 1.0])
+
+
+def test_apply_rejects_nan_result():
+    # the circuit a NaN coefficient would have built: its apply must trip
+    # the norm guard, not return an all-NaN state
+    circ = LcuCircuit(np.stack([np.eye(2), np.eye(2)]), np.full((2, 2), np.nan))
+    state = StateVector(np.array([1.0, 0.0, 0.0, 0.0]), 2, 2)
+    with pytest.raises(NumericalError, match="preserve the norm"):
+        apply_circuit(circ, state)
 
 
 def test_encode_matches_inline_recipe():

@@ -230,3 +230,16 @@ def test_module_entry_point_help():
     assert proc.returncode == 0
     assert "embed" in proc.stdout
     assert "amplify" in proc.stdout
+
+
+def test_product_rejects_zero_reference(tmp_path, capsys):
+    # diag(0, 1) diag(1, 0) maps every input to zero, so the oracle
+    # fidelity is undefined: exit 1 rather than print nan
+    p1, p2 = tmp_path / "p1.txt", tmp_path / "p2.txt"
+    write_matrix(p1, np.diag([1.0, 0.0]))
+    write_matrix(p2, np.diag([0.0, 1.0]))
+    code = main(["product", "--factors", str(p1), str(p2)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "fidelity of a zero vector is undefined" in captured.err

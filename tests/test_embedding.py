@@ -185,11 +185,3 @@ def test_closeness_flag():
     assert not report.flagged
     report = closeness(np.diag([5.0, 1.0]))
     assert report.c2 == pytest.approx(16.0 / 25.0, abs=1e-12)
-
-
-def test_csv_row_round_trips():
-    report = closeness(2.0 * np.eye(2))
-    parts = report.csv_row().split(",")
-    assert len(parts) == 4
-    assert float(parts[0]) == report.c2
-    assert float(parts[3]) == report.ef

@@ -1,13 +1,20 @@
 """Experiment harness: configuration validation, seeded determinism, CSV
 and SVG emission."""
 
+import struct
+from dataclasses import asdict, fields
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from oaasim import (
     EnsembleRecord,
     ExperimentConfig,
     SplitMix64,
+    StageRecord,
+    TraceRecord,
     ValidationError,
     build_estimated_embedding,
     build_row_encoding,
@@ -22,12 +29,7 @@ from oaasim import (
     run_ensemble,
     run_trace,
 )
-from oaasim.experiments import (
-    ENSEMBLE_CSV_HEADER,
-    TRACE_CSV_HEADER,
-    ensemble_csv_lines,
-    trace_csv_lines,
-)
+from oaasim.experiments import csv_lines
 
 SMALL = dict(dims=(8, 16), trials=3, seed=5)
 
@@ -139,11 +141,11 @@ def test_kind_mismatch_rejected():
         run_ensemble(ExperimentConfig(experiment="trace", **SMALL))
 
 
-def test_csv_lines_round_trip():
+def test_csv_lines_round_trip(tmp_path):
     cfg = ExperimentConfig(experiment="ensemble", variant="adjoint", **SMALL)
     records = run_ensemble(cfg)
-    lines = ensemble_csv_lines(records)
-    assert lines[0] == ENSEMBLE_CSV_HEADER
+    lines = csv_lines([asdict(r) for r in records])
+    assert lines[0] == "trial,dim,c2,ef,final_fidelity,final_probability,k_used"
     assert len(lines) == 1 + len(records)
     first = lines[1].split(",")
     assert int(first[0]) == records[0].trial
@@ -152,10 +154,36 @@ def test_csv_lines_round_trip():
     assert float(first[2]) == records[0].c2
     assert float(first[4]) == records[0].final_fidelity
 
-    trace_lines = trace_csv_lines(run_trace(ExperimentConfig(experiment="trace", **SMALL)))
-    assert trace_lines[0] == TRACE_CSV_HEADER
+    traces = run_trace(ExperimentConfig(experiment="trace", **SMALL))
+    trace_lines = emit_outputs(traces, "csv", tmp_path / "trace.csv")[0].read_text().split("\n")
+    assert trace_lines[0] == "dim,iteration,probability,fidelity,k_marker"
     row = trace_lines[1].split(",")
     assert row[0] == "8" and row[1] == "0" and row[4] == "2"
+
+
+EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1.7e308, -1.7e308)
+FLOATS = st.floats(allow_nan=False) | st.sampled_from(EDGE_FLOATS)
+
+
+def _records(cls):
+    by_field = {f.name: st.integers(0, 2**31) if f.type == "int" else FLOATS for f in fields(cls)}
+    return st.lists(st.builds(cls, **by_field), min_size=1, max_size=4)
+
+
+@given(st.sampled_from((EnsembleRecord, TraceRecord, StageRecord)).flatmap(_records))
+def test_csv_lines_header_and_exact_floats(records):
+    # header is the record's field names; every value reads back bit-exactly
+    names = [f.name for f in fields(type(records[0]))]
+    lines = csv_lines([asdict(r) for r in records])
+    assert lines[0].split(",") == names
+    assert len(lines) == 1 + len(records)
+    for line, rec in zip(lines[1:], records):
+        for text, name in zip(line.split(","), names, strict=True):
+            value = getattr(rec, name)
+            if isinstance(value, int):
+                assert int(text) == value
+            else:
+                assert struct.pack("<d", float(text)) == struct.pack("<d", value)
 
 
 def test_emit_outputs_csv_and_svg(tmp_path):
@@ -165,7 +193,7 @@ def test_emit_outputs_csv_and_svg(tmp_path):
     written = emit_outputs(records, "csv", csv_path)
     assert written == [csv_path]
     text = csv_path.read_text()
-    assert text.startswith(ENSEMBLE_CSV_HEADER)
+    assert text.startswith("trial,dim,c2,ef,final_fidelity,final_probability,k_used\n")
     assert len(text.strip().split("\n")) == 7
 
     svg_written = emit_outputs(records, "svg", tmp_path / "plots")

@@ -156,6 +156,11 @@ def test_householder_exchanges_first_basis_vector():
         householder_from_vector(np.array([1.0, 1.0]))
 
 
+def test_householder_rejects_nan():
+    with pytest.raises(UnitNormError, match="not 1 within"):
+        householder_from_vector(np.array([np.nan, 0.0]))
+
+
 def test_spectral_norm_matches_eigenvalue_route():
     s = random_symmetric(9, SplitMix64(51))
     expect = np.max(np.abs(np.linalg.eigvalsh(s)))

@@ -1,6 +1,7 @@
 """Product factorizations of matrix functions and chained-circuit applies."""
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from oaasim import (
     random_symmetric,
     spectral_norm_symmetric,
 )
-from oaasim.matfunc import STAGE_CSV_HEADER, stages_csv_lines
+from oaasim.experiments import csv_lines
 
 
 def test_exp_factors_structure():
@@ -178,8 +179,8 @@ def test_stage_csv_format():
     plan = custom_product_plan([w, w])
     vec = random_input(4, SplitMix64(336))
     _, records = chained_product_circuit(plan, vec, "adjoint")
-    lines = stages_csv_lines(records)
-    assert lines[0] == STAGE_CSV_HEADER
+    lines = csv_lines([asdict(r) for r in records])
+    assert lines[0] == "stage,probability,fidelity,mu_scale"
     assert len(lines) == 3
     parts = lines[1].split(",")
     assert int(parts[0]) == 0
