@@ -12,6 +12,9 @@ dense circuit operator is symmetric.
 The standard (input-dependent) iterate is also provided; it reflects about
 the prepared start state and therefore needs the input preparation
 operator, but it works for any circuit.
+
+States are read through the circuit's good_first view of their grid, so
+nothing here knows which register a circuit type marks as good.
 """
 
 from __future__ import annotations
@@ -50,8 +53,6 @@ class IterationTrace:
     state right after the circuit, before any amplification."""
 
     records: list[TraceRecord] = field(default_factory=list)
-    k_target: int = 0
-    variant: str = "literal"
 
     @property
     def final(self) -> TraceRecord:
@@ -75,9 +76,10 @@ def iteration_count(m: int) -> int:
 
 
 def _check_good_component(c: CircuitU, s: StateVector) -> None:
-    x = s.reshaped()
-    rest = x[1:, :] if c.good_register == "first" else x[:, 1:]
-    if rest.size and float(np.abs(rest).max()) > 1e-12:
+    if not np.isfinite(s.grid).all():
+        raise ValidationError("input state has a non-finite amplitude")
+    rest = c.good_first(s.grid)[1:]
+    if rest.size and not (float(np.abs(rest).max()) <= 1e-12):
         raise ValidationError("input must have its good-register component at index 0")
 
 
@@ -105,14 +107,14 @@ def oblivious_aa(c: CircuitU, input_state: StateVector, k: int, variant: str,
         raise ValidationError("iteration count must be nonnegative")
     _check_good_component(c, input_state)
     state = apply_circuit(c, input_state)
-    trace = IterationTrace(k_target=k, variant=variant)
+    trace = IterationTrace()
     trace.records.append(_record(c, state, target, project_system_zero, 0))
     for i in range(1, k + 1):
         state = apply_good_reflection(c, state)
         state = apply_circuit(c, state, inverse=(variant == "adjoint"))
         state = apply_good_reflection(c, state)
         state = apply_circuit(c, state)
-        state = StateVector(-state.amplitudes, state.m_dim, state.n_dim)
+        state = StateVector(-state.grid)
         trace.records.append(_record(c, state, target, project_system_zero, i))
     if return_final_state:
         return trace, state
@@ -120,12 +122,7 @@ def oblivious_aa(c: CircuitU, input_state: StateVector, k: int, variant: str,
 
 
 def _apply_on_data_register(c: CircuitU, s: StateVector, p: np.ndarray) -> StateVector:
-    x = s.reshaped()
-    if c.good_register == "second":
-        x = p @ x
-    else:
-        x = x @ p.T
-    return StateVector(np.ascontiguousarray(x).ravel(), c.m_dim, c.n_dim)
+    return StateVector(c.good_first(c.good_first(s.grid) @ p.T))
 
 
 def standard_aa(c: CircuitU, input_prep, k: int, target,
@@ -139,7 +136,9 @@ def standard_aa(c: CircuitU, input_prep, k: int, target,
     (circuit o preparation).
     """
     prep = np.asarray(input_prep, dtype=float)
-    data_dim = c.m_dim if c.good_register == "second" else c.n_dim
+    start = np.zeros((c.m_dim, c.n_dim))
+    start[0, 0] = 1.0
+    data_dim = c.good_first(start).shape[1]
     if prep.shape != (data_dim, data_dim):
         raise DimensionError(
             f"input_prep must be {data_dim} x {data_dim}, got {prep.shape}"
@@ -155,17 +154,15 @@ def standard_aa(c: CircuitU, input_prep, k: int, target,
     def b_inverse(s: StateVector) -> StateVector:
         return _apply_on_data_register(c, apply_circuit(c, s, inverse=True), prep.T)
 
-    start = np.zeros(c.m_dim * c.n_dim)
-    start[0] = 1.0
-    state = b_apply(StateVector(start, c.m_dim, c.n_dim))
-    trace = IterationTrace(k_target=k, variant="standard")
+    state = b_apply(StateVector(start))
+    trace = IterationTrace()
     trace.records.append(_record(c, state, target, False, 0))
     for i in range(1, k + 1):
         state = apply_good_reflection(c, state)
         state = b_inverse(state)
-        amps = -state.amplitudes
-        amps[0] = -amps[0]
-        state = b_apply(StateVector(amps, state.m_dim, state.n_dim))
+        x = -state.grid
+        x[0, 0] = -x[0, 0]
+        state = b_apply(StateVector(x))
         trace.records.append(_record(c, state, target, False, i))
     if return_final_state:
         return trace, state

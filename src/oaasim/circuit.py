@@ -1,10 +1,12 @@
 """Structured two-register block-encoding circuits.
 
 Both circuit types act on a state over an ancilla-role register of dimension
-M and a system register of dimension N, stored flat with basis state (a, s)
-at position a * N + s. The operator itself is always orthogonal; the matrix
-being encoded appears, scaled by 1/sqrt(M), in the amplitudes of the "good"
-states, the positions whose designated register component is index 0.
+M and a system register of dimension N, held as the (M, N) grid; the flat
+view puts basis state (a, s) at a * N + s. The operator itself is always
+orthogonal; the matrix being encoded appears, scaled by 1/sqrt(M), in the
+amplitudes of the "good" states, the positions whose designated register
+component is index 0. CircuitU.good_first turns a grid so that this
+register is axis 0, and every state operation below works on that view.
 
 LcuCircuit (sum of unitaries): coefficient reflector K on the first
 register, a block-diagonal layer applying unitary U_i inside ancilla sector
@@ -52,33 +54,39 @@ NORM_DRIFT_TOL = 1e-12
 
 @dataclass
 class StateVector:
-    """Real amplitudes over the (ancilla-role, system) tensor space."""
+    """Real amplitudes over the (ancilla-role, system) space: an (M, N) grid."""
 
-    amplitudes: np.ndarray
-    m_dim: int
-    n_dim: int
+    grid: np.ndarray
 
     def __post_init__(self):
-        self.amplitudes = np.asarray(self.amplitudes, dtype=float).ravel()
-        if self.m_dim * self.n_dim != self.amplitudes.size:
-            raise DimensionError(
-                f"amplitude count {self.amplitudes.size} is not "
-                f"{self.m_dim} * {self.n_dim}"
-            )
+        # kept C-contiguous: the layers' row sums must run in one order
+        self.grid = np.ascontiguousarray(self.grid, dtype=float)
+        if self.grid.ndim != 2:
+            raise DimensionError(f"state grid must be 2-D, got shape {self.grid.shape}")
 
-    def reshaped(self) -> np.ndarray:
-        return self.amplitudes.reshape(self.m_dim, self.n_dim)
+    @property
+    def m_dim(self) -> int:
+        return self.grid.shape[0]
+
+    @property
+    def n_dim(self) -> int:
+        return self.grid.shape[1]
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        """Flat view: basis state (a, s) at position a * N + s."""
+        return self.grid.ravel()
 
     def norm(self) -> float:
-        return math.sqrt(float((self.amplitudes * self.amplitudes).sum()))
+        return math.sqrt(float((self.grid * self.grid).sum()))
 
 
 class CircuitU:
     """Immutable structured block-encoding operator.
 
-    good_register names which register's index-0 component marks good
-    states. Each subclass owns its layers: _forward and _inverse map the
-    (M, N) amplitude grid to a new one.
+    good_register names the register whose index 0 marks good states; only
+    good_first reads it. Each subclass owns its layers: _forward and
+    _inverse map the (M, N) amplitude grid to a new one.
     """
 
     good_register = ""
@@ -86,6 +94,11 @@ class CircuitU:
     def __init__(self, m_dim, n_dim):
         self.m_dim = int(m_dim)
         self.n_dim = int(n_dim)
+
+    def good_first(self, x: np.ndarray) -> np.ndarray:
+        """View of the (M, N) grid x whose row 0 holds the good amplitudes
+        and whose axis 1 is the data register. Writes go through to x."""
+        return x.T if self.good_register == "second" else x
 
 
 class RowEncodingCircuit(CircuitU):
@@ -165,13 +178,13 @@ def build_row_encoding(u) -> RowEncodingCircuit:
     row_norms = np.sqrt((mat * mat).sum(axis=1))
     if float(np.abs(row_norms - 1.0).max()) > 1e-10:
         raise RowNormError("every row must have unit 2-norm within 1e-10")
+    # row i is e0 - U[i]; in C order each row sums like a lone vector
+    v = np.negative(mat, order="C")
+    v[:, 0] += 1.0
+    nv = np.sqrt((v * v).sum(axis=1))
+    keep = nv >= 1e-12  # otherwise U[i] = e0 and block i is the identity
     hh = np.zeros((m, m))
-    for i in range(m):
-        v = -mat[i].copy()
-        v[0] += 1.0
-        nv = math.sqrt(float((v * v).sum()))
-        if nv >= 1e-12:
-            hh[i] = v / nv
+    hh[keep] = v[keep] / nv[keep, None]
     return RowEncodingCircuit(hh)
 
 
@@ -223,9 +236,7 @@ def apply_circuit(c: CircuitU, s: StateVector, inverse: bool = False) -> StateVe
     """Apply the structured operator (or its inverse as the reversed
     sequence of inverted layers). Preserves the state norm to 1e-12."""
     _check_dims(c, s)
-    x = s.reshaped()
-    x = c._inverse(x) if inverse else c._forward(x)
-    out = StateVector(np.ascontiguousarray(x).ravel(), c.m_dim, c.n_dim)
+    out = StateVector(c._inverse(s.grid) if inverse else c._forward(s.grid))
     if not (abs(out.norm() - s.norm()) <= NORM_DRIFT_TOL * max(1.0, s.norm())):
         raise NumericalError("circuit application failed to preserve the norm")
     return out
@@ -234,12 +245,9 @@ def apply_circuit(c: CircuitU, s: StateVector, inverse: bool = False) -> StateVe
 def apply_good_reflection(c: CircuitU, s: StateVector) -> StateVector:
     """Negate exactly the amplitudes whose good-register component is 0."""
     _check_dims(c, s)
-    x = s.reshaped().copy()
-    if c.good_register == "first":
-        x[0, :] = -x[0, :]
-    else:
-        x[:, 0] = -x[:, 0]
-    return StateVector(x.ravel(), c.m_dim, c.n_dim)
+    x = s.grid.copy()
+    c.good_first(x)[0] *= -1.0
+    return StateVector(x)
 
 
 def collapse_good(c: CircuitU, s: StateVector,
@@ -252,17 +260,15 @@ def collapse_good(c: CircuitU, s: StateVector,
     reported probability is the compound one (both projections succeeding).
     """
     _check_dims(c, s)
-    x = s.reshaped()
-    good = x[0, :].copy() if c.good_register == "first" else x[:, 0].copy()
+    good = c.good_first(s.grid)[0].copy()
     prob = float((good * good).sum())
-    if prob < GOOD_MASS_FLOOR:
+    if not (prob >= GOOD_MASS_FLOOR):
         raise NoGoodAmplitudeError("no amplitude mass on the good states")
     collapsed = good / math.sqrt(prob)
     if project_system_zero:
-        half = collapsed.size // 2
-        top = collapsed[:half].copy()
+        top = collapsed[: collapsed.size // 2].copy()
         mass = float((top * top).sum())
-        if mass < GOOD_MASS_FLOOR:
+        if not (mass >= GOOD_MASS_FLOOR):
             raise NoGoodAmplitudeError("no amplitude mass after the projection")
         return top / math.sqrt(mass), prob * mass
     return collapsed, prob
@@ -278,15 +284,11 @@ def prepare_input(c: CircuitU, system) -> StateVector:
     if abs(norm - 1.0) > 1e-12:
         raise UnitNormError(f"input norm {norm!r} is not 1 within 1e-12")
     x = np.zeros((c.m_dim, c.n_dim))
-    if c.good_register == "first":
-        if vec.size != c.n_dim:
-            raise DimensionError(f"input length {vec.size} != system dim {c.n_dim}")
-        x[0, :] = vec
-    else:
-        if vec.size != c.m_dim:
-            raise DimensionError(f"input length {vec.size} != data dim {c.m_dim}")
-        x[:, 0] = vec
-    return StateVector(x.ravel(), c.m_dim, c.n_dim)
+    v = c.good_first(x)
+    if vec.size != v.shape[1]:
+        raise DimensionError(f"input length {vec.size} != data dim {v.shape[1]}")
+    v[0] = vec
+    return StateVector(x)
 
 
 @dataclass(frozen=True)
@@ -323,13 +325,13 @@ def encode(a, vec, fidelity_mode: str = "embedded") -> Encoded:
         padded = np.zeros(2 * order)
         padded[:order] = vec
     elif project:
-        raise ValidationError(
+        raise DimensionError(
             f"projected mode needs an input of length {order}, got {vec.size}"
         )
     elif vec.size == 2 * order:
         padded = vec
     else:
-        raise ValidationError(
+        raise DimensionError(
             f"input length {vec.size} matches neither {order} nor {2 * order}"
         )
     state = prepare_input(circ, padded)
@@ -346,7 +348,7 @@ def dense_matrix_of(c: CircuitU) -> np.ndarray:
         )
     out = np.zeros((total, total))
     for j in range(total):
-        basis = np.zeros(total)
-        basis[j] = 1.0
-        out[:, j] = apply_circuit(c, StateVector(basis, c.m_dim, c.n_dim)).amplitudes
+        basis = np.zeros((c.m_dim, c.n_dim))
+        basis[divmod(j, c.n_dim)] = 1.0
+        out[:, j] = apply_circuit(c, StateVector(basis)).amplitudes
     return out

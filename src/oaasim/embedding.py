@@ -36,9 +36,8 @@ SPECTRAL_SLACK = 1e-10
 
 @dataclass(frozen=True)
 class Embedding:
-    """A normalized matrix, its scale, and the block operator built from it."""
+    """The scale of a normalized matrix and the block operator built from it."""
 
-    a_normalized: np.ndarray
     mu: float
     d_diag: np.ndarray
     u: np.ndarray
@@ -93,7 +92,7 @@ def build_estimated_embedding(a_normalized, mu: float = 1.0) -> Embedding:
         )
     d_diag = np.sqrt(np.clip(1.0 - row2, 0.0, None))
     u = _assemble(ap, np.diag(d_diag))
-    return Embedding(a_normalized=ap, mu=float(mu), d_diag=d_diag, u=u, kind="estimated")
+    return Embedding(mu=float(mu), d_diag=d_diag, u=u, kind="estimated")
 
 
 def build_exact_embedding(a_normalized, mu: float = 1.0) -> Embedding:
@@ -112,7 +111,7 @@ def build_exact_embedding(a_normalized, mu: float = 1.0) -> Embedding:
     off = sqrt_psd(np.eye(ap.shape[0]) - ap @ ap)
     u = _assemble(ap, off)
     d_diag = np.diag(off).copy()
-    return Embedding(a_normalized=ap, mu=float(mu), d_diag=d_diag, u=u, kind="exact")
+    return Embedding(mu=float(mu), d_diag=d_diag, u=u, kind="exact")
 
 
 def _assemble(ap: np.ndarray, off: np.ndarray) -> np.ndarray:

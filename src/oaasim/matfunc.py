@@ -140,22 +140,13 @@ def chained_product_circuit(
     variant: str = "literal",
 ):
     """Apply the plan's factors to input_vec through chained embedded
-    circuits. input_vec may have the factor order d (it is placed in the
-    top half of the embedded space) or the embedded order 2d. Returns the
-    final collapsed embedded-order vector and the per-stage records."""
+    circuits. input_vec, of the factor order d (encode puts it in the top
+    half of the embedded space) or the embedded order 2d, is normalized
+    first. Returns the final collapsed vector and the per-stage records."""
     if not plan.factors:
         raise ValidationError("plan has no factors")
     order = _check_factor(plan.factors[0], None)
     vec = np.asarray(input_vec, dtype=float).ravel()
-    if vec.size == order:
-        padded = np.zeros(2 * order)
-        padded[:order] = vec
-        vec = padded
-    elif vec.size != 2 * order:
-        raise DimensionError(
-            f"input length {vec.size} matches neither the factor order "
-            f"{order} nor the embedded order {2 * order}"
-        )
     norm = float(np.linalg.norm(vec))
     if norm == 0.0:
         raise ValidationError("input vector is zero")

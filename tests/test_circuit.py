@@ -97,7 +97,7 @@ def test_apply_matches_dense_on_random_states():
         for _ in range(5):
             amps = gen.uniform_signed_array(total)
             amps = amps / np.linalg.norm(amps)
-            state = StateVector(amps, circ.m_dim, circ.n_dim)
+            state = StateVector(amps.reshape(circ.m_dim, circ.n_dim))
             out = apply_circuit(circ, state)
             assert np.max(np.abs(out.amplitudes - dense @ amps)) < 1e-12
             back = apply_circuit(circ, state, inverse=True)
@@ -122,7 +122,7 @@ def test_prepare_input_layouts():
     row = build_row_encoding(u)  # good register is the second one
     vec = np.array([0.5, 0.5, 0.5, 0.5])
     state = prepare_input(row, vec)
-    grid = state.reshaped()
+    grid = state.grid
     assert np.array_equal(grid[:, 0], vec)
     assert np.count_nonzero(grid) == 4
 
@@ -130,7 +130,7 @@ def test_prepare_input_layouts():
     lcu = build_lcu_encoding(unitaries, np.array([1.0, 1.0]) / math.sqrt(2.0))
     vec2 = np.array([0.6, 0.8])
     state2 = prepare_input(lcu, vec2)
-    grid2 = state2.reshaped()
+    grid2 = state2.grid
     assert np.array_equal(grid2[0, :], vec2)
     assert np.count_nonzero(grid2) == 2
 
@@ -146,10 +146,10 @@ def test_good_reflection_negates_good_slice():
     gen = SplitMix64(8)
     amps = gen.uniform_signed_array(16)
     amps = amps / np.linalg.norm(amps)
-    state = StateVector(amps.copy(), 4, 4)
+    state = StateVector(amps.reshape(4, 4))
     flipped = apply_good_reflection(circ, state)
-    grid = flipped.reshaped()
-    original = state.reshaped()
+    grid = flipped.grid
+    original = state.grid
     assert np.array_equal(grid[:, 0], -original[:, 0])
     assert np.array_equal(grid[:, 1:], original[:, 1:])
 
@@ -160,7 +160,7 @@ def test_collapse_good_probability_and_vector():
     grid = np.zeros((4, 4))
     grid[:, 0] = [0.3, 0.1, -0.2, 0.4]
     grid[1, 2] = math.sqrt(1.0 - 0.09 - 0.01 - 0.04 - 0.16)
-    state = StateVector(grid.ravel(), 4, 4)
+    state = StateVector(grid)
     collapsed, prob = collapse_good(circ, state)
     assert prob == pytest.approx(0.30, abs=1e-15)
     expect = np.array([0.3, 0.1, -0.2, 0.4]) / math.sqrt(0.30)
@@ -174,7 +174,27 @@ def test_collapse_good_probability_and_vector():
     empty = np.zeros((4, 4))
     empty[1, 2] = 1.0
     with pytest.raises(NoGoodAmplitudeError):
-        collapse_good(circ, StateVector(empty.ravel(), 4, 4))
+        collapse_good(circ, StateVector(empty))
+
+
+def test_collapse_rejects_nan_good_mass():
+    # NaN compares false with the floor, so the guard must not pass it
+    circ = build_row_encoding(np.eye(4))
+    state = StateVector(np.full((4, 4), np.nan))
+    for project in (False, True):
+        with pytest.raises(NoGoodAmplitudeError, match="on the good states"):
+            collapse_good(circ, state, project_system_zero=project)
+
+
+def test_collapse_rejects_nan_projected_mass():
+    # an infinite good amplitude passes the first guard and leaves inf/inf
+    # = NaN in the collapsed vector, which the projection guard must catch
+    circ = build_row_encoding(np.eye(4))
+    grid = np.zeros((4, 4))
+    grid[0, 0] = np.inf
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NoGoodAmplitudeError, match="after the projection"):
+            collapse_good(circ, StateVector(grid), project_system_zero=True)
 
 
 def test_builder_validation():
@@ -201,7 +221,7 @@ def test_apply_rejects_nan_result():
     # the circuit a NaN coefficient would have built: its apply must trip
     # the norm guard, not return an all-NaN state
     circ = LcuCircuit(np.stack([np.eye(2), np.eye(2)]), np.full((2, 2), np.nan))
-    state = StateVector(np.array([1.0, 0.0, 0.0, 0.0]), 2, 2)
+    state = StateVector(np.array([[1.0, 0.0], [0.0, 0.0]]))
     with pytest.raises(NumericalError, match="preserve the norm"):
         apply_circuit(circ, state)
 
@@ -259,8 +279,8 @@ def test_dense_oracle_is_capped():
 
 def test_state_vector_validation():
     with pytest.raises(DimensionError):
-        StateVector(np.zeros(7), 2, 4)
+        StateVector(np.zeros(8))
     u = seeded_embedded(4, 47)
     circ = build_row_encoding(u)
     with pytest.raises(DimensionError):
-        apply_circuit(circ, StateVector(np.zeros(4), 2, 2))
+        apply_circuit(circ, StateVector(np.zeros((2, 2))))

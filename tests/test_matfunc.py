@@ -165,6 +165,22 @@ def test_chain_input_handling():
         chained_product_circuit(plan, np.zeros(4), "adjoint")
 
 
+def test_chain_factor_order_input_matches_padded_input():
+    # a factor-order input is normalized before encode pads it, a padded one
+    # at full length; the two routes may differ only by rounding
+    a = random_symmetric(8, SplitMix64(337))
+    plan = exp_product_factors(a / spectral_norm_symmetric(a), 2)
+    vec = random_input(8, SplitMix64(338))
+    padded = np.zeros(16)
+    padded[:8] = vec
+    short, short_records = chained_product_circuit(plan, vec, "adjoint")
+    full, full_records = chained_product_circuit(plan, padded, "adjoint")
+    assert np.max(np.abs(short - full)) <= 1e-14
+    for x, y in zip(short_records, full_records, strict=True):
+        assert x.probability == pytest.approx(y.probability, abs=1e-14)
+        assert x.fidelity == pytest.approx(y.fidelity, abs=1e-14)
+
+
 def test_plan_validation():
     with pytest.raises(ValidationError):
         exp_product_factors(np.eye(2), 0)
