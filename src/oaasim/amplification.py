@@ -31,7 +31,7 @@ from .circuit import (
     apply_good_reflection,
     collapse_good,
 )
-from .errors import DimensionError, ValidationError
+from .errors import DimensionError, NoGoodAmplitudeError, ValidationError
 from .metrics import fidelity
 
 VARIANTS = ("literal", "adjoint")
@@ -40,7 +40,14 @@ VARIANTS = ("literal", "adjoint")
 @dataclass(frozen=True)
 class TraceRecord:
     """Probability and fidelity after one iteration. The fields, in order,
-    are the columns of the amplify trace CSV table."""
+    are the columns of the amplify trace CSV table.
+
+    An iteration whose good-state mass (after the projection, in projected
+    mode) is finite but below GOOD_MASS_FLOOR has nothing to collapse: its
+    record holds probability 0.0 and fidelity 0.0, the trace goes on, and
+    IterationTrace.peak picks such a record only when no iteration has
+    mass. A NaN mass still raises NoGoodAmplitudeError.
+    """
 
     iteration: int
     probability: float
@@ -84,7 +91,12 @@ def _check_good_component(c: CircuitU, s: StateVector) -> None:
 
 
 def _record(c, state, target, project, iteration) -> TraceRecord:
-    collapsed, prob = collapse_good(c, state, project_system_zero=project)
+    try:
+        collapsed, prob = collapse_good(c, state, project_system_zero=project)
+    except NoGoodAmplitudeError:
+        if not np.isfinite(c.good_first(state.grid)[0]).all():
+            raise
+        return TraceRecord(iteration=iteration, probability=0.0, fidelity=0.0)
     return TraceRecord(iteration=iteration, probability=prob,
                        fidelity=fidelity(collapsed, target))
 

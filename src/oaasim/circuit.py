@@ -24,12 +24,16 @@ amplification iterate reuse a single reflection. encode runs the whole
 path from a symmetric matrix and an input vector to this circuit, its
 input state and the fidelity target.
 
-Applications cost O(M N^2) and never materialize the M N x M N operator;
+No application materializes the M N x M N operator. The Hadamard layer is
+two small matrix products (see _fwht_axis0) costing O(M N (a + b)) with
+a + b <= 2.2 sqrt(M); the row encoding's Householder layer is O(M N); the
+LCU form adds O(M N^2) for its blocks and O(M^2 N) for its reflector.
 dense_matrix_of exists only as a small-dimension oracle for tests.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -78,7 +82,8 @@ class StateVector:
         return self.grid.ravel()
 
     def norm(self) -> float:
-        return math.sqrt(float((self.grid * self.grid).sum()))
+        flat = self.grid.ravel()
+        return math.sqrt(float(flat @ flat))
 
 
 class CircuitU:
@@ -112,14 +117,19 @@ class RowEncodingCircuit(CircuitU):
         self._hh = hh_vectors
 
     def _householder_layer(self, x: np.ndarray) -> np.ndarray:
-        dots = (self._hh * x).sum(axis=1)
-        return x - 2.0 * dots[:, None] * self._hh
+        dots = np.einsum("ij,ij->i", self._hh, x)
+        y = self._hh * (-2.0 * dots)[:, None]
+        y += x
+        return y
 
     def _forward(self, x):
         return self._householder_layer(_fwht_axis0(x.T))
 
     def _inverse(self, x):
-        return _fwht_axis0(self._householder_layer(x)).T
+        # transformed in place, then one transposing copy: two full-size
+        # arrays in flight, as in _forward
+        y = self._householder_layer(x)
+        return np.ascontiguousarray(_fwht_axis0(y, out=y).T)
 
 
 class LcuCircuit(CircuitU):
@@ -146,21 +156,36 @@ def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
-def _fwht_axis0(x: np.ndarray) -> np.ndarray:
-    """Normalized Walsh-Hadamard transform over axis 0 (length must be a
-    power of two). Self-inverse."""
+@functools.cache
+def _hadamard(m: int) -> np.ndarray:
+    """Normalized Sylvester Hadamard matrix of order m (a power of two).
+    Cached and read-only: every caller shares one copy per order."""
+    h = np.ones((1, 1))
+    while h.shape[0] < m:
+        h = np.block([[h, h], [h, -h]])
+    h /= math.sqrt(m)
+    h.flags.writeable = False
+    return h
+
+
+def _fwht_axis0(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Normalized Walsh-Hadamard transform over axis 0 (length M must be a
+    power of two). Self-inverse.
+
+    The Sylvester matrix factors as H_M = H_a (x) H_b with a =
+    2^ceil(log2(M) / 2) and b = M / a, so the transform is two matrix
+    products with the small cached factors: H_a over the leading index of
+    the (a, b, N) view, then H_b broadcast over that index. That costs
+    O(M N (a + b)) and keeps only sqrt(M)-sized matrices in memory. The
+    second product writes into `out` when given (a C-contiguous array of
+    x's shape, which may be x itself); the result is then a view of it.
+    """
     m = x.shape[0]
-    y = np.array(x, dtype=float, copy=True)
-    h = 1
-    while h < m:
-        y = y.reshape(m // (2 * h), 2, h, -1)
-        a = y[:, 0].copy()
-        b = y[:, 1].copy()
-        y[:, 0] = a + b
-        y[:, 1] = a - b
-        y = y.reshape(m, -1)
-        h *= 2
-    return y / math.sqrt(m)
+    a = 1 << (m.bit_length() // 2)
+    b = m // a
+    y = _hadamard(a) @ x.reshape(a, -1)
+    dest = None if out is None else out.reshape(a, b, -1)
+    return np.matmul(_hadamard(b), y.reshape(a, b, -1), out=dest).reshape(x.shape)
 
 
 def build_row_encoding(u) -> RowEncodingCircuit:

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import given
 from hypothesis import strategies as st
 
 from oaasim import (
@@ -21,6 +21,7 @@ from oaasim import (
     build_lcu_encoding,
     build_row_encoding,
     dense_matrix_of,
+    encode,
     householder_from_vector,
     iteration_count,
     mu_normalize,
@@ -30,6 +31,8 @@ from oaasim import (
     random_symmetric,
     standard_aa,
 )
+
+from oaasim.amplification import _record
 
 from dense_reference import random_orthogonal
 
@@ -232,13 +235,8 @@ def test_norm_conserved_over_iterations(circ, k, seed):
     data_dim = len(good_indices(circ))
     state = prepare_input(circ, random_input(data_dim, SplitMix64(seed)))
     for variant in VARIANTS:
-        try:
-            trace, final = oblivious_aa(circ, state, k, variant, np.ones(data_dim),
-                                        return_final_state=True)
-        except NoGoodAmplitudeError:
-            # the literal iterate can empty the good states (an order-2 row
-            # encoding does at k = 1); such a run has no trace to check
-            assume(False)
+        trace, final = oblivious_aa(circ, state, k, variant, np.ones(data_dim),
+                                    return_final_state=True)
         assert len(trace.records) == k + 1
         assert abs(final.norm() - 1.0) <= 1e-12
 
@@ -248,6 +246,30 @@ def test_good_view_row_zero_is_the_good_amplitudes(circ, seed):
     state = StateVector(random_grid(circ, seed))
     good = circ.good_first(state.grid)[0]
     assert np.array_equal(good, state.amplitudes[good_indices(circ)])
+
+
+def test_emptied_good_states_record_zero():
+    # the literal iterate on an order-2 row encoding empties the good
+    # states at k = 1; that iteration is recorded, never the peak
+    enc = encode(np.array([[0.5]]), np.array([1.0]))
+    trace = oblivious_aa(enc.circuit, enc.state, 2, "literal", enc.target)
+    assert trace.records[1] == TraceRecord(iteration=1, probability=0.0, fidelity=0.0)
+    assert trace.records[0].probability > 0.0
+    assert trace.peak.probability > 0.0
+    # good mass present, none on the system's top half: projected record 0
+    circ = build_row_encoding(np.eye(4))
+    grid = np.zeros((4, 4))
+    grid[3, 0] = 1.0
+    rec = _record(circ, StateVector(grid), np.ones(2), True, 5)
+    assert rec == TraceRecord(iteration=5, probability=0.0, fidelity=0.0)
+
+
+def test_nan_good_mass_still_raises():
+    circ = build_row_encoding(np.eye(4))
+    state = StateVector(np.full((4, 4), np.nan))
+    for project in (False, True):
+        with pytest.raises(NoGoodAmplitudeError):
+            _record(circ, state, np.ones(4), project, 0)
 
 
 def test_standard_iterate_matches_exact_rotation():

@@ -80,6 +80,23 @@ def test_amplify_out_file_and_k(tmp_path, matrix_file, input_file, capsys):
     assert "final_fidelity=" in captured.out
 
 
+def test_amplify_one_by_one_literal(tmp_path, capsys):
+    # the literal iterate empties the good states at k = 1; the trace
+    # still comes out, with that iteration recorded as zero
+    matrix = tmp_path / "one.txt"
+    vec = tmp_path / "one_in.txt"
+    write_matrix(matrix, np.array([[0.5]]))
+    write_matrix(vec, np.array([1.0]))
+    code = main(["amplify", "--matrix", str(matrix), "--input", str(vec),
+                 "--variant", "literal"])
+    captured = capsys.readouterr()
+    assert code == 0
+    lines = captured.out.strip().split("\n")
+    assert lines[0] == "iteration,probability,fidelity"
+    assert len(lines) == 3
+    assert lines[2] == "1,0.0,0.0"
+
+
 def test_amplify_rejects_negative_k(matrix_file, input_file, capsys):
     code = main([
         "amplify", "--matrix", str(matrix_file), "--input", str(input_file),

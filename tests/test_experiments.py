@@ -1,14 +1,20 @@
 """Experiment harness: configuration validation, seeded determinism, CSV
 and SVG emission."""
 
+import json
+import os
 import struct
+import subprocess
+import sys
 from dataclasses import asdict, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oaasim
 from oaasim import (
     EnsembleRecord,
     ExperimentConfig,
@@ -85,6 +91,49 @@ def test_ensemble_records_order_and_determinism():
         assert 0.0 <= rec.final_fidelity <= 1.0 + 1e-12
         assert rec.ef == pytest.approx((1.0 - rec.c2) ** 2, abs=1e-12)
         assert rec.k_used == (2 if rec.dim == 8 else 3)
+
+
+# row encodings of orders 2-256, both variants, and a small ensemble; every
+# float printed in hex so that equal output means bit-identical records
+BLAS_RECORDS_SCRIPT = """
+import json
+from dataclasses import astuple
+from oaasim import (VARIANTS, ExperimentConfig, SplitMix64, encode,
+                    iteration_count, oblivious_aa, random_input,
+                    random_symmetric, run_ensemble)
+
+def hexed(record):
+    return [x.hex() if isinstance(x, float) else x for x in astuple(record)]
+
+out = []
+for order in (1, 2, 4, 8, 16, 32, 64, 128):
+    enc = encode(random_symmetric(order, SplitMix64(order)),
+                 random_input(order, SplitMix64(order + 1000)))
+    for variant in VARIANTS:
+        trace = oblivious_aa(enc.circuit, enc.state, iteration_count(2 * order),
+                             variant, enc.target)
+        out.append([hexed(r) for r in trace.records])
+cfg = ExperimentConfig(dims=(16, 32), trials=2, seed=7, variant="adjoint")
+out.append([hexed(r) for r in run_ensemble(cfg)])
+print(json.dumps(out))
+"""
+
+
+def test_records_independent_of_blas_threads():
+    # the package under test, first on the child's path
+    path = [str(Path(oaasim.__file__).resolve().parent.parent)]
+    path += [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    outputs = []
+    for threads in ("1", "2"):  # never more than two
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(path))
+        proc = subprocess.run([sys.executable, "-c", BLAS_RECORDS_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(json.loads(proc.stdout))
+    assert len(outputs[0]) == 17
+    assert outputs[0] == outputs[1]
 
 
 def test_ensemble_record_is_trace_peak():

@@ -6,6 +6,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from oaasim import (
     ConvergenceError,
@@ -182,6 +184,32 @@ def test_matrix_file_round_trip_exact(tmp_path):
     row = tmp_path / "row.txt"
     row.write_text("1 3\n0.5 -0.25 0.125\n")
     assert np.array_equal(read_vector(row), np.array([0.5, -0.25, 0.125]))
+
+
+# signed zeros, subnormals (smallest and largest) and near-overflow values
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+               -2.225073858507201e-308, 1.7e308, -1.7e308]
+
+
+@st.composite
+def edge_matrices(draw):
+    """Matrices whose entries are EDGE_FLOATS plus up to 30 arbitrary finite
+    floats, shuffled, in a random row count dividing the entry count."""
+    drawn = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                          max_size=30))
+    entries = draw(st.permutations(EDGE_FLOATS + drawn))
+    rows = draw(st.sampled_from(
+        [r for r in range(1, len(entries) + 1) if len(entries) % r == 0]))
+    return np.array(entries).reshape(rows, -1)
+
+
+@given(edge_matrices())
+def test_matrix_file_round_trip_bit_exact(tmp_path_factory, m):
+    path = tmp_path_factory.mktemp("io") / "m.txt"
+    write_matrix(path, m)
+    back = read_matrix(path)
+    assert back.shape == m.shape
+    assert np.array_equal(back.view(np.uint64), m.view(np.uint64))
 
 
 def test_matrix_file_rejects_malformed(tmp_path):
