@@ -118,23 +118,26 @@ def oblivious_aa(c: CircuitU, input_state: StateVector, k: int, variant: str,
     if k < 0:
         raise ValidationError("iteration count must be nonnegative")
     _check_good_component(c, input_state)
-    state = apply_circuit(c, input_state)
+    state = apply_circuit(c, input_state)  # the run's one state grid
     trace = IterationTrace()
     trace.records.append(_record(c, state, target, project_system_zero, 0))
     for i in range(1, k + 1):
-        state = apply_good_reflection(c, state)
-        state = apply_circuit(c, state, inverse=(variant == "adjoint"))
-        state = apply_good_reflection(c, state)
-        state = apply_circuit(c, state)
-        state = StateVector(-state.grid)
+        apply_good_reflection(c, state, out=state)
+        apply_circuit(c, state, inverse=(variant == "adjoint"), out=state)
+        apply_good_reflection(c, state, out=state)
+        apply_circuit(c, state, out=state)
+        np.negative(state.grid, out=state.grid)
         trace.records.append(_record(c, state, target, project_system_zero, i))
     if return_final_state:
         return trace, state
     return trace
 
 
-def _apply_on_data_register(c: CircuitU, s: StateVector, p: np.ndarray) -> StateVector:
-    return StateVector(c.good_first(c.good_first(s.grid) @ p.T))
+def _apply_on_data_register(c: CircuitU, s: StateVector, p: np.ndarray,
+                            spare: np.ndarray) -> None:
+    """Apply p to the data register of s in place; spare is a work grid."""
+    good = c.good_first(s.grid)
+    np.copyto(s.grid, c.good_first(np.matmul(good, p.T, out=spare.reshape(good.shape))))
 
 
 def standard_aa(c: CircuitU, input_prep, k: int, target,
@@ -160,21 +163,21 @@ def standard_aa(c: CircuitU, input_prep, k: int, target,
     if k < 0:
         raise ValidationError("iteration count must be nonnegative")
 
-    def b_apply(s: StateVector) -> StateVector:
-        return apply_circuit(c, _apply_on_data_register(c, s, prep))
-
-    def b_inverse(s: StateVector) -> StateVector:
-        return _apply_on_data_register(c, apply_circuit(c, s, inverse=True), prep.T)
-
-    state = b_apply(StateVector(start))
+    # circuit o preparation and its inverse, on one state and one spare grid
+    state = StateVector(start)
+    spare = np.empty_like(start)
+    _apply_on_data_register(c, state, prep, spare)
+    apply_circuit(c, state, out=state)
     trace = IterationTrace()
     trace.records.append(_record(c, state, target, False, 0))
     for i in range(1, k + 1):
-        state = apply_good_reflection(c, state)
-        state = b_inverse(state)
-        x = -state.grid
-        x[0, 0] = -x[0, 0]
-        state = b_apply(StateVector(x))
+        apply_good_reflection(c, state, out=state)
+        apply_circuit(c, state, inverse=True, out=state)
+        _apply_on_data_register(c, state, prep.T, spare)
+        np.negative(state.grid, out=state.grid)
+        state.grid[0, 0] = -state.grid[0, 0]
+        _apply_on_data_register(c, state, prep, spare)
+        apply_circuit(c, state, out=state)
         trace.records.append(_record(c, state, target, False, i))
     if return_final_state:
         return trace, state

@@ -29,6 +29,12 @@ two small matrix products (see _fwht_axis0) costing O(M N (a + b)) with
 a + b <= 2.2 sqrt(M); the row encoding's Householder layer is O(M N); the
 LCU form adds O(M N^2) for its blocks and O(M^2 N) for its reflector.
 dense_matrix_of exists only as a small-dimension oracle for tests.
+
+Memory: the layers write into a destination the caller may own (the `out`
+of apply_circuit, which may be the input state) and work in one scratch
+grid per circuit, made on first use, so an amplification loop allocates
+its full-size grids once. Hence one circuit is never applied from two
+threads at once.
 """
 
 from __future__ import annotations
@@ -91,7 +97,8 @@ class CircuitU:
 
     good_register names the register whose index 0 marks good states; only
     good_first reads it. Each subclass owns its layers: _forward and
-    _inverse map the (M, N) amplitude grid to a new one.
+    _inverse read the (M, N) amplitude grid x and write the result into
+    out (which may be x), working in scratch (which may be neither).
     """
 
     good_register = ""
@@ -99,6 +106,11 @@ class CircuitU:
     def __init__(self, m_dim, n_dim):
         self.m_dim = int(m_dim)
         self.n_dim = int(n_dim)
+
+    @functools.cached_property
+    def _scratch(self) -> np.ndarray:
+        """Work grid of the layers, shared by every apply of this circuit."""
+        return np.empty((self.m_dim, self.n_dim))
 
     def good_first(self, x: np.ndarray) -> np.ndarray:
         """View of the (M, N) grid x whose row 0 holds the good amplitudes
@@ -116,20 +128,21 @@ class RowEncodingCircuit(CircuitU):
         super().__init__(hh_vectors.shape[0], hh_vectors.shape[0])
         self._hh = hh_vectors
 
-    def _householder_layer(self, x: np.ndarray) -> np.ndarray:
+    def _householder_layer(self, x: np.ndarray, out: np.ndarray) -> None:
+        """Block i reflects row i of x into row i of out (out is not x)."""
         dots = np.einsum("ij,ij->i", self._hh, x)
-        y = self._hh * (-2.0 * dots)[:, None]
-        y += x
-        return y
+        np.multiply(self._hh, (-2.0 * dots)[:, None], out=out)
+        out += x
 
-    def _forward(self, x):
-        return self._householder_layer(_fwht_axis0(x.T))
+    def _forward(self, x, out, scratch):
+        np.copyto(scratch, x.T)
+        _fwht_axis0(scratch, scratch, out)
+        self._householder_layer(scratch, out)
 
-    def _inverse(self, x):
-        # transformed in place, then one transposing copy: two full-size
-        # arrays in flight, as in _forward
-        y = self._householder_layer(x)
-        return np.ascontiguousarray(_fwht_axis0(y, out=y).T)
+    def _inverse(self, x, out, scratch):
+        self._householder_layer(x, scratch)
+        _fwht_axis0(scratch, scratch, out)
+        np.copyto(out, scratch.T)
 
 
 class LcuCircuit(CircuitU):
@@ -143,13 +156,15 @@ class LcuCircuit(CircuitU):
         self._stack = block_stack
         self.k_reflector = k_reflector
 
-    def _forward(self, x):
-        x = np.einsum("aij,aj->ai", self._stack, self.k_reflector @ x)
-        return _fwht_axis0(x)
+    def _forward(self, x, out, scratch):
+        np.matmul(self.k_reflector, x, out=scratch)
+        np.einsum("aij,aj->ai", self._stack, scratch, out=out)
+        _fwht_axis0(out, out, scratch)
 
-    def _inverse(self, x):
-        x = np.einsum("aji,aj->ai", self._stack, _fwht_axis0(x))
-        return self.k_reflector.T @ x
+    def _inverse(self, x, out, scratch):
+        _fwht_axis0(x, out, scratch)
+        np.einsum("aji,aj->ai", self._stack, out, out=scratch)
+        np.matmul(self.k_reflector.T, scratch, out=out)
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -168,24 +183,23 @@ def _hadamard(m: int) -> np.ndarray:
     return h
 
 
-def _fwht_axis0(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _fwht_axis0(x: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
     """Normalized Walsh-Hadamard transform over axis 0 (length M must be a
-    power of two). Self-inverse.
+    power of two), written into out. Self-inverse.
 
     The Sylvester matrix factors as H_M = H_a (x) H_b with a =
     2^ceil(log2(M) / 2) and b = M / a, so the transform is two matrix
     products with the small cached factors: H_a over the leading index of
-    the (a, b, N) view, then H_b broadcast over that index. That costs
-    O(M N (a + b)) and keeps only sqrt(M)-sized matrices in memory. The
-    second product writes into `out` when given (a C-contiguous array of
-    x's shape, which may be x itself); the result is then a view of it.
+    the (a, b, N) view, into scratch, then H_b broadcast over that index,
+    into out. That costs O(M N (a + b)) and keeps only sqrt(M)-sized
+    matrices in memory. out and scratch are C-contiguous arrays of x's
+    size; out may be x, scratch may be neither.
     """
     m = x.shape[0]
     a = 1 << (m.bit_length() // 2)
     b = m // a
-    y = _hadamard(a) @ x.reshape(a, -1)
-    dest = None if out is None else out.reshape(a, b, -1)
-    return np.matmul(_hadamard(b), y.reshape(a, b, -1), out=dest).reshape(x.shape)
+    y = np.matmul(_hadamard(a), x.reshape(a, -1), out=scratch.reshape(a, -1))
+    np.matmul(_hadamard(b), y.reshape(a, b, -1), out=out.reshape(a, b, -1))
 
 
 def build_row_encoding(u) -> RowEncodingCircuit:
@@ -257,22 +271,42 @@ def _check_dims(c: CircuitU, s: StateVector) -> None:
         )
 
 
-def apply_circuit(c: CircuitU, s: StateVector, inverse: bool = False) -> StateVector:
-    """Apply the structured operator (or its inverse as the reversed
-    sequence of inverted layers). Preserves the state norm to 1e-12."""
+def _destination(c: CircuitU, s: StateVector, out: StateVector | None) -> StateVector:
     _check_dims(c, s)
-    out = StateVector(c._inverse(s.grid) if inverse else c._forward(s.grid))
-    if not (abs(out.norm() - s.norm()) <= NORM_DRIFT_TOL * max(1.0, s.norm())):
+    if out is None:
+        return StateVector(np.empty_like(s.grid))
+    _check_dims(c, out)
+    return out
+
+
+def apply_circuit(c: CircuitU, s: StateVector, inverse: bool = False,
+                  out: StateVector | None = None) -> StateVector:
+    """Apply the structured operator (or its inverse as the reversed
+    sequence of inverted layers). Preserves the state norm to 1e-12.
+
+    The result is written into `out`, a state of the circuit's shape, which
+    may be `s` itself; with out=None a new state is allocated. Returns the
+    state written.
+    """
+    out = _destination(c, s, out)
+    before = s.norm()  # read first: out may be s
+    (c._inverse if inverse else c._forward)(s.grid, out.grid, c._scratch)
+    if not (abs(out.norm() - before) <= NORM_DRIFT_TOL * max(1.0, before)):
         raise NumericalError("circuit application failed to preserve the norm")
     return out
 
 
-def apply_good_reflection(c: CircuitU, s: StateVector) -> StateVector:
-    """Negate exactly the amplitudes whose good-register component is 0."""
-    _check_dims(c, s)
-    x = s.grid.copy()
-    c.good_first(x)[0] *= -1.0
-    return StateVector(x)
+def apply_good_reflection(c: CircuitU, s: StateVector,
+                          out: StateVector | None = None) -> StateVector:
+    """Negate exactly the amplitudes whose good-register component is 0.
+
+    The result is written into `out`, a state of the circuit's shape, which
+    may be `s` itself; with out=None a new state is allocated.
+    """
+    out = _destination(c, s, out)
+    np.copyto(out.grid, s.grid)
+    c.good_first(out.grid)[0] *= -1.0
+    return out
 
 
 def collapse_good(c: CircuitU, s: StateVector,

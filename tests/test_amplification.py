@@ -1,6 +1,7 @@
 """Amplification iterates checked against closed forms and dense-matrix
 reconstructions built independently in the tests."""
 
+import functools
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from oaasim import (
     VARIANTS,
+    DimensionError,
     IterationTrace,
     NoGoodAmplitudeError,
     SplitMix64,
@@ -17,6 +19,7 @@ from oaasim import (
     TraceRecord,
     ValidationError,
     apply_circuit,
+    apply_good_reflection,
     build_estimated_embedding,
     build_lcu_encoding,
     build_row_encoding,
@@ -68,17 +71,15 @@ def test_iteration_count_values():
         iteration_count(0)
 
 
-def test_adjoint_probability_closed_form_on_orthogonal_encoding():
-    m = 16
-    gen = SplitMix64(71)
-    u_vec = gen.uniform_signed_array(m)
-    u_vec = u_vec / np.linalg.norm(u_vec)
-    reflector = householder_from_vector(u_vec)
-    circ = build_row_encoding(reflector)
-    vec = random_input(m, SplitMix64(72))
+@given(st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_adjoint_probability_closed_form_on_orthogonal_encoding(log_m, seed):
+    # row encoding of a random orthogonal matrix (QR of a seeded Gaussian)
+    m = 2**log_m
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((m, m)))
+    circ = build_row_encoding(q)
+    vec = random_input(m, SplitMix64(seed))
     state = prepare_input(circ, vec)
-    k = iteration_count(m)
-    trace = oblivious_aa(circ, state, k, "adjoint", reflector @ vec)
+    trace = oblivious_aa(circ, state, iteration_count(m), "adjoint", q @ vec)
     theta = math.asin(1.0 / math.sqrt(m))
     for rec in trace.records:
         expect = math.sin((2 * rec.iteration + 1) * theta) ** 2
@@ -228,6 +229,65 @@ def test_forward_inverse_is_identity(circ, seed):
         out = apply_circuit(circ, apply_circuit(circ, state, inverse=first),
                             inverse=not first)
         assert np.max(np.abs(out.grid - state.grid)) <= 1e-12
+
+
+@given(circuits(), st.integers(0, 2**32 - 1))
+def test_out_may_alias_the_input(circ, seed):
+    grid = random_grid(circ, seed)
+    wrong = StateVector(np.zeros((circ.m_dim + 1, circ.n_dim)))
+    for apply in (apply_circuit, functools.partial(apply_circuit, inverse=True),
+                  apply_good_reflection):
+        state = StateVector(grid.copy())
+        fresh = apply(circ, state)
+        assert np.array_equal(state.grid, grid)
+        other = StateVector(np.full_like(grid, np.nan))
+        assert apply(circ, state, out=other) is other
+        assert np.array_equal(other.grid, fresh.grid)
+        assert np.array_equal(state.grid, grid)
+        assert apply(circ, state, out=state) is state
+        assert np.array_equal(state.grid, fresh.grid)
+        with pytest.raises(DimensionError):
+            apply(circ, StateVector(grid.copy()), out=wrong)
+
+
+def test_runs_leave_their_inputs_alone():
+    enc = encode(random_symmetric(8, SplitMix64(31)), random_input(8, SplitMix64(32)))
+    lcu = build_lcu_encoding([random_orthogonal(4, 33 + i) for i in range(3)],
+                             np.array([0.6, 0.0, 0.8]))
+    lcu_state = prepare_input(lcu, random_input(4, SplitMix64(36)))
+    for circ, state, target in ((enc.circuit, enc.state, enc.target),
+                                (lcu, lcu_state, np.ones(4))):
+        grid = state.grid.copy()
+        for variant in VARIANTS:
+            _, final = oblivious_aa(circ, state, 3, variant, target,
+                                    return_final_state=True)
+            assert np.array_equal(state.grid, grid)
+            assert not np.shares_memory(final.grid, state.grid)
+            assert not np.shares_memory(final.grid, target)
+        prep = householder_from_vector(random_input(target.size, SplitMix64(37)))
+        prep_copy = prep.copy()
+        _, final = standard_aa(circ, prep, 3, target, return_final_state=True)
+        assert np.array_equal(prep, prep_copy)
+        assert not np.shares_memory(final.grid, prep)
+        assert not np.shares_memory(final.grid, target)
+
+
+# page faults of a second adjoint run at embedded dimension 256, k = 12:
+# one run that allocated its grids on every step took about 5,400
+PAGE_FAULT_SCRIPT = """
+import resource
+from oaasim import SplitMix64, encode, oblivious_aa, random_input, random_symmetric
+
+enc = encode(random_symmetric(128, SplitMix64(5)), random_input(128, SplitMix64(6)))
+oblivious_aa(enc.circuit, enc.state, 12, "adjoint", enc.target)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+oblivious_aa(enc.circuit, enc.state, 12, "adjoint", enc.target)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def test_amplification_loop_reuses_its_grids(run_child):
+    assert int(run_child(PAGE_FAULT_SCRIPT, 1)) < 1000
 
 
 @given(circuits(), st.integers(0, 8), st.integers(0, 2**32 - 1))

@@ -2,19 +2,14 @@
 and SVG emission."""
 
 import json
-import os
 import struct
-import subprocess
-import sys
 from dataclasses import asdict, fields
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-import oaasim
 from oaasim import (
     EnsembleRecord,
     ExperimentConfig,
@@ -119,19 +114,8 @@ print(json.dumps(out))
 """
 
 
-def test_records_independent_of_blas_threads():
-    # the package under test, first on the child's path
-    path = [str(Path(oaasim.__file__).resolve().parent.parent)]
-    path += [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    outputs = []
-    for threads in ("1", "2"):  # never more than two
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(path))
-        proc = subprocess.run([sys.executable, "-c", BLAS_RECORDS_SCRIPT], env=env,
-                              capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        outputs.append(json.loads(proc.stdout))
+def test_records_independent_of_blas_threads(run_child):
+    outputs = [json.loads(run_child(BLAS_RECORDS_SCRIPT, threads)) for threads in (1, 2)]
     assert len(outputs[0]) == 17
     assert outputs[0] == outputs[1]
 
