@@ -22,6 +22,7 @@ from .circuit import (
     StateVector,
     apply_circuit,
     apply_good_reflection,
+    apply_image_reflection,
     build_lcu_encoding,
     build_row_encoding,
     collapse_good,
@@ -120,6 +121,7 @@ __all__ = [
     "ZeroMatrixError",
     "apply_circuit",
     "apply_good_reflection",
+    "apply_image_reflection",
     "build_estimated_embedding",
     "build_exact_embedding",
     "build_lcu_encoding",

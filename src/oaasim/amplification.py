@@ -6,12 +6,14 @@ which is what makes chains of encoded operators composable. It comes in
 two variants: "literal" uses Q = -U S U S with the circuit applied forward
 both times; "adjoint" uses Q = -U S U^-1 S, the form whose behavior on an
 orthogonal encoded matrix follows the exact closed form
-p_i = sin((2i+1) arcsin(1/sqrt(M)))^2. The variants coincide whenever the
-dense circuit operator is symmetric.
+p_i = sin((2i+1) arcsin(1/sqrt(M)))^2, and which runs U S U^-1 as one
+image reflection (apply_image_reflection, O(M N) for the row encoding).
+The variants coincide whenever the dense circuit operator is symmetric.
 
 The standard (input-dependent) iterate is also provided; it reflects about
-the prepared start state and therefore needs the input preparation
-operator, but it works for any circuit.
+the prepared start state s = U P |0> and therefore needs the input
+preparation operator P, but it works for any circuit. That reflection,
+U P (2|0><0| - I) P^T U^-1, is 2 s s^T - I: O(M N) after one apply.
 
 States are read through the circuit's good_first view of their grid, so
 nothing here knows which register a circuit type marks as good.
@@ -29,6 +31,8 @@ from .circuit import (
     StateVector,
     apply_circuit,
     apply_good_reflection,
+    apply_image_reflection,
+    check_norm,
     collapse_good,
 )
 from .errors import DimensionError, NoGoodAmplitudeError, ValidationError
@@ -110,7 +114,8 @@ def oblivious_aa(c: CircuitU, input_state: StateVector, k: int, variant: str,
     applied once, the (probability, fidelity against `target`) pair is
     recorded, then each iteration applies the reflection, the circuit
     (inverted for the adjoint variant), the reflection again, the circuit,
-    and finally the literal global -1 phase of the iterate. Fidelity takes
+    and finally the literal global -1 phase of the iterate (the adjoint
+    runs the middle three as one image reflection). Fidelity takes
     an absolute value, so the phase never shows up in the records.
     """
     if variant not in VARIANTS:
@@ -123,21 +128,17 @@ def oblivious_aa(c: CircuitU, input_state: StateVector, k: int, variant: str,
     trace.records.append(_record(c, state, target, project_system_zero, 0))
     for i in range(1, k + 1):
         apply_good_reflection(c, state, out=state)
-        apply_circuit(c, state, inverse=(variant == "adjoint"), out=state)
-        apply_good_reflection(c, state, out=state)
-        apply_circuit(c, state, out=state)
+        if variant == "adjoint":
+            apply_image_reflection(c, state, out=state)
+        else:
+            apply_circuit(c, state, out=state)
+            apply_good_reflection(c, state, out=state)
+            apply_circuit(c, state, out=state)
         np.negative(state.grid, out=state.grid)
         trace.records.append(_record(c, state, target, project_system_zero, i))
     if return_final_state:
         return trace, state
     return trace
-
-
-def _apply_on_data_register(c: CircuitU, s: StateVector, p: np.ndarray,
-                            spare: np.ndarray) -> None:
-    """Apply p to the data register of s in place; spare is a work grid."""
-    good = c.good_first(s.grid)
-    np.copyto(s.grid, c.good_first(np.matmul(good, p.T, out=spare.reshape(good.shape))))
 
 
 def standard_aa(c: CircuitU, input_prep, k: int, target,
@@ -146,13 +147,11 @@ def standard_aa(c: CircuitU, input_prep, k: int, target,
 
     input_prep is an orthogonal operator on the data register mapping e0 to
     the desired input. Each iteration applies the good-state reflection,
-    then the reflection about the prepared start state, implemented as
-    conjugating the reflection about the all-zero basis state by
-    (circuit o preparation).
+    then the reflection about the prepared start state s, 2 s s^T - I with
+    s taken at unit norm.
     """
     prep = np.asarray(input_prep, dtype=float)
     start = np.zeros((c.m_dim, c.n_dim))
-    start[0, 0] = 1.0
     data_dim = c.good_first(start).shape[1]
     if prep.shape != (data_dim, data_dim):
         raise DimensionError(
@@ -163,21 +162,18 @@ def standard_aa(c: CircuitU, input_prep, k: int, target,
     if k < 0:
         raise ValidationError("iteration count must be nonnegative")
 
-    # circuit o preparation and its inverse, on one state and one spare grid
+    c.good_first(start)[0] = prep[:, 0]  # P |0>
     state = StateVector(start)
-    spare = np.empty_like(start)
-    _apply_on_data_register(c, state, prep, spare)
     apply_circuit(c, state, out=state)
+    unit = state.grid / state.norm()  # s
     trace = IterationTrace()
     trace.records.append(_record(c, state, target, False, 0))
     for i in range(1, k + 1):
         apply_good_reflection(c, state, out=state)
-        apply_circuit(c, state, inverse=True, out=state)
-        _apply_on_data_register(c, state, prep.T, spare)
-        np.negative(state.grid, out=state.grid)
-        state.grid[0, 0] = -state.grid[0, 0]
-        _apply_on_data_register(c, state, prep, spare)
-        apply_circuit(c, state, out=state)
+        before = state.norm()
+        overlap = float(unit.ravel() @ state.amplitudes)
+        np.subtract((2.0 * overlap) * unit, state.grid, out=state.grid)
+        check_norm(before, state)
         trace.records.append(_record(c, state, target, False, i))
     if return_final_state:
         return trace, state

@@ -28,6 +28,10 @@ No application materializes the M N x M N operator. The Hadamard layer is
 two small matrix products (see _fwht_axis0) costing O(M N (a + b)) with
 a + b <= 2.2 sqrt(M); the row encoding's Householder layer is O(M N); the
 LCU form adds O(M N^2) for its blocks and O(M^2 N) for its reflector.
+apply_image_reflection, W R W^-1 for the good-state reflection R, runs
+inverse, R, forward; in the row encoding the swaps cancel and H R H is
+I - 2 u u^T, u the uniform state (Grover's diffusion), so it is
+L (I - 2 u u^T (x) I) L, L the Householder layer: O(M N), no Hadamard.
 dense_matrix_of exists only as a small-dimension oracle for tests.
 
 Memory: the layers write into a destination the caller may own (the `out`
@@ -96,9 +100,9 @@ class CircuitU:
     """Immutable structured block-encoding operator.
 
     good_register names the register whose index 0 marks good states; only
-    good_first reads it. Each subclass owns its layers: _forward and
-    _inverse read the (M, N) amplitude grid x and write the result into
-    out (which may be x), working in scratch (which may be neither).
+    good_first reads it. Each subclass owns its layers: _forward, _inverse
+    and _image_reflection read the (M, N) amplitude grid x and write the
+    result into out (which may be x), working in scratch (may be neither).
     """
 
     good_register = ""
@@ -116,6 +120,11 @@ class CircuitU:
         """View of the (M, N) grid x whose row 0 holds the good amplitudes
         and whose axis 1 is the data register. Writes go through to x."""
         return x.T if self.good_register == "second" else x
+
+    def _image_reflection(self, x, out, scratch):
+        self._inverse(x, out, scratch)
+        self.good_first(out)[0] *= -1.0
+        self._forward(out, out, scratch)
 
 
 class RowEncodingCircuit(CircuitU):
@@ -143,6 +152,11 @@ class RowEncodingCircuit(CircuitU):
         self._householder_layer(x, scratch)
         _fwht_axis0(scratch, scratch, out)
         np.copyto(out, scratch.T)
+
+    def _image_reflection(self, x, out, scratch):
+        self._householder_layer(x, scratch)
+        scratch -= (2.0 / self.m_dim) * scratch.sum(axis=0)
+        self._householder_layer(scratch, out)
 
 
 class LcuCircuit(CircuitU):
@@ -222,9 +236,9 @@ def build_row_encoding(u) -> RowEncodingCircuit:
     v[:, 0] += 1.0
     nv = np.sqrt((v * v).sum(axis=1))
     keep = nv >= 1e-12  # otherwise U[i] = e0 and block i is the identity
-    hh = np.zeros((m, m))
-    hh[keep] = v[keep] / nv[keep, None]
-    return RowEncodingCircuit(hh)
+    np.divide(v, nv[:, None], out=v, where=keep[:, None])
+    v[~keep] = 0.0
+    return RowEncodingCircuit(v)
 
 
 def build_lcu_encoding(unitaries, coeffs) -> LcuCircuit:
@@ -291,9 +305,24 @@ def apply_circuit(c: CircuitU, s: StateVector, inverse: bool = False,
     out = _destination(c, s, out)
     before = s.norm()  # read first: out may be s
     (c._inverse if inverse else c._forward)(s.grid, out.grid, c._scratch)
-    if not (abs(out.norm() - before) <= NORM_DRIFT_TOL * max(1.0, before)):
+    return check_norm(before, out)
+
+
+def apply_image_reflection(c: CircuitU, s: StateVector,
+                           out: StateVector | None = None) -> StateVector:
+    """Reflect about the circuit's image of the good subspace, W R W^-1;
+    `out` and the norm guard work as in apply_circuit."""
+    out = _destination(c, s, out)
+    before = s.norm()
+    c._image_reflection(s.grid, out.grid, c._scratch)
+    return check_norm(before, out)
+
+
+def check_norm(before: float, after: StateVector) -> StateVector:
+    """Return `after`, or raise NumericalError if its norm left `before`."""
+    if not (abs(after.norm() - before) <= NORM_DRIFT_TOL * max(1.0, before)):
         raise NumericalError("circuit application failed to preserve the norm")
-    return out
+    return after
 
 
 def apply_good_reflection(c: CircuitU, s: StateVector,

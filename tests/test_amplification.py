@@ -20,6 +20,7 @@ from oaasim import (
     ValidationError,
     apply_circuit,
     apply_good_reflection,
+    apply_image_reflection,
     build_estimated_embedding,
     build_lcu_encoding,
     build_row_encoding,
@@ -36,6 +37,7 @@ from oaasim import (
 )
 
 from oaasim.amplification import _record
+from oaasim.circuit import CircuitU
 
 from dense_reference import random_orthogonal
 
@@ -236,7 +238,7 @@ def test_out_may_alias_the_input(circ, seed):
     grid = random_grid(circ, seed)
     wrong = StateVector(np.zeros((circ.m_dim + 1, circ.n_dim)))
     for apply in (apply_circuit, functools.partial(apply_circuit, inverse=True),
-                  apply_good_reflection):
+                  apply_good_reflection, apply_image_reflection):
         state = StateVector(grid.copy())
         fresh = apply(circ, state)
         assert np.array_equal(state.grid, grid)
@@ -248,6 +250,17 @@ def test_out_may_alias_the_input(circ, seed):
         assert np.array_equal(state.grid, fresh.grid)
         with pytest.raises(DimensionError):
             apply(circ, StateVector(grid.copy()), out=wrong)
+
+
+@given(st.integers(1, 8), st.integers(0, 2**32 - 1))
+def test_row_image_reflection_matches_the_base_route(log_m, seed):
+    # the Householder-and-diffusion form against inverse, R, forward
+    circ = build_row_encoding(seeded_embedded(2**log_m, seed))
+    grid = random_grid(circ, seed)
+    got, want = np.empty_like(grid), np.empty_like(grid)
+    circ._image_reflection(grid, got, np.empty_like(grid))
+    CircuitU._image_reflection(circ, grid, want, np.empty_like(grid))
+    assert np.max(np.abs(got - want)) <= 1e-13
 
 
 def test_runs_leave_their_inputs_alone():

@@ -17,6 +17,7 @@ from oaasim import (
     ValidationError,
     apply_circuit,
     apply_good_reflection,
+    apply_image_reflection,
     build_estimated_embedding,
     build_lcu_encoding,
     build_row_encoding,
@@ -67,6 +68,52 @@ def test_row_encoding_dense_matches_independent_construction():
         want = dense_row_encoding(u)
         assert np.max(np.abs(got - want)) < 1e-12
         assert np.max(np.abs(got.T @ got - np.eye(order * order))) < 1e-10
+
+
+def test_row_encoding_identity_blocks():
+    # rows at or within 1e-12 of e0 make identity blocks: all-zero
+    # Householder vectors
+    u = seeded_embedded(8, 9)
+    u[[1, 4]] = np.eye(8)[0]
+    u[6] = 0.0
+    u[6, :2] = math.cos(1e-14), math.sin(1e-14)
+    circ = build_row_encoding(u)
+    norms = np.linalg.norm(circ._hh, axis=1)
+    for i in range(8):
+        if i in (1, 4, 6):
+            assert np.array_equal(circ._hh[i], np.zeros(8))
+        else:
+            assert abs(norms[i] - 1.0) < 1e-15
+    assert np.max(np.abs(dense_matrix_of(circ) - dense_row_encoding(u))) < 1e-12
+
+
+def test_image_reflection_matches_dense():
+    # W R W^T with R = I - 2 (projector onto the good states)
+    row = build_row_encoding(seeded_embedded(8, 19))
+    lcu = build_lcu_encoding([random_orthogonal(4, 80 + i) for i in range(3)],
+                             np.array([0.6, 0.0, 0.8]))
+    for circ in (row, lcu):
+        dense = dense_matrix_of(circ)
+        total = circ.m_dim * circ.n_dim
+        good = np.zeros((circ.m_dim, circ.n_dim))
+        circ.good_first(good)[0] = 1.0
+        want = np.eye(total) - 2.0 * dense @ np.diag(good.ravel()) @ dense.T
+        got = np.empty((total, total))
+        for j in range(total):
+            basis = np.zeros(total)
+            basis[j] = 1.0
+            state = StateVector(basis.reshape(circ.m_dim, circ.n_dim))
+            got[:, j] = apply_image_reflection(circ, state).amplitudes
+        assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_image_reflection_guards_the_norm():
+    u = seeded_embedded(16, 13000)
+    broken = build_row_encoding(u)
+    broken._hh = broken._hh * 1.001
+    state = prepare_input(broken, random_input(16, SplitMix64(13300)))
+    with pytest.raises(NumericalError, match="preserve the norm"):
+        apply_image_reflection(broken, state)
 
 
 def test_row_encoding_good_block_carries_scaled_matrix():

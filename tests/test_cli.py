@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from oaasim import SplitMix64, random_input, random_symmetric, read_vector, write_matrix
-from oaasim.cli import main
+from oaasim.cli import build_parser, main
 
 
 @pytest.fixture()
@@ -141,6 +141,21 @@ def test_argument_errors_exit_one(capsys):
     with pytest.raises(SystemExit) as info:
         main([])
     assert info.value.code == 1
+
+
+def test_parser_serves_calls_after_an_error(matrix_file, input_file, capsys):
+    argv = ["amplify", "--matrix", str(matrix_file), "--input", str(input_file)]
+    build_parser.cache_clear()
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    build_parser.cache_clear()
+    with pytest.raises(SystemExit) as info:
+        main(["amplify"])
+    assert info.value.code == 1
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first
+    assert build_parser.cache_info().misses == 1
 
 
 def test_missing_file_exits_one(capsys):
