@@ -31,7 +31,11 @@ LCU form adds O(M N^2) for its blocks and O(M^2 N) for its reflector.
 apply_image_reflection, W R W^-1 for the good-state reflection R, runs
 inverse, R, forward; in the row encoding the swaps cancel and H R H is
 I - 2 u u^T, u the uniform state (Grover's diffusion), so it is
-L (I - 2 u u^T (x) I) L, L the Householder layer: O(M N), no Hadamard.
+L (I - 2 u u^T (x) I) L, L the Householder layer. Every block of L is an
+involution, so L L = I and the product is one rank-structured update,
+x - (2/M) 1 c^T + (4/M) (hh c) o hh with c = x.sum(axis=0) - 2 hh^T d,
+d_i = <hh_i, x_i>: one row-dot, one column sum, two matrix-vector
+products and three elementwise passes, O(M N) with no Hadamard.
 dense_matrix_of exists only as a small-dimension oracle for tests.
 
 Memory: the layers write into a destination the caller may own (the `out`
@@ -154,9 +158,15 @@ class RowEncodingCircuit(CircuitU):
         np.copyto(out, scratch.T)
 
     def _image_reflection(self, x, out, scratch):
-        self._householder_layer(x, scratch)
-        scratch -= (2.0 / self.m_dim) * scratch.sum(axis=0)
-        self._householder_layer(scratch, out)
+        # L D L x as one update, since L L = I (see the module docstring);
+        # c is the column sum of L x
+        hh, m = self._hh, self.m_dim
+        dots = np.einsum("ij,ij->i", hh, x)
+        c = x.sum(axis=0)
+        c -= 2.0 * (dots @ hh)
+        np.multiply(hh, ((4.0 / m) * (hh @ c))[:, None], out=scratch)
+        np.subtract(x, (2.0 / m) * c, out=out)
+        out += scratch
 
 
 class LcuCircuit(CircuitU):
@@ -333,7 +343,8 @@ def apply_good_reflection(c: CircuitU, s: StateVector,
     may be `s` itself; with out=None a new state is allocated.
     """
     out = _destination(c, s, out)
-    np.copyto(out.grid, s.grid)
+    if out is not s:
+        np.copyto(out.grid, s.grid)
     c.good_first(out.grid)[0] *= -1.0
     return out
 

@@ -8,11 +8,14 @@ the exact pivot-zeroing property of classical cyclic Jacobi.
 
 Also defines the plain-text matrix file format used across the package:
 line one holds "rows cols", each following line one matrix row, entries
-written with 17 significant digits so values round-trip exactly.
+written with 17 significant digits so values round-trip exactly. The body
+must be rectangular: a ragged body is rejected even when its entry count
+matches the header.
 """
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -239,26 +242,31 @@ def write_matrix(path, m) -> None:
 
 
 def read_matrix(path) -> np.ndarray:
-    """Parse a write_matrix file (whitespace separated, finite entries only)."""
+    """Parse a write_matrix file: the "rows cols" header, then a rectangular
+    body of finite entries (one matrix row per line; a ragged body is
+    rejected). The body is read by numpy's C text reader, whose correctly
+    rounded conversion gives the same floats as Python's float()."""
     text = Path(path).read_text()
-    tokens = text.split()
-    if len(tokens) < 2:
+    head = text.split(maxsplit=2)
+    if len(head) < 2:
         raise ValidationError(f"{path}: missing 'rows cols' header")
     try:
-        rows, cols = int(tokens[0]), int(tokens[1])
+        rows, cols = int(head[0]), int(head[1])
     except ValueError as exc:
         raise ValidationError(f"{path}: malformed header") from exc
     if rows < 1 or cols < 1:
         raise ValidationError(f"{path}: dimensions must be at least 1")
-    body = tokens[2:]
-    if len(body) != rows * cols:
-        raise ValidationError(
-            f"{path}: expected {rows * cols} entries, found {len(body)}"
-        )
+    # loadtxt warns on an empty body, so a header-only file stops here
+    if len(head) == 2:
+        raise ValidationError(f"{path}: expected {rows * cols} entries, found 0")
     try:
-        flat = np.array([float(tok) for tok in body])
+        flat = np.loadtxt(io.StringIO(head[2]), comments=None, ndmin=1).ravel()
     except ValueError as exc:
-        raise ValidationError(f"{path}: non-numeric entry") from exc
+        raise ValidationError(f"{path}: non-numeric entry or ragged rows") from exc
+    if flat.size != rows * cols:
+        raise ValidationError(
+            f"{path}: expected {rows * cols} entries, found {flat.size}"
+        )
     if not np.isfinite(flat).all():
         raise ValidationError(f"{path}: non-finite entry")
     return flat.reshape(rows, cols)

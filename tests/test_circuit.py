@@ -29,7 +29,7 @@ from oaasim import (
     random_input,
     random_symmetric,
 )
-from oaasim.circuit import LcuCircuit, _fwht_axis0
+from oaasim.circuit import CircuitU, LcuCircuit, _fwht_axis0
 
 from dense_reference import dense_lcu, dense_row_encoding, hadamard, random_orthogonal
 
@@ -92,7 +92,22 @@ def test_image_reflection_matches_dense():
     row = build_row_encoding(seeded_embedded(8, 19))
     lcu = build_lcu_encoding([random_orthogonal(4, 80 + i) for i in range(3)],
                              np.array([0.6, 0.0, 0.8]))
-    for circ in (row, lcu):
+    # rows equal to e0 give identity blocks, all-zero Householder rows
+    with_e0 = seeded_embedded(8, 9)
+    with_e0[[1, 4]] = np.eye(8)[0]
+    identity_rows = [build_row_encoding(u) for u in
+                     (np.array([[1.0]]), np.array([[-1.0]]),
+                      np.array([[1.0, 0.0], [0.6, 0.8]]), with_e0)]
+    assert [int((~circ._hh.any(axis=1)).sum()) for circ in identity_rows] == [1, 0, 1, 2]
+    for circ in identity_rows:
+        # the rank-structured row form against inverse, R, forward
+        grid = SplitMix64(circ.m_dim).uniform_signed_array(circ.m_dim**2)
+        grid = grid.reshape(circ.m_dim, circ.m_dim)
+        got, want = np.empty_like(grid), np.empty_like(grid)
+        circ._image_reflection(grid, got, np.empty_like(grid))
+        CircuitU._image_reflection(circ, grid, want, np.empty_like(grid))
+        assert np.max(np.abs(got - want)) <= 1e-13
+    for circ in (row, lcu, *identity_rows):
         dense = dense_matrix_of(circ)
         total = circ.m_dim * circ.n_dim
         good = np.zeros((circ.m_dim, circ.n_dim))

@@ -254,10 +254,10 @@ def test_matfunc_rejects_bad_truncation(matrix_file, capsys):
     assert code == 1
 
 
-def test_module_entry_point_help():
+def test_module_entry_point_help(child_env):
     proc = subprocess.run(
         [sys.executable, "-m", "oaasim", "--help"],
-        capture_output=True, text=True,
+        env=child_env(1), capture_output=True, text=True,
     )
     assert proc.returncode == 0
     assert "embed" in proc.stdout

@@ -225,6 +225,21 @@ def test_matrix_file_rejects_malformed(tmp_path):
     empty.write_text("")
     with pytest.raises(ValidationError):
         read_matrix(empty)
+    header_only = tmp_path / "header.txt"
+    header_only.write_text("2 2\n")
+    with pytest.raises(ValidationError, match="expected 4 entries, found 0"):
+        read_matrix(header_only)
+    # a ragged body is refused even when its entry count matches
+    ragged = tmp_path / "ragged.txt"
+    ragged.write_text("2 2\n1.0 2.0 3.0\n4.0\n")
+    with pytest.raises(ValidationError, match=re.escape(str(ragged))):
+        read_matrix(ragged)
+
+
+def test_matrix_file_body_may_start_on_the_header_line(tmp_path):
+    path = tmp_path / "m.txt"
+    path.write_text("2 2 1 2 2 1")
+    assert np.array_equal(read_matrix(path), np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
 def test_matrix_file_rejects_non_finite(tmp_path):
