@@ -36,6 +36,7 @@ from .circuit import (
     collapse_good,
 )
 from .errors import DimensionError, NoGoodAmplitudeError, ValidationError
+from .linalg import _check_count
 from .metrics import fidelity
 
 VARIANTS = ("literal", "adjoint")
@@ -81,8 +82,7 @@ class IterationTrace:
 def iteration_count(m: int) -> int:
     """Number of amplification iterations that approximately maximizes the
     good-state probability: floor(pi/4 * sqrt(M))."""
-    if m < 1:
-        raise ValidationError(f"register dimension must be at least 1, got {m}")
+    m = _check_count(m, "register dimension", 1)
     return int(math.floor(math.pi / 4.0 * math.sqrt(m)))
 
 
@@ -120,8 +120,7 @@ def oblivious_aa(c: CircuitU, input_state: StateVector, k: int, variant: str,
     """
     if variant not in VARIANTS:
         raise ValidationError(f"unknown variant {variant!r}")
-    if k < 0:
-        raise ValidationError("iteration count must be nonnegative")
+    k = _check_count(k, "iteration count", 0)
     _check_good_component(c, input_state)
     state = apply_circuit(c, input_state)  # the run's one state grid
     trace = IterationTrace()
@@ -159,8 +158,7 @@ def standard_aa(c: CircuitU, input_prep, k: int, target,
         )
     if not (float(np.abs(prep.T @ prep - np.eye(data_dim)).max()) <= 1e-10):
         raise ValidationError("input_prep is not orthogonal within 1e-10")
-    if k < 0:
-        raise ValidationError("iteration count must be nonnegative")
+    k = _check_count(k, "iteration count", 0)
 
     c.good_first(start)[0] = prep[:, 0]  # P |0>
     state = StateVector(start)

@@ -138,8 +138,6 @@ def _cmd_amplify(args) -> int:
     a = read_matrix(args.matrix)
     enc = encode(a, _load_unit_vector(args.input, a.shape[0]), args.fidelity)
     k = args.k if args.k is not None else iteration_count(enc.circuit.m_dim)
-    if k < 0:
-        raise ValidationError("k must be nonnegative")
     trace = oblivious_aa(
         enc.circuit, enc.state, k, args.variant, enc.target,
         project_system_zero=enc.project,
@@ -171,7 +169,6 @@ def _cmd_experiment(args) -> int:
         experiment=kind,
     )
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if kind == "trace":
         results = run_trace(cfg)
     else:

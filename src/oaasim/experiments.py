@@ -14,8 +14,10 @@ Three experiment kinds share one trial mechanic:
 A trial at embedded dimension ``dim`` draws the symmetric matrix at order
 ``dim // 2``, scales it by the row-sum bound, embeds with the estimated
 diagonal blocks, builds the row-encoding circuit, and amplifies for
-``iteration_count(dim)`` steps. Per-trial generator seeds are derived from
-(seed, dim, trial, purpose) so results are independent of execution order.
+``iteration_count(dim)`` steps. Every kind encodes its trials through
+``_encode_trial(cfg, dim, trial)``, and emit_outputs writes files in one
+loop. Per-trial generator seeds are derived from (seed, dim, trial,
+purpose) so results are independent of execution order.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .amplification import VARIANTS, IterationTrace, iteration_count, oblivious_
 from .circuit import Encoded, _is_power_of_two, encode
 from .embedding import ClosenessReport, closeness
 from .errors import NumericalError, ValidationError
+from .linalg import _check_count
 from .metrics import check_fidelity_mode
 from .rng import SplitMix64, derive_seed
 from .svgplot import line_chart
@@ -49,26 +52,22 @@ class ExperimentConfig:
     experiment: str = "ensemble"
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
-        object.__setattr__(self, "dims", dims)
-        if not dims:
-            raise ValidationError("dims must be nonempty")
+        dims = tuple(_check_count(d, "embedded dimension", 2) for d in self.dims)
+        if not dims or len(set(dims)) != len(dims):
+            raise ValidationError(f"dims must be nonempty and distinct, got {dims}")
         for d in dims:
-            if d < 2 or not _is_power_of_two(d):
+            if not _is_power_of_two(d):
                 raise ValidationError(
                     f"embedded dimension {d} must be an even power of two"
                 )
-        if self.trials < 1:
-            raise ValidationError("trials must be at least 1")
-        if self.variant not in VARIANTS:
-            raise ValidationError(
-                f"variant must be one of {VARIANTS}, got {self.variant!r}"
-            )
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "trials", _check_count(self.trials, "trials", 1))
+        object.__setattr__(self, "seed", _check_count(self.seed, "seed"))
         check_fidelity_mode(self.fidelity_mode)
-        if self.experiment not in EXPERIMENT_KINDS:
-            raise ValidationError(
-                f"experiment must be one of {EXPERIMENT_KINDS}, got {self.experiment!r}"
-            )
+        for name, allowed in (("variant", VARIANTS), ("experiment", EXPERIMENT_KINDS)):
+            value = getattr(self, name)
+            if value not in allowed:
+                raise ValidationError(f"{name} must be one of {allowed}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -101,8 +100,7 @@ class TraceResult:
 def random_symmetric(order: int, rng: SplitMix64) -> np.ndarray:
     """Symmetric matrix with independent entries uniform in [-1, 1]: the
     upper triangle including the diagonal is drawn row by row and mirrored."""
-    if order < 1:
-        raise ValidationError("matrix order must be positive")
+    order = _check_count(order, "matrix order", 1)
     draws = rng.uniform_signed_array(order * (order + 1) // 2)
     a = np.zeros((order, order))
     rows, cols = np.triu_indices(order)
@@ -114,6 +112,7 @@ def random_symmetric(order: int, rng: SplitMix64) -> np.ndarray:
 def random_input(length: int, rng: SplitMix64) -> np.ndarray:
     """Unit vector with entries drawn uniform in [-1, 1] then normalized.
     An all-zero draw is redrawn once; a second zero draw raises."""
+    length = _check_count(length, "input length", 1)
     for _ in range(2):
         vec = rng.uniform_signed_array(length)
         norm = float(np.linalg.norm(vec))
@@ -122,13 +121,13 @@ def random_input(length: int, rng: SplitMix64) -> np.ndarray:
     raise NumericalError("random input drew the zero vector twice")
 
 
-def _trial_matrix(cfg: ExperimentConfig, dim: int, trial: int) -> np.ndarray:
-    return random_symmetric(dim // 2, SplitMix64(derive_seed(cfg.seed, dim, trial, 0)))
-
-
-def _encode_trial(cfg: ExperimentConfig, a: np.ndarray, dim: int, trial: int) -> Encoded:
-    """Encode `a` with the trial's random input: embedded-order in embedded
-    mode, matrix-order in projected mode."""
+def _encode_trial(cfg: ExperimentConfig, dim: int, trial: int) -> Encoded:
+    """Encode the trial's matrix with the trial's random input. An ensemble
+    trial draws its own matrix; fixed-matrix and trace trials use trial 0's.
+    The input has embedded order in embedded mode, matrix order in
+    projected mode."""
+    matrix_trial = trial if cfg.experiment == "ensemble" else 0
+    a = random_symmetric(dim // 2, SplitMix64(derive_seed(cfg.seed, dim, matrix_trial, 0)))
     rng_in = SplitMix64(derive_seed(cfg.seed, dim, trial, 1))
     length = dim if cfg.fidelity_mode == "embedded" else dim // 2
     return encode(a, random_input(length, rng_in), cfg.fidelity_mode)
@@ -140,10 +139,9 @@ def _run_trial(
     trial: int,
     fixed_report: ClosenessReport | None = None,
 ) -> EnsembleRecord:
-    """One trial. The fixed-matrix experiment reuses trial 0's matrix and
-    the dimension's closeness report in every trial."""
-    matrix_trial = 0 if cfg.experiment == "fixed-matrix" else trial
-    enc = _encode_trial(cfg, _trial_matrix(cfg, dim, matrix_trial), dim, trial)
+    """One trial. The fixed-matrix experiment passes the closeness report
+    of its one matrix per dimension, shared by every trial."""
+    enc = _encode_trial(cfg, dim, trial)
     report = fixed_report if fixed_report is not None else closeness(enc.embedding.u)
     k = iteration_count(dim)
     trace = oblivious_aa(
@@ -170,8 +168,7 @@ def run_ensemble(cfg: ExperimentConfig) -> list:
     reports: dict = {}
     if cfg.experiment == "fixed-matrix":
         for dim in cfg.dims:
-            enc = _encode_trial(cfg, _trial_matrix(cfg, dim, 0), dim, 0)
-            reports[dim] = closeness(enc.embedding.u)
+            reports[dim] = closeness(_encode_trial(cfg, dim, 0).embedding.u)
     return [
         _run_trial(cfg, dim, trial, reports.get(dim))
         for dim in cfg.dims
@@ -186,7 +183,7 @@ def run_trace(cfg: ExperimentConfig) -> list:
         raise ValidationError(f"not a trace experiment: {cfg.experiment!r}")
     results = []
     for dim in cfg.dims:
-        enc = _encode_trial(cfg, _trial_matrix(cfg, dim, 0), dim, 0)
+        enc = _encode_trial(cfg, dim, 0)
         k_marker = iteration_count(dim)
         trace = oblivious_aa(
             enc.circuit, enc.state, k_marker + 2, cfg.variant, enc.target,
@@ -202,34 +199,14 @@ def csv_lines(rows: Sequence[dict]) -> list:
     return [",".join(rows[0])] + [",".join(map(repr, row.values())) for row in rows]
 
 
-def _series(rows: Sequence, x_field: str, fields: Sequence[str], mode: str) -> list:
-    """One chart series per record field, plotted against x_field."""
+def _chart(rows: Sequence, x_field: str, fields: Sequence[str], mode: str, title: str,
+           **marker) -> str:
+    """Chart of the record fields `fields` against x_field, one series per
+    field; marker is line_chart's optional vline and vline_label."""
     xs = [float(getattr(r, x_field)) for r in rows]
-    return [
-        {"label": name, "xs": xs, "ys": [getattr(r, name) for r in rows], "mode": mode}
-        for name in fields
-    ]
-
-
-def _ensemble_svg(records: Sequence[EnsembleRecord], dim: int) -> str:
-    rows = [r for r in records if r.dim == dim]
-    return line_chart(
-        _series(rows, "trial", ("final_fidelity", "final_probability", "ef"), "scatter"),
-        title=f"amplified trials, dim {dim}",
-        xlabel="trial",
-        ylabel="value",
-    )
-
-
-def _trace_svg(result: TraceResult) -> str:
-    return line_chart(
-        _series(result.trace.records, "iteration", ("probability", "fidelity"), "line"),
-        title=f"amplification trace, dim {result.dim}",
-        xlabel="iteration",
-        ylabel="value",
-        vline=float(result.k_marker),
-        vline_label="k",
-    )
+    series = [{"label": name, "xs": xs, "ys": [getattr(r, name) for r in rows], "mode": mode}
+              for name in fields]
+    return line_chart(series, title=title, xlabel=x_field, ylabel="value", **marker)
 
 
 def emit_outputs(results, fmt: str, path) -> list:
@@ -245,27 +222,26 @@ def emit_outputs(results, fmt: str, path) -> list:
         raise ValidationError("no results to emit")
     is_trace = isinstance(results[0], TraceResult)
     path = Path(path)
-    written = []
     if fmt == "csv":
         if is_trace:
             rows = [{"dim": res.dim, **asdict(rec), "k_marker": res.k_marker}
                     for res in results for rec in res.trace.records]
         else:
             rows = [asdict(r) for r in results]
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text("\n".join(csv_lines(rows)) + "\n")
-        written.append(path)
-        return written
-    path.mkdir(parents=True, exist_ok=True)
-    if is_trace:
-        for res in results:
-            out = path / f"trace_dim{res.dim}.svg"
-            out.write_text(_trace_svg(res))
-            written.append(out)
+        files = [(path, "\n".join(csv_lines(rows)) + "\n")]
+    elif is_trace:
+        files = [(path / f"trace_dim{res.dim}.svg",
+                  _chart(res.trace.records, "iteration", ("probability", "fidelity"), "line",
+                         f"amplification trace, dim {res.dim}",
+                         vline=float(res.k_marker), vline_label="k"))
+                 for res in results]
     else:
-        dims = sorted({r.dim for r in results})
-        for dim in dims:
-            out = path / f"ensemble_dim{dim}.svg"
-            out.write_text(_ensemble_svg(results, dim))
-            written.append(out)
-    return written
+        files = [(path / f"ensemble_dim{dim}.svg",
+                  _chart([r for r in results if r.dim == dim], "trial",
+                         ("final_fidelity", "final_probability", "ef"), "scatter",
+                         f"amplified trials, dim {dim}"))
+                 for dim in sorted({r.dim for r in results})]
+    files[0][0].parent.mkdir(parents=True, exist_ok=True)  # one directory holds every file
+    for out, text in files:
+        out.write_text(text)
+    return [out for out, _ in files]

@@ -71,6 +71,16 @@ def check_symmetric(m, name: str = "matrix") -> np.ndarray:
     return a
 
 
+def _check_count(n, name: str, minimum: int | None = None) -> int:
+    """n as an int, refused unless it is an integer (numpy integers pass,
+    bool does not) no smaller than `minimum`."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {n!r}")
+    if minimum is not None and n < minimum:
+        raise ValidationError(f"{name} must be at least {minimum}, got {n}")
+    return int(n)
+
+
 def frobenius(m) -> float:
     a = np.asarray(m, dtype=float)
     return math.sqrt(float((a * a).sum()))
@@ -229,12 +239,15 @@ def spectral_norm_symmetric(s) -> float:
 
 def write_matrix(path, m) -> None:
     """Write a dense matrix: header "rows cols", then one line per row with
-    entries at 17 significant digits."""
+    entries at 17 significant digits. A matrix read_matrix would refuse
+    (empty, or with a non-finite entry) is refused here."""
     a = np.asarray(m, dtype=float)
     if a.ndim == 1:
         a = a[:, None]
-    if a.ndim != 2:
-        raise DimensionError(f"expected a matrix, got ndim {a.ndim}")
+    if a.ndim != 2 or a.size == 0:
+        raise DimensionError(f"expected a nonempty matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValidationError("matrix has a non-finite entry")
     lines = [f"{a.shape[0]} {a.shape[1]}"]
     for row in a:
         lines.append(" ".join(f"{x:.16e}" for x in row))

@@ -23,7 +23,7 @@ import numpy as np
 from .amplification import iteration_count, oblivious_aa
 from .circuit import collapse_good, encode
 from .errors import DimensionError, ValidationError
-from .linalg import check_symmetric, sym_eigen
+from .linalg import _check_count, check_symmetric, sym_eigen
 
 
 @dataclass(frozen=True)
@@ -90,8 +90,7 @@ def matrix_function_oracle(a: np.ndarray, function: str) -> np.ndarray:
 def exp_product_factors(a: np.ndarray, truncation: int) -> ProductPlan:
     """Plan for exp(A) ~ (I + A/k)^k with k = truncation."""
     a = check_symmetric(a)
-    if truncation < 1:
-        raise ValidationError("exp truncation must be at least 1")
+    truncation = _check_count(truncation, "exp truncation", 1)
     w = np.eye(a.shape[0]) + a / float(truncation)
     return ProductPlan(
         factors=tuple([w] * truncation),
@@ -106,8 +105,7 @@ def cos_product_factors(a: np.ndarray, truncation: int) -> ProductPlan:
     (I + 2A/(2j+1)) with J = truncation. The factor pair for j = 0 makes
     the truncation vanish identically at A = I/2."""
     a = check_symmetric(a)
-    if truncation < 1:
-        raise ValidationError("cos truncation must be at least 1")
+    truncation = _check_count(truncation, "cos truncation", 1)
     eye = np.eye(a.shape[0])
     factors = []
     for j in range(truncation):
@@ -147,6 +145,8 @@ def chained_product_circuit(
         raise ValidationError("plan has no factors")
     order = _check_factor(plan.factors[0], None)
     vec = np.asarray(input_vec, dtype=float).ravel()
+    if not np.isfinite(vec).all():
+        raise ValidationError("input vector has a non-finite entry")
     norm = float(np.linalg.norm(vec))
     if norm == 0.0:
         raise ValidationError("input vector is zero")

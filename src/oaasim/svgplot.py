@@ -1,8 +1,10 @@
 """Minimal deterministic SVG charts.
 
 Produces static SVG 1.1 documents with axes, ticks, an optional dashed
-vertical marker, and a legend. Output depends only on the input data, so
-repeated runs write byte-identical files.
+vertical marker, and a legend. One writer, _text, emits every <text> (font
+included) and one, _line, every <line>, each owning its attribute order and
+number formatting. Output depends only on the input data: reruns write
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -35,9 +37,27 @@ def _data_range(values: Sequence[float]) -> tuple:
     hi = max(values)
     if hi <= lo:
         pad = 0.5 if lo == 0.0 else abs(lo) * 0.05
-        return lo - pad, hi + pad
-    pad = (hi - lo) * 0.05
+    else:
+        pad = (hi - lo) * 0.05
     return lo - pad, hi + pad
+
+
+def _text(x: float, y: float, size: int, body: str, anchor: str = "",
+          rotate: bool = False) -> str:
+    """A <text> element; anchor sets its text-anchor, and rotate turns it a
+    quarter turn counterclockwise about (x, y)."""
+    extra = f' text-anchor="{anchor}"' if anchor else ""
+    if rotate:
+        extra += f' transform="rotate(-90 {_fmt(x)} {_fmt(y)})"'
+    return (f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-family="sans-serif" '
+            f'font-size="{size}"{extra}>{body}</text>')
+
+
+def _line(x1: float, y1: float, x2: float, y2: float, stroke: str, dash: str = "") -> str:
+    """A <line> element, dashed by the stroke-dasharray `dash` if given."""
+    extra = f' stroke-dasharray="{dash}"' if dash else ""
+    return (f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" '
+            f'y2="{_fmt(y2)}" stroke="{stroke}"{extra}/>')
 
 
 def line_chart(
@@ -75,8 +95,7 @@ def line_chart(
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{_WIDTH}" height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>',
-        f'<text x="{_fmt(_WIDTH / 2)}" y="22" font-family="sans-serif" '
-        f'font-size="14" text-anchor="middle">{title}</text>',
+        _text(_WIDTH / 2, 22, 14, title, "middle"),
     ]
     # axes frame
     x0, x1 = _MARGIN_LEFT, _MARGIN_LEFT + plot_w
@@ -91,70 +110,42 @@ def line_chart(
         ty = y_lo + frac * (y_hi - y_lo)
         gx = px(tx)
         gy = py(ty)
-        parts.append(
-            f'<line x1="{_fmt(gx)}" y1="{_fmt(y0)}" x2="{_fmt(gx)}" '
-            f'y2="{_fmt(y1)}" stroke="#dddddd"/>'
-        )
-        parts.append(
-            f'<line x1="{_fmt(x0)}" y1="{_fmt(gy)}" x2="{_fmt(x1)}" '
-            f'y2="{_fmt(gy)}" stroke="#dddddd"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(gx)}" y="{_fmt(y1 + 16)}" font-family="sans-serif" '
-            f'font-size="10" text-anchor="middle">{_tick_label(tx)}</text>'
-        )
-        parts.append(
-            f'<text x="{_fmt(x0 - 6)}" y="{_fmt(gy + 3)}" font-family="sans-serif" '
-            f'font-size="10" text-anchor="end">{_tick_label(ty)}</text>'
-        )
-    parts.append(
-        f'<text x="{_fmt(x0 + plot_w / 2)}" y="{_fmt(_HEIGHT - 10)}" '
-        f'font-family="sans-serif" font-size="12" text-anchor="middle">{xlabel}</text>'
-    )
-    parts.append(
-        f'<text x="14" y="{_fmt(y0 + plot_h / 2)}" font-family="sans-serif" '
-        f'font-size="12" text-anchor="middle" '
-        f'transform="rotate(-90 14 {_fmt(y0 + plot_h / 2)})">{ylabel}</text>'
-    )
+        parts += [
+            _line(gx, y0, gx, y1, "#dddddd"),
+            _line(x0, gy, x1, gy, "#dddddd"),
+            _text(gx, y1 + 16, 10, _tick_label(tx), "middle"),
+            _text(x0 - 6, gy + 3, 10, _tick_label(ty), "end"),
+        ]
+    parts.append(_text(x0 + plot_w / 2, _HEIGHT - 10, 12, xlabel, "middle"))
+    parts.append(_text(14, y0 + plot_h / 2, 12, ylabel, "middle", rotate=True))
     if vline is not None:
         gx = px(float(vline))
-        parts.append(
-            f'<line x1="{_fmt(gx)}" y1="{_fmt(y0)}" x2="{_fmt(gx)}" '
-            f'y2="{_fmt(y1)}" stroke="#555555" stroke-dasharray="5,4"/>'
-        )
+        parts.append(_line(gx, y0, gx, y1, "#555555", dash="5,4"))
         if vline_label:
-            parts.append(
-                f'<text x="{_fmt(gx + 4)}" y="{_fmt(y0 + 12)}" '
-                f'font-family="sans-serif" font-size="11">{vline_label}</text>'
-            )
+            parts.append(_text(gx + 4, y0 + 12, 11, vline_label))
+    legend_x = x1 - 150.0
+    legend = []
     for idx, s in enumerate(series):
         color = PALETTE[idx % len(PALETTE)]
-        xs = [float(x) for x in s["xs"]]
-        ys = [float(y) for y in s["ys"]]
+        pts = [(_fmt(px(float(x))), _fmt(py(float(y)))) for x, y in zip(s["xs"], s["ys"])]
         if s.get("mode", "line") == "scatter":
-            for x, y in zip(xs, ys):
+            for cx, cy in pts:
                 parts.append(
-                    f'<circle cx="{_fmt(px(x))}" cy="{_fmt(py(y))}" r="2.2" '
+                    f'<circle cx="{cx}" cy="{cy}" r="2.2" '
                     f'fill="{color}" fill-opacity="0.7"/>'
                 )
         else:
-            points = " ".join(f"{_fmt(px(x))},{_fmt(py(y))}" for x, y in zip(xs, ys))
+            points = " ".join(f"{cx},{cy}" for cx, cy in pts)
             parts.append(
                 f'<polyline points="{points}" fill="none" stroke="{color}" '
                 f'stroke-width="1.6"/>'
             )
-    legend_x = x1 - 150.0
-    legend_y = y0 + 8.0
-    for idx, s in enumerate(series):
-        color = PALETTE[idx % len(PALETTE)]
-        ly = legend_y + 16.0 * idx
-        parts.append(
+        ly = y0 + 8.0 + 16.0 * idx
+        legend.append(
             f'<rect x="{_fmt(legend_x)}" y="{_fmt(ly)}" width="12" height="4" '
             f'fill="{color}"/>'
         )
-        parts.append(
-            f'<text x="{_fmt(legend_x + 18)}" y="{_fmt(ly + 5)}" '
-            f'font-family="sans-serif" font-size="11">{s["label"]}</text>'
-        )
+        legend.append(_text(legend_x + 18, ly + 5, 11, s["label"]))
+    parts += legend
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -71,6 +71,23 @@ def test_iteration_count_values():
     assert iteration_count(10000) == 78
     with pytest.raises(ValidationError):
         iteration_count(0)
+    assert iteration_count(np.int64(16)) == 3
+    for bad in (True, 16.0, 2.5):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            iteration_count(bad)
+
+
+@pytest.mark.parametrize("k, message", [
+    (-1, "at least 0"), (2.5, "must be an integer"), (True, "must be an integer"),
+])
+def test_iteration_arguments_must_be_nonnegative_integers(k, message):
+    circ = build_row_encoding(seeded_embedded(4, 93))
+    state = prepare_input(circ, random_input(4, SplitMix64(1)))
+    with pytest.raises(ValidationError, match=message):
+        oblivious_aa(circ, state, k, "adjoint", np.ones(4))
+    with pytest.raises(ValidationError, match=message):
+        standard_aa(circ, np.eye(4), k, np.ones(4))
+    assert len(oblivious_aa(circ, state, np.int64(2), "adjoint", np.ones(4)).records) == 3
 
 
 @given(st.integers(1, 6), st.integers(0, 2**32 - 1))

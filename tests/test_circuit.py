@@ -284,6 +284,10 @@ def test_builder_validation():
         build_lcu_encoding([np.eye(2), np.eye(2)], [1.0, 1.0])
     with pytest.raises(DimensionError):
         build_lcu_encoding([np.eye(2), np.eye(4)], [0.6, 0.8])
+    with pytest.raises(ValidationError, match="at least one unitary"):
+        build_lcu_encoding([], [])
+    with pytest.raises(DimensionError, match="one coefficient per unitary"):
+        build_lcu_encoding([np.eye(2), np.eye(2)], [1.0])
 
 
 def test_lcu_rejects_nan_coefficient():

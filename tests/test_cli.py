@@ -11,6 +11,14 @@ from oaasim import SplitMix64, random_input, random_symmetric, read_vector, writ
 from oaasim.cli import build_parser, main
 
 
+def write_unchecked(path, m):
+    """Write m in the matrix file format, non-finite entries included:
+    write_matrix refuses to write those."""
+    a = np.asarray(m, dtype=float).reshape(len(m), -1)
+    rows = [" ".join(repr(float(x)) for x in row) for row in a]
+    path.write_text(f"{a.shape[0]} {a.shape[1]}\n" + "\n".join(rows) + "\n")
+
+
 @pytest.fixture()
 def matrix_file(tmp_path):
     a = random_symmetric(4, SplitMix64(3))
@@ -111,7 +119,7 @@ def test_amplify_rejects_nan_matrix(tmp_path, input_file, capsys):
     a = random_symmetric(4, SplitMix64(3))
     a[1, 2] = a[2, 1] = float("nan")
     path = tmp_path / "nan.txt"
-    write_matrix(path, a)
+    write_unchecked(path, a)
     code = main(["amplify", "--matrix", str(path), "--input", str(input_file)])
     captured = capsys.readouterr()
     assert code == 1
@@ -123,7 +131,7 @@ def test_amplify_rejects_nan_input(tmp_path, matrix_file, capsys):
     vec = random_input(4, SplitMix64(5))
     vec[2] = float("nan")
     path = tmp_path / "nan_in.txt"
-    write_matrix(path, vec)
+    write_unchecked(path, vec)
     code = main(["amplify", "--matrix", str(matrix_file), "--input", str(path)])
     captured = capsys.readouterr()
     assert code == 1
@@ -252,6 +260,17 @@ def test_matfunc_rejects_bad_truncation(matrix_file, capsys):
         "matfunc", "--fn", "cos", "--matrix", str(matrix_file), "--trunc", "0",
     ])
     assert code == 1
+
+
+def test_plan_rejects_zero_or_mismatched_input(tmp_path, matrix_file, capsys):
+    zero, short = tmp_path / "zero.txt", tmp_path / "short.txt"
+    write_matrix(zero, np.zeros(4))
+    write_matrix(short, random_input(3, SplitMix64(6)))
+    base = ["matfunc", "--fn", "exp", "--matrix", str(matrix_file), "--trunc", "2"]
+    assert main(base + ["--input", str(zero)]) == 1
+    assert "is zero" in capsys.readouterr().err
+    assert main(base + ["--input", str(short)]) == 1
+    assert "does not match the factor order 4" in capsys.readouterr().err
 
 
 def test_module_entry_point_help(child_env):

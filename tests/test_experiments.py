@@ -53,6 +53,37 @@ def test_config_validation():
         ExperimentConfig(experiment="sweep")
 
 
+@pytest.mark.parametrize("bad", [
+    dict(trials=2.5), dict(seed=2.5), dict(trials=True), dict(seed="1"),
+    dict(dims=("16",)), dict(dims=(16.7,)), dict(dims=(16.0,)), dict(dims=(True,)),
+])
+def test_config_refuses_non_integer_counts(bad):
+    with pytest.raises(ValidationError, match="must be an integer"):
+        ExperimentConfig(**bad)
+
+
+def test_config_refuses_duplicate_dims():
+    with pytest.raises(ValidationError, match="distinct"):
+        ExperimentConfig(dims=(4, 4))
+    with pytest.raises(ValidationError, match="distinct"):
+        ExperimentConfig(dims=(8, 16, 8))
+
+
+def test_config_accepts_numpy_integers():
+    cfg = ExperimentConfig(dims=(np.int64(4), 8), trials=np.int32(2), seed=np.int64(3))
+    assert cfg.dims == (4, 8) and cfg.trials == 2 and cfg.seed == 3
+    assert all(type(v) is int for v in (*cfg.dims, cfg.trials, cfg.seed))
+    assert run_ensemble(cfg) == run_ensemble(ExperimentConfig(dims=(4, 8), trials=2, seed=3))
+
+
+def test_random_draws_refuse_bad_sizes():
+    for bad in (0, -1, 2.5, True):
+        with pytest.raises(ValidationError):
+            random_input(bad, SplitMix64(1))
+        with pytest.raises(ValidationError):
+            random_symmetric(bad, SplitMix64(1))
+
+
 def test_random_symmetric_layout_and_bounds():
     gen = SplitMix64(1)
     draws = SplitMix64(1).uniform_signed_array(3)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from oaasim import (
     ConvergenceError,
+    DimensionError,
     NotPositiveSemidefiniteError,
     PolarDegenerateError,
     SplitMix64,
@@ -27,6 +28,7 @@ from oaasim import (
     sym_eigen,
     write_matrix,
 )
+from oaasim.linalg import _check_count, as_square_array
 
 
 def two_by_two_eigenvalues(a, b, d):
@@ -158,6 +160,33 @@ def test_householder_exchanges_first_basis_vector():
         householder_from_vector(np.array([1.0, 1.0]))
 
 
+def test_empty_operands_rejected():
+    with pytest.raises(DimensionError, match="at least one row"):
+        as_square_array(np.zeros((0, 0)))
+    with pytest.raises(DimensionError, match="at least one entry"):
+        householder_from_vector([])
+
+
+@pytest.mark.parametrize("value", [5, np.int64(5), np.uint8(5), np.int32(-5)])
+def test_check_count_accepts_integers(value):
+    got = _check_count(value, "n")
+    assert type(got) is int and got == int(value)
+
+
+@pytest.mark.parametrize("value", [2.5, 5.0, np.float64(5.0), "5", True, np.True_, None])
+def test_check_count_refuses_non_integers(value):
+    with pytest.raises(ValidationError, match="n must be an integer"):
+        _check_count(value, "n")
+
+
+def test_check_count_minimum():
+    assert _check_count(0, "n", 0) == 0
+    with pytest.raises(ValidationError, match="n must be at least 1, got 0"):
+        _check_count(0, "n", 1)
+    with pytest.raises(ValidationError, match="at least 0"):
+        _check_count(np.int64(-1), "n", 0)
+
+
 def test_householder_rejects_nan():
     with pytest.raises(UnitNormError, match="not 1 within"):
         householder_from_vector(np.array([np.nan, 0.0]))
@@ -184,6 +213,23 @@ def test_matrix_file_round_trip_exact(tmp_path):
     row = tmp_path / "row.txt"
     row.write_text("1 3\n0.5 -0.25 0.125\n")
     assert np.array_equal(read_vector(row), np.array([0.5, -0.25, 0.125]))
+    # a matrix with more than one row and column is not a vector
+    with pytest.raises(DimensionError, match="expected a row or column vector"):
+        read_vector(path)
+
+
+def test_write_matrix_refuses_what_read_matrix_refuses(tmp_path):
+    path = tmp_path / "m.txt"
+    for bad in (np.array([[1.0, np.inf]]), np.array([np.nan, 0.0]),
+                np.array([[1.0], [-np.inf]])):
+        with pytest.raises(ValidationError, match="non-finite"):
+            write_matrix(path, bad)
+    for empty in (np.zeros((0, 2)), np.zeros((2, 0)), np.zeros(0)):
+        with pytest.raises(DimensionError, match="nonempty"):
+            write_matrix(path, empty)
+    with pytest.raises(DimensionError):
+        write_matrix(path, np.zeros((2, 2, 2)))
+    assert not path.exists()
 
 
 # signed zeros, subnormals (smallest and largest) and near-overflow values
@@ -229,6 +275,16 @@ def test_matrix_file_rejects_malformed(tmp_path):
     header_only.write_text("2 2\n")
     with pytest.raises(ValidationError, match="expected 4 entries, found 0"):
         read_matrix(header_only)
+    for i, (text, message) in enumerate((
+        ("2 x\n1.0 2.0\n", "malformed header"),
+        ("0 2\n", "dimensions must be at least 1"),
+        ("2 -1\n1.0\n", "dimensions must be at least 1"),
+        ("2 2\n1.0 2.0 3.0\n", "expected 4 entries, found 3"),
+    )):
+        path = tmp_path / f"bad{i}.txt"
+        path.write_text(text)
+        with pytest.raises(ValidationError, match=re.escape(f"{path}: {message}")):
+            read_matrix(path)
     # a ragged body is refused even when its entry count matches
     ragged = tmp_path / "ragged.txt"
     ragged.write_text("2 2\n1.0 2.0 3.0\n4.0\n")

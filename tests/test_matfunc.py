@@ -8,6 +8,7 @@ import pytest
 
 from oaasim import (
     DimensionError,
+    ProductPlan,
     SplitMix64,
     ValidationError,
     chained_product_circuit,
@@ -163,6 +164,14 @@ def test_chain_input_handling():
         chained_product_circuit(plan, np.ones(5) / math.sqrt(5.0), "adjoint")
     with pytest.raises(ValidationError):
         chained_product_circuit(plan, np.zeros(4), "adjoint")
+    # refused before normalizing, which would divide by an infinite norm
+    for bad in ([np.inf, 1.0, 0.0, 0.0], [np.nan, 1.0, 0.0, 0.0]):
+        with pytest.raises(ValidationError, match="non-finite"):
+            chained_product_circuit(plan, np.array(bad), "adjoint")
+    empty = ProductPlan(factors=(), function="custom", truncation=0,
+                        target_oracle=np.eye(4))
+    with pytest.raises(ValidationError, match="no factors"):
+        chained_product_circuit(empty, padded, "adjoint")
 
 
 def test_chain_factor_order_input_matches_padded_input():
@@ -186,6 +195,12 @@ def test_plan_validation():
         exp_product_factors(np.eye(2), 0)
     with pytest.raises(ValidationError):
         cos_product_factors(np.eye(2), 0)
+    for bad in (2.5, 1.5, True):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            exp_product_factors(np.eye(2), bad)
+        with pytest.raises(ValidationError, match="must be an integer"):
+            cos_product_factors(np.eye(2), bad)
+    assert exp_product_factors(np.eye(2), np.int64(2)).truncation == 2
     with pytest.raises(Exception):
         exp_product_factors(np.array([[0.0, 1.0], [0.5, 0.0]]), 2)
 
