@@ -8,6 +8,12 @@ both times; "adjoint" uses Q = -U S U^-1 S, the form whose behavior on an
 orthogonal encoded matrix follows the exact closed form
 p_i = sin((2i+1) arcsin(1/sqrt(M)))^2, and which runs U S U^-1 as one
 image reflection (apply_image_reflection, O(M N) for the row encoding).
+On any row encoding the adjoint iterate is the qubitization walk (Low and
+Chuang, arXiv:1610.06546): the good block is U/sqrt(M) with U symmetric,
+so after i iterations the good amplitudes are +-T_{2i+1}(U/sqrt(M)) x
+and, with U = V diag(lambda) V^T and c = V^T x,
+p_i = sum_j c_j^2 cos((2i+1) arccos(lambda_j/sqrt(M)))^2. The closed form
+above is the case |lambda_j| = 1; the tests use the sum as an oracle.
 The variants coincide whenever the dense circuit operator is symmetric.
 
 The standard (input-dependent) iterate is also provided; it reflects about

@@ -406,7 +406,8 @@ class Encoded:
 
 def encode(a, vec, fidelity_mode: str = "embedded") -> Encoded:
     """Scale the symmetric matrix `a` by mu, embed it, build its row
-    encoding, and prepare the unit vector `vec` as the circuit input.
+    encoding, and prepare the unit vector `vec` as the circuit input: the
+    matrix half _encode_matrix followed by the input half _encode_input.
 
     A vec of the matrix order is placed in the top half of the embedded
     space; one of the embedded order is taken as is, in embedded mode
@@ -414,25 +415,28 @@ def encode(a, vec, fidelity_mode: str = "embedded") -> Encoded:
     projected mode.
     """
     check_fidelity_mode(fidelity_mode)
+    return _encode_input(_encode_matrix(a), vec, fidelity_mode)
+
+
+def _encode_matrix(a) -> tuple:
+    """encode's matrix half: (a / mu, its embedding, their row encoding)."""
     normalized, mu = mu_normalize(a)
     emb = build_estimated_embedding(normalized, mu)
-    circ = build_row_encoding(emb.u)
+    return normalized, emb, build_row_encoding(emb.u)
+
+
+def _encode_input(matrix: tuple, vec, fidelity_mode: str) -> Encoded:
+    """encode's input half, on an _encode_matrix result and a checked mode."""
+    normalized, emb, circ = matrix
     vec = np.asarray(vec, dtype=float).ravel()
     order = normalized.shape[0]
     project = fidelity_mode == "projected"
-    if vec.size == order:
-        padded = np.zeros(2 * order)
-        padded[:order] = vec
-    elif project:
-        raise DimensionError(
-            f"projected mode needs an input of length {order}, got {vec.size}"
-        )
-    elif vec.size == 2 * order:
-        padded = vec
-    else:
-        raise DimensionError(
-            f"input length {vec.size} matches neither {order} nor {2 * order}"
-        )
+    lengths = (order,) if project else (order, 2 * order)
+    if vec.size not in lengths:
+        raise DimensionError(f"{fidelity_mode} mode needs an input length in {lengths}, "
+                             f"got {vec.size}")
+    padded = np.zeros(2 * order)
+    padded[: vec.size] = vec
     state = prepare_input(circ, padded)
     target = normalized @ vec if project else emb.u @ padded
     return Encoded(emb, circ, state, target, project)

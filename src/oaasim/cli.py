@@ -32,7 +32,7 @@ from .embedding import (
 )
 from .errors import NumericalError, ValidationError
 from .experiments import ExperimentConfig, csv_lines, emit_outputs, run_ensemble, run_trace
-from .linalg import read_matrix, read_vector, write_matrix
+from .linalg import _unit_vector, read_matrix, read_vector, write_matrix
 from .matfunc import (
     chained_product_circuit,
     cos_product_factors,
@@ -111,11 +111,7 @@ def _load_unit_vector(path_or_none, order: int) -> np.ndarray:
         vec = np.zeros(order)
         vec[0] = 1.0
         return vec
-    vec = read_vector(path_or_none)
-    norm = float(np.linalg.norm(vec))
-    if norm == 0.0:
-        raise ValidationError(f"input vector in {path_or_none} is zero")
-    return vec / norm
+    return _unit_vector(read_vector(path_or_none), f"input vector in {path_or_none}")
 
 
 def _cmd_embed(args) -> int:

@@ -24,6 +24,7 @@ import numpy as np
 from .errors import PolarDegenerateError, RowNormError, SpectralRadiusError, ZeroMatrixError
 from .linalg import (
     POLAR_EIGENVALUE_FLOOR,
+    _pow2_scaled,
     check_symmetric,
     spectral_norm_symmetric,
     sqrt_psd,
@@ -68,13 +69,18 @@ def mu_normalize(a) -> tuple[np.ndarray, float]:
 
     Returns (a / mu, mu) with mu the square root of the maximum row sum of
     squares. By symmetry the column norms of the result are also at most 1.
+    The sums run on a / 2^e (see linalg._pow2_scaled), so no square
+    overflows or underflows; a mu beyond the float range is refused.
     """
-    mat = check_symmetric(a)
-    mu2 = float((mat * mat).sum(axis=1).max())
-    if mu2 == 0.0:
+    scaled, e = _pow2_scaled(check_symmetric(a))
+    root = math.sqrt(float((scaled * scaled).sum(axis=1).max()))
+    if root == 0.0:
         raise ZeroMatrixError("cannot normalize the zero matrix")
-    mu = math.sqrt(mu2)
-    return mat / mu, mu
+    try:
+        mu = math.ldexp(root, e)
+    except OverflowError:
+        raise RowNormError("the largest row norm of the matrix overflows a float") from None
+    return scaled / root, mu
 
 
 def build_estimated_embedding(a_normalized, mu: float = 1.0) -> Embedding:

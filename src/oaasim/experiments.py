@@ -14,27 +14,29 @@ Three experiment kinds share one trial mechanic:
 A trial at embedded dimension ``dim`` draws the symmetric matrix at order
 ``dim // 2``, scales it by the row-sum bound, embeds with the estimated
 diagonal blocks, builds the row-encoding circuit, and amplifies for
-``iteration_count(dim)`` steps. Every kind encodes its trials through
-``_encode_trial(cfg, dim, trial)``, and emit_outputs writes files in one
-loop. Per-trial generator seeds are derived from (seed, dim, trial,
-purpose) so results are independent of execution order.
+``iteration_count(dim)`` steps. ``_trial_matrix`` runs encode's matrix
+half once per ensemble trial, or once per dimension for the other kinds,
+whose trials share the circuit; ``_encode_trial`` runs its input half per
+trial. emit_outputs writes files in one loop. Per-trial generator seeds
+are derived from (seed, dim, trial, purpose) so results are independent
+of execution order.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
 from .amplification import VARIANTS, IterationTrace, iteration_count, oblivious_aa
-from .circuit import Encoded, _is_power_of_two, encode
-from .embedding import ClosenessReport, closeness
+from .circuit import Encoded, _encode_input, _encode_matrix, _is_power_of_two
+from .embedding import closeness
 from .errors import NumericalError, ValidationError
 from .linalg import _check_count
 from .metrics import check_fidelity_mode
-from .rng import SplitMix64, derive_seed
+from .rng import SplitMix64, _check_seed, derive_seed
 from .svgplot import line_chart
 
 EXPERIMENT_KINDS = ("ensemble", "fixed-matrix", "trace")
@@ -52,6 +54,8 @@ class ExperimentConfig:
     experiment: str = "ensemble"
 
     def __post_init__(self):
+        if not isinstance(self.dims, (Sequence, np.ndarray)):
+            raise ValidationError(f"dims must be a sequence, got {self.dims!r}")
         dims = tuple(_check_count(d, "embedded dimension", 2) for d in self.dims)
         if not dims or len(set(dims)) != len(dims):
             raise ValidationError(f"dims must be nonempty and distinct, got {dims}")
@@ -62,7 +66,7 @@ class ExperimentConfig:
                 )
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "trials", _check_count(self.trials, "trials", 1))
-        object.__setattr__(self, "seed", _check_count(self.seed, "seed"))
+        object.__setattr__(self, "seed", _check_seed(self.seed, "seed"))
         check_fidelity_mode(self.fidelity_mode)
         for name, allowed in (("variant", VARIANTS), ("experiment", EXPERIMENT_KINDS)):
             value = getattr(self, name)
@@ -121,43 +125,39 @@ def random_input(length: int, rng: SplitMix64) -> np.ndarray:
     raise NumericalError("random input drew the zero vector twice")
 
 
-def _encode_trial(cfg: ExperimentConfig, dim: int, trial: int) -> Encoded:
-    """Encode the trial's matrix with the trial's random input. An ensemble
-    trial draws its own matrix; fixed-matrix and trace trials use trial 0's.
+def _trial_matrix(cfg: ExperimentConfig, dim: int, trial: int) -> tuple:
+    """encode's matrix half on the random matrix of trial `trial`."""
+    rng = SplitMix64(derive_seed(cfg.seed, dim, trial, 0))
+    return _encode_matrix(random_symmetric(dim // 2, rng))
+
+
+def _encode_trial(cfg: ExperimentConfig, dim: int, trial: int, matrix: tuple) -> Encoded:
+    """encode's input half: the trial's random input on an encoded matrix.
     The input has embedded order in embedded mode, matrix order in
     projected mode."""
-    matrix_trial = trial if cfg.experiment == "ensemble" else 0
-    a = random_symmetric(dim // 2, SplitMix64(derive_seed(cfg.seed, dim, matrix_trial, 0)))
-    rng_in = SplitMix64(derive_seed(cfg.seed, dim, trial, 1))
+    rng = SplitMix64(derive_seed(cfg.seed, dim, trial, 1))
     length = dim if cfg.fidelity_mode == "embedded" else dim // 2
-    return encode(a, random_input(length, rng_in), cfg.fidelity_mode)
+    return _encode_input(matrix, random_input(length, rng), cfg.fidelity_mode)
 
 
-def _run_trial(
-    cfg: ExperimentConfig,
-    dim: int,
-    trial: int,
-    fixed_report: ClosenessReport | None = None,
-) -> EnsembleRecord:
-    """One trial. The fixed-matrix experiment passes the closeness report
-    of its one matrix per dimension, shared by every trial."""
-    enc = _encode_trial(cfg, dim, trial)
-    report = fixed_report if fixed_report is not None else closeness(enc.embedding.u)
+def _matrix_and_report(cfg: ExperimentConfig, dim: int, trial: int) -> tuple:
+    """_trial_matrix and the closeness report of its embedding."""
+    matrix = _trial_matrix(cfg, dim, trial)
+    return matrix, closeness(matrix[1].u)
+
+
+def _run_trial(cfg: ExperimentConfig, dim: int, trial: int,
+               shared: tuple | None) -> EnsembleRecord:
+    """One trial. A fixed-matrix trial gets its dimension's
+    _matrix_and_report pair; an ensemble trial gets None and makes its own."""
+    matrix, report = shared or _matrix_and_report(cfg, dim, trial)
+    enc = _encode_trial(cfg, dim, trial, matrix)
     k = iteration_count(dim)
-    trace = oblivious_aa(
-        enc.circuit, enc.state, k, cfg.variant, enc.target,
-        project_system_zero=enc.project,
-    )
-    best = trace.peak
-    return EnsembleRecord(
-        trial=trial,
-        dim=dim,
-        c2=report.c2,
-        ef=report.ef,
-        final_fidelity=best.fidelity,
-        final_probability=best.probability,
-        k_used=k,
-    )
+    best = oblivious_aa(enc.circuit, enc.state, k, cfg.variant, enc.target,
+                        project_system_zero=enc.project).peak
+    return EnsembleRecord(trial=trial, dim=dim, c2=report.c2, ef=report.ef,
+                          final_fidelity=best.fidelity, final_probability=best.probability,
+                          k_used=k)
 
 
 def run_ensemble(cfg: ExperimentConfig) -> list:
@@ -165,15 +165,11 @@ def run_ensemble(cfg: ExperimentConfig) -> list:
     (dim, trial) order."""
     if cfg.experiment not in ("ensemble", "fixed-matrix"):
         raise ValidationError(f"not an ensemble experiment: {cfg.experiment!r}")
-    reports: dict = {}
-    if cfg.experiment == "fixed-matrix":
-        for dim in cfg.dims:
-            reports[dim] = closeness(_encode_trial(cfg, dim, 0).embedding.u)
-    return [
-        _run_trial(cfg, dim, trial, reports.get(dim))
-        for dim in cfg.dims
-        for trial in range(cfg.trials)
-    ]
+    records = []
+    for dim in cfg.dims:
+        shared = _matrix_and_report(cfg, dim, 0) if cfg.experiment == "fixed-matrix" else None
+        records += [_run_trial(cfg, dim, trial, shared) for trial in range(cfg.trials)]
+    return records
 
 
 def run_trace(cfg: ExperimentConfig) -> list:
@@ -183,12 +179,10 @@ def run_trace(cfg: ExperimentConfig) -> list:
         raise ValidationError(f"not a trace experiment: {cfg.experiment!r}")
     results = []
     for dim in cfg.dims:
-        enc = _encode_trial(cfg, dim, 0)
+        enc = _encode_trial(cfg, dim, 0, _trial_matrix(cfg, dim, 0))
         k_marker = iteration_count(dim)
-        trace = oblivious_aa(
-            enc.circuit, enc.state, k_marker + 2, cfg.variant, enc.target,
-            project_system_zero=enc.project,
-        )
+        trace = oblivious_aa(enc.circuit, enc.state, k_marker + 2, cfg.variant, enc.target,
+                             project_system_zero=enc.project)
         results.append(TraceResult(dim=dim, k_marker=k_marker, trace=trace))
     return results
 

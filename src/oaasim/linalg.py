@@ -81,6 +81,28 @@ def _check_count(n, name: str, minimum: int | None = None) -> int:
     return int(n)
 
 
+def _pow2_scaled(x) -> tuple[np.ndarray, int]:
+    """(x / 2^e, e) with e the np.frexp exponent of max|x|: the largest
+    magnitude of the result lies in [0.5, 1), so squares of its entries
+    neither overflow nor all underflow, and dividing by a power of two is
+    exact. An all-zero x gives e = 0."""
+    e = int(np.frexp(np.abs(x).max(initial=0.0))[1])
+    return np.ldexp(x, -e), e
+
+
+def _unit_vector(vec, name: str) -> np.ndarray:
+    """The finite nonzero vector vec over its 2-norm, taken after
+    _pow2_scaled so that any finite entries may be normalized."""
+    vec = np.asarray(vec, dtype=float).ravel()
+    if not np.isfinite(vec).all():
+        raise ValidationError(f"{name} has a non-finite entry")
+    scaled, _ = _pow2_scaled(vec)
+    norm = float(np.linalg.norm(scaled))
+    if norm == 0.0:
+        raise ValidationError(f"{name} is zero")
+    return scaled / norm
+
+
 def frobenius(m) -> float:
     a = np.asarray(m, dtype=float)
     return math.sqrt(float((a * a).sum()))

@@ -21,9 +21,9 @@ from typing import Sequence
 import numpy as np
 
 from .amplification import iteration_count, oblivious_aa
-from .circuit import collapse_good, encode
+from .circuit import _encode_input, _encode_matrix, collapse_good
 from .errors import DimensionError, ValidationError
-from .linalg import _check_count, check_symmetric, sym_eigen
+from .linalg import _check_count, _unit_vector, check_symmetric, sym_eigen
 
 
 @dataclass(frozen=True)
@@ -140,34 +140,26 @@ def chained_product_circuit(
     """Apply the plan's factors to input_vec through chained embedded
     circuits. input_vec, of the factor order d (encode puts it in the top
     half of the embedded space) or the embedded order 2d, is normalized
-    first. Returns the final collapsed vector and the per-stage records."""
+    first. A factor object that repeats in the plan is encoded once and its
+    circuit reused. Returns the final collapsed vector and the per-stage
+    records."""
     if not plan.factors:
         raise ValidationError("plan has no factors")
     order = _check_factor(plan.factors[0], None)
-    vec = np.asarray(input_vec, dtype=float).ravel()
-    if not np.isfinite(vec).all():
-        raise ValidationError("input vector has a non-finite entry")
-    norm = float(np.linalg.norm(vec))
-    if norm == 0.0:
-        raise ValidationError("input vector is zero")
-    vec = vec / norm
+    vec = _unit_vector(input_vec, "input vector")
 
-    records = []
+    records, matrices = [], {}  # encode's matrix half, once per distinct factor object
     for stage, w in enumerate(plan.factors):
-        _check_factor(w, order)
-        enc = encode(w, vec)
+        if id(w) not in matrices:
+            _check_factor(w, order)
+            matrices[id(w)] = _encode_matrix(w)
+        enc = _encode_input(matrices[id(w)], vec, "embedded")
         k = iteration_count(enc.embedding.order)
         trace, final_state = oblivious_aa(
             enc.circuit, enc.state, k, variant, enc.target, return_final_state=True
         )
         collapsed, probability = collapse_good(enc.circuit, final_state)
-        records.append(
-            StageRecord(
-                stage=stage,
-                probability=probability,
-                fidelity=trace.final.fidelity,
-                mu_scale=enc.embedding.mu,
-            )
-        )
+        records.append(StageRecord(stage=stage, probability=probability,
+                                   fidelity=trace.final.fidelity, mu_scale=enc.embedding.mu))
         vec = collapsed
     return vec, records

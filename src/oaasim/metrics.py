@@ -17,6 +17,7 @@ import math
 import numpy as np
 
 from .errors import DimensionError, ValidationError
+from .linalg import _pow2_scaled
 
 FIDELITY_MODES = ("embedded", "projected")
 
@@ -26,6 +27,7 @@ def fidelity(collapsed, target) -> float:
 
     Both arguments are normalized first and the absolute value is taken,
     so scaling either vector (including by -1) never changes the result.
+    The norms are taken after linalg._pow2_scaled, so no square overflows.
     """
     u = np.asarray(collapsed, dtype=float).ravel()
     v = np.asarray(target, dtype=float).ravel()
@@ -33,6 +35,7 @@ def fidelity(collapsed, target) -> float:
         raise DimensionError(f"length mismatch: {u.size} vs {v.size}")
     if not (np.isfinite(u).all() and np.isfinite(v).all()):
         raise ValidationError("fidelity of a non-finite vector is undefined")
+    (u, _), (v, _) = _pow2_scaled(u), _pow2_scaled(v)
     nu = math.sqrt(float((u * u).sum()))
     nv = math.sqrt(float((v * v).sum()))
     if nu == 0.0 or nv == 0.0:

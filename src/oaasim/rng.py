@@ -13,12 +13,16 @@ with all arithmetic modulo 2^64. Outputs map to floats by taking the top
 is 2 u - 1 in [-1, 1). Because the i-th output depends only on seed and i,
 draws can be produced in vectorized batches and independent streams can be
 derived per (dimension, trial) without any sequential coupling, which keeps
-parallel experiment runs reproducible.
+parallel experiment runs reproducible. Seeds and stream indices are
+integers in [0, 2^64); anything else raises ValidationError.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import ValidationError
+from .linalg import _check_count
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -34,13 +38,21 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def _check_seed(n, name: str) -> int:
+    """n as an int, refused unless it is an integer in [0, 2^64)."""
+    n = _check_count(n, name, 0)
+    if n > _MASK:
+        raise ValidationError(f"{name} must be below 2**64, got {n}")
+    return n
+
+
 def derive_seed(seed: int, *indices: int) -> int:
     """Stream derivation: fold each index into the seed through the
     finalizer. Used to give every (dimension, trial, purpose) combination
     its own independent generator."""
-    h = seed & _MASK
+    h = _check_seed(seed, "seed")
     for v in indices:
-        h = mix64((h + _GAMMA + (int(v) & _MASK)) & _MASK)
+        h = mix64((h + _GAMMA + _check_seed(v, "seed index")) & _MASK)
     return h
 
 
@@ -48,7 +60,7 @@ class SplitMix64:
     """Counter-based generator; output i is mix64(seed + (i+1) * gamma)."""
 
     def __init__(self, seed: int):
-        self._state = seed & _MASK
+        self._state = _check_seed(seed, "seed")
 
     def next_u64(self) -> int:
         self._state = (self._state + _GAMMA) & _MASK

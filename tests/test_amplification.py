@@ -10,8 +10,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oaasim import (
+    FIDELITY_MODES,
     VARIANTS,
     DimensionError,
+    ExperimentConfig,
     IterationTrace,
     NoGoodAmplitudeError,
     SplitMix64,
@@ -25,6 +27,7 @@ from oaasim import (
     build_lcu_encoding,
     build_row_encoding,
     dense_matrix_of,
+    derive_seed,
     encode,
     householder_from_vector,
     iteration_count,
@@ -33,6 +36,8 @@ from oaasim import (
     prepare_input,
     random_input,
     random_symmetric,
+    run_ensemble,
+    run_trace,
     standard_aa,
 )
 
@@ -40,6 +45,7 @@ from oaasim.amplification import _record
 from oaasim.circuit import CircuitU
 
 from dense_reference import random_orthogonal
+from spectral_reference import adjoint_records
 
 
 def seeded_embedded(order, seed):
@@ -104,6 +110,52 @@ def test_adjoint_probability_closed_form_on_orthogonal_encoding(log_m, seed):
         expect = math.sin((2 * rec.iteration + 1) * theta) ** 2
         assert rec.probability == pytest.approx(expect, abs=1e-12)
         assert rec.fidelity == pytest.approx(1.0, abs=1e-12)
+
+
+@given(st.integers(0, 7), st.integers(0, 2**32 - 1), st.sampled_from(FIDELITY_MODES),
+       st.booleans(), st.integers(0, 2))
+def test_adjoint_records_match_the_spectral_oracle(log_order, seed, mode, full, extra):
+    # matrix orders 1-128 through encode; the oracle is T_{2i+1}(U / sqrt(M))
+    order = 2**log_order
+    a = random_symmetric(order, SplitMix64(seed))
+    vec = random_input(2 * order if full and mode == "embedded" else order,
+                       SplitMix64(seed + 1))
+    enc = encode(a, vec, mode)
+    k = iteration_count(2 * order) + extra
+    trace = oblivious_aa(enc.circuit, enc.state, k, "adjoint", enc.target,
+                         project_system_zero=enc.project)
+    expected = adjoint_records(a, vec, k, mode)
+    for rec, (prob, fid) in zip(trace.records, expected, strict=True):
+        assert rec.probability == pytest.approx(prob, abs=1e-12)
+        assert rec.fidelity == pytest.approx(fid, abs=1e-12)
+
+
+def test_adjoint_experiment_records_match_the_spectral_oracle():
+    # every record of seed-0 adjoint fixed-matrix and trace runs; a peak
+    # record may sit at any oracle iteration within 1e-12 of the top
+    def matrix_and_input(cfg, dim, trial):
+        length = dim if cfg.fidelity_mode == "embedded" else dim // 2
+        return (random_symmetric(dim // 2, SplitMix64(derive_seed(0, dim, 0, 0))),
+                random_input(length, SplitMix64(derive_seed(0, dim, trial, 1))))
+
+    for mode in FIDELITY_MODES:
+        fixed = ExperimentConfig(dims=(16, 32, 64, 128), trials=3, seed=0, variant="adjoint",
+                                 fidelity_mode=mode, experiment="fixed-matrix")
+        for rec in run_ensemble(fixed):
+            expected = adjoint_records(*matrix_and_input(fixed, rec.dim, rec.trial),
+                                       rec.k_used, mode)
+            top = max(prob for prob, _ in expected)
+            assert any(abs(rec.final_probability - prob) <= 1e-12
+                       and abs(rec.final_fidelity - fid) <= 1e-12
+                       for prob, fid in expected if prob >= top - 1e-12), rec
+        trace = ExperimentConfig(dims=(16, 32, 64, 128), trials=1, seed=0, variant="adjoint",
+                                 fidelity_mode=mode, experiment="trace")
+        for res in run_trace(trace):
+            expected = adjoint_records(*matrix_and_input(trace, res.dim, 0),
+                                       res.k_marker + 2, mode)
+            for rec, (prob, fid) in zip(res.trace.records, expected, strict=True):
+                assert rec.probability == pytest.approx(prob, abs=1e-12)
+                assert rec.fidelity == pytest.approx(fid, abs=1e-12)
 
 
 @pytest.mark.parametrize("variant", ["literal", "adjoint"])

@@ -1,6 +1,7 @@
 """Command line behavior: exit codes, config echo, payload formats, and
 deterministic experiment output."""
 
+import math
 import subprocess
 import sys
 
@@ -47,6 +48,47 @@ def test_embed_reports_closeness(tmp_path, matrix_file, capsys):
     u = np.loadtxt(str(out), skiprows=1)
     assert u.shape == (8, 8)
     assert np.allclose(u, u.T, atol=1e-15)
+
+
+def test_embed_near_overflow_matches_the_scaled_matrix(tmp_path, capsys):
+    # 1e308 entries printed mu=inf, c2=4.9e-32 and ef=1.0 and exited 0
+    reports = []
+    for name, entry in (("huge", 1e308), ("unit", math.ldexp(1e308, -1023))):
+        path = tmp_path / f"{name}.txt"
+        write_matrix(path, np.full((2, 2), entry))
+        out = tmp_path / f"{name}_u.txt"
+        assert main(["embed", "--matrix", str(path), "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        reports.append((float(lines[0].split("=")[1]), lines[1:5], out.read_text()))
+    (huge_mu, huge_lines, huge_u), (unit_mu, unit_lines, unit_u) = reports
+    assert huge_mu == math.ldexp(unit_mu, 1023)
+    assert huge_lines == unit_lines and huge_u == unit_u
+
+
+@pytest.mark.parametrize("power", [664, -664])
+def test_amplify_input_scale_is_immaterial(tmp_path, matrix_file, power, capsys):
+    # entries near 1e200 overflowed the input norm and near 1e-200
+    # underflowed it; scaling by a power of two must change nothing
+    vec = random_input(4, SplitMix64(5))
+    outputs = []
+    for name, entries in (("plain", vec), ("scaled", np.ldexp(vec, power))):
+        path = tmp_path / f"{name}.txt"
+        write_matrix(path, entries)
+        code = main(["amplify", "--matrix", str(matrix_file), "--input", str(path),
+                     "--variant", "adjoint"])
+        outputs.append((code, capsys.readouterr().out))
+    assert outputs[0][0] == 0
+    assert outputs[1] == outputs[0]
+
+
+def test_experiment_rejects_seed_outside_64_bits(tmp_path, capsys):
+    # seed -1 ran and gave the records of seed 2**64 - 1
+    for seed in ("-1", str(2**64)):
+        code = main(["experiment", "--kind", "ensemble", "--dims", "8", "--trials", "1",
+                     "--seed", seed, "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "seed must be" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_embed_exact_outside_radius_is_numerical_failure(tmp_path, capsys):

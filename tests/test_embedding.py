@@ -53,6 +53,36 @@ def test_mu_normalize_hand_case():
         mu_normalize(np.zeros((2, 2)))
 
 
+def test_mu_normalize_is_exact_under_power_of_two_scaling():
+    # the sums of squares run on a / 2^e, so scaling a by 2^s scales mu by
+    # 2^s and leaves a / mu bit for bit, up to the ends of the float range
+    a = random_symmetric(6, SplitMix64(41))
+    normalized, mu = mu_normalize(a)
+    for s in (-1000, -600, -1, 1, 600, 1000):
+        scaled_normalized, scaled_mu = mu_normalize(np.ldexp(a, s))
+        assert scaled_mu == math.ldexp(mu, s)
+        assert np.array_equal(scaled_normalized, normalized)
+
+
+def test_mu_normalize_entries_near_overflow():
+    # squaring 1e308 overflowed: mu read inf and a / mu the zero matrix
+    normalized, mu = mu_normalize(np.full((2, 2), 1e308))
+    assert mu == pytest.approx(math.sqrt(2.0) * 1e308, rel=1e-15)
+    assert np.allclose(normalized, math.sqrt(0.5), rtol=1e-15)
+    # a row norm beyond the float range is refused, not returned as inf
+    with pytest.raises(RowNormError, match="overflows"):
+        mu_normalize(np.full((4, 4), 1.7e308))
+
+
+def test_mu_normalize_tiny_nonzero_matrix():
+    # squaring 1e-200 underflowed to zero: a valid matrix was refused as zero
+    normalized, mu = mu_normalize(np.diag([1e-200, 3e-200]))
+    assert mu == 3e-200
+    assert np.allclose(normalized, np.diag([1.0 / 3.0, 1.0]), rtol=1e-15, atol=0.0)
+    with pytest.raises(ZeroMatrixError):
+        mu_normalize(np.zeros((2, 2)))
+
+
 def test_estimated_embedding_hand_case():
     a = np.array([[1.0, 1.0], [1.0, 0.0]])
     normalized, mu = mu_normalize(a)

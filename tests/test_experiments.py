@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oaasim.circuit
 from oaasim import (
     EnsembleRecord,
     ExperimentConfig,
@@ -19,8 +20,11 @@ from oaasim import (
     ValidationError,
     build_estimated_embedding,
     build_row_encoding,
+    chained_product_circuit,
+    cos_product_factors,
     derive_seed,
     emit_outputs,
+    exp_product_factors,
     iteration_count,
     mu_normalize,
     oblivious_aa,
@@ -60,6 +64,42 @@ def test_config_validation():
 def test_config_refuses_non_integer_counts(bad):
     with pytest.raises(ValidationError, match="must be an integer"):
         ExperimentConfig(**bad)
+
+
+def test_config_refuses_a_bare_dimension_and_out_of_range_seeds():
+    # dims=16 raised TypeError; seed -1 ran as seed 2**64 - 1
+    with pytest.raises(ValidationError, match="sequence"):
+        ExperimentConfig(dims=16)
+    for seed in (-1, 2**64):
+        with pytest.raises(ValidationError, match="seed must be"):
+            ExperimentConfig(seed=seed)
+    assert ExperimentConfig(seed=2**64 - 1).seed == 2**64 - 1
+
+
+def test_each_matrix_is_encoded_once(monkeypatch):
+    # fixed-matrix trials share their dimension's circuit, and a chain
+    # encodes each distinct factor object once
+    calls = []
+
+    def counting(u):
+        calls.append(u.shape[0])
+        return build_row_encoding(u)
+
+    monkeypatch.setattr(oaasim.circuit, "build_row_encoding", counting)
+
+    def count(run, *args):
+        calls.clear()
+        run(*args)
+        return len(calls)
+
+    fixed = ExperimentConfig(experiment="fixed-matrix", **SMALL)
+    assert count(run_ensemble, fixed) == len(SMALL["dims"])
+    ensemble = ExperimentConfig(experiment="ensemble", **SMALL)
+    assert count(run_ensemble, ensemble) == len(SMALL["dims"]) * SMALL["trials"]
+    a = np.diag([0.3, -0.2])
+    vec = np.array([1.0, 0.0])
+    assert count(chained_product_circuit, exp_product_factors(a, 16), vec) == 1
+    assert count(chained_product_circuit, cos_product_factors(a, 8), vec) == 16
 
 
 def test_config_refuses_duplicate_dims():

@@ -174,6 +174,16 @@ def test_chain_input_handling():
         chained_product_circuit(empty, padded, "adjoint")
 
 
+def test_chain_input_scale_is_immaterial():
+    # the input norm overflowed near 1e200 and underflowed near 1e-200
+    plan = exp_product_factors(np.diag([0.3, -0.2, 0.1, 0.4]), 2)
+    vec = random_input(4, SplitMix64(336))
+    plain, plain_records = chained_product_circuit(plan, vec, "adjoint")
+    for power in (700, -700):
+        scaled, records = chained_product_circuit(plan, np.ldexp(vec, power), "adjoint")
+        assert np.array_equal(scaled, plain) and records == plain_records
+
+
 def test_chain_factor_order_input_matches_padded_input():
     # a factor-order input is normalized before encode pads it, a padded one
     # at full length; the two routes may differ only by rounding

@@ -25,6 +25,14 @@ def test_sign_and_scale_invariance():
     assert fidelity(a, b) == fidelity(b, a)
 
 
+def test_scale_of_the_vectors_is_immaterial():
+    # squares of 1e300 overflowed, and a chain whose reference reached
+    # 1e300 reported fidelity 0.0 against a matching result
+    assert fidelity([1e300, 0.0], [1.0, 0.0]) == 1.0
+    assert fidelity([3.0, 4.0], [1e-300, 0.0]) == pytest.approx(0.6, abs=1e-15)
+    assert fidelity(np.ldexp([0.6, -0.8], 1000), [0.6, -0.8]) == fidelity([0.6, -0.8], [0.6, -0.8])
+
+
 def test_rejections():
     with pytest.raises(DimensionError):
         fidelity([1.0, 0.0], [1.0, 0.0, 0.0])

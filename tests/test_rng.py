@@ -4,7 +4,7 @@ agreement, and stream derivation."""
 import numpy as np
 import pytest
 
-from oaasim import SplitMix64, derive_seed, mix64
+from oaasim import SplitMix64, ValidationError, derive_seed, mix64
 
 
 def test_reference_outputs_from_seed_zero():
@@ -66,3 +66,22 @@ def test_derived_streams_differ():
     assert not np.array_equal(a, b)
     # argument order matters
     assert derive_seed(0, 1, 2) != derive_seed(0, 2, 1)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: SplitMix64(2.5), lambda: SplitMix64(-1), lambda: SplitMix64(2**64),
+    lambda: SplitMix64(np.int64(-1)), lambda: SplitMix64(True),
+    lambda: derive_seed(1, 2.5), lambda: derive_seed(-1, 0), lambda: derive_seed(0, -1),
+    lambda: derive_seed(0, 2**64), lambda: derive_seed(2.0),
+])
+def test_seeds_and_indices_outside_64_bits_are_refused(make):
+    # a float index aliased its integer part, a negative seed its 64-bit mask
+    with pytest.raises(ValidationError):
+        make()
+
+
+def test_seed_range_ends_are_accepted():
+    top = 2**64 - 1
+    assert SplitMix64(np.uint64(top)).next_u64() == SplitMix64(top).next_u64()
+    assert derive_seed(np.int64(7), np.uint64(top)) == derive_seed(7, top)
+    assert SplitMix64(0).next_u64() == 0xE220A8397B1DCDAF
