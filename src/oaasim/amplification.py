@@ -22,7 +22,8 @@ preparation operator P, but it works for any circuit. That reflection,
 U P (2|0><0| - I) P^T U^-1, is 2 s s^T - I: O(M N) after one apply.
 
 States are read through the circuit's good_first view of their grid, so
-nothing here knows which register a circuit type marks as good.
+nothing here knows which register a circuit type marks as good; a run's
+target alone records its fidelity mode.
 """
 
 from __future__ import annotations
@@ -112,8 +113,7 @@ def _record(c, state, target, project, iteration) -> TraceRecord:
 
 
 def oblivious_aa(c: CircuitU, input_state: StateVector, k: int, variant: str,
-                 target, project_system_zero: bool = False,
-                 return_final_state: bool = False):
+                 target, return_final_state: bool = False):
     """Run the oblivious amplification iterate k times and trace it.
 
     The input must carry the good register at index 0. The circuit is
@@ -123,14 +123,19 @@ def oblivious_aa(c: CircuitU, input_state: StateVector, k: int, variant: str,
     and finally the literal global -1 phase of the iterate (the adjoint
     runs the middle three as one image reflection). Fidelity takes
     an absolute value, so the phase never shows up in the records.
+
+    A target half as long as the data register selects projected fidelity
+    (the top half of each collapsed vector, see collapse_good); any other
+    length selects embedded fidelity.
     """
     if variant not in VARIANTS:
         raise ValidationError(f"unknown variant {variant!r}")
     k = _check_count(k, "iteration count", 0)
     _check_good_component(c, input_state)
+    project = 2 * np.size(target) == c.good_first(input_state.grid).shape[1]
     state = apply_circuit(c, input_state)  # the run's one state grid
     trace = IterationTrace()
-    trace.records.append(_record(c, state, target, project_system_zero, 0))
+    trace.records.append(_record(c, state, target, project, 0))
     for i in range(1, k + 1):
         apply_good_reflection(c, state, out=state)
         if variant == "adjoint":
@@ -140,7 +145,7 @@ def oblivious_aa(c: CircuitU, input_state: StateVector, k: int, variant: str,
             apply_good_reflection(c, state, out=state)
             apply_circuit(c, state, out=state)
         np.negative(state.grid, out=state.grid)
-        trace.records.append(_record(c, state, target, project_system_zero, i))
+        trace.records.append(_record(c, state, target, project, i))
     if return_final_state:
         return trace, state
     return trace

@@ -394,14 +394,13 @@ def prepare_input(c: CircuitU, system) -> StateVector:
 class Encoded:
     """A matrix made ready for amplification: its estimated embedding, the
     row-encoding circuit of the embedded operator, the prepared input
-    state, the fidelity target, and whether collapse projects onto the
-    system's top half (projected fidelity mode)."""
+    state and the fidelity target, whose length alone records the
+    fidelity mode (see oblivious_aa)."""
 
     embedding: Embedding
     circuit: RowEncodingCircuit
     state: StateVector
     target: np.ndarray
-    project: bool
 
 
 def encode(a, vec, fidelity_mode: str = "embedded") -> Encoded:
@@ -419,17 +418,17 @@ def encode(a, vec, fidelity_mode: str = "embedded") -> Encoded:
 
 
 def _encode_matrix(a) -> tuple:
-    """encode's matrix half: (a / mu, its embedding, their row encoding)."""
-    normalized, mu = mu_normalize(a)
-    emb = build_estimated_embedding(normalized, mu)
-    return normalized, emb, build_row_encoding(emb.u)
+    """encode's matrix half: (the embedding of a / mu, its row encoding)."""
+    emb = build_estimated_embedding(*mu_normalize(a))
+    return emb, build_row_encoding(emb.u)
 
 
 def _encode_input(matrix: tuple, vec, fidelity_mode: str) -> Encoded:
-    """encode's input half, on an _encode_matrix result and a checked mode."""
-    normalized, emb, circ = matrix
+    """encode's input half, on an _encode_matrix result and a checked mode;
+    a / mu is the embedding's top-left block."""
+    emb, circ = matrix
     vec = np.asarray(vec, dtype=float).ravel()
-    order = normalized.shape[0]
+    order = emb.order // 2
     project = fidelity_mode == "projected"
     lengths = (order,) if project else (order, 2 * order)
     if vec.size not in lengths:
@@ -438,8 +437,8 @@ def _encode_input(matrix: tuple, vec, fidelity_mode: str) -> Encoded:
     padded = np.zeros(2 * order)
     padded[: vec.size] = vec
     state = prepare_input(circ, padded)
-    target = normalized @ vec if project else emb.u @ padded
-    return Encoded(emb, circ, state, target, project)
+    target = emb.u[:order, :order] @ vec if project else emb.u @ padded
+    return Encoded(emb, circ, state, target)
 
 
 def dense_matrix_of(c: CircuitU) -> np.ndarray:

@@ -32,7 +32,7 @@ from .embedding import (
 )
 from .errors import NumericalError, ValidationError
 from .experiments import ExperimentConfig, csv_lines, emit_outputs, run_ensemble, run_trace
-from .linalg import _unit_vector, read_matrix, read_vector, write_matrix
+from .linalg import _pow2_scaled, _unit_vector, read_matrix, read_vector, write_matrix
 from .matfunc import (
     chained_product_circuit,
     cos_product_factors,
@@ -134,10 +134,7 @@ def _cmd_amplify(args) -> int:
     a = read_matrix(args.matrix)
     enc = encode(a, _load_unit_vector(args.input, a.shape[0]), args.fidelity)
     k = args.k if args.k is not None else iteration_count(enc.circuit.m_dim)
-    trace = oblivious_aa(
-        enc.circuit, enc.state, k, args.variant, enc.target,
-        project_system_zero=enc.project,
-    )
+    trace = oblivious_aa(enc.circuit, enc.state, k, args.variant, enc.target)
     lines = csv_lines([asdict(r) for r in trace.records])
     if args.out is None:
         print("\n".join(lines))
@@ -184,8 +181,8 @@ def _run_plan(plan, args) -> int:
             f"input length {vec.size} does not match the factor order {order}"
         )
     collapsed, records = chained_product_circuit(plan, vec, args.variant)
-    embedded_ref = np.zeros(2 * order)
-    embedded_ref[:order] = plan.target_oracle @ vec
+    embedded_ref = np.zeros(2 * order)  # fidelity is scale-free: scale so nothing overflows
+    embedded_ref[:order] = _pow2_scaled(plan.target_oracle)[0] @ vec
     final_fid = fidelity(collapsed, embedded_ref)
     lines = csv_lines([asdict(r) for r in records])
     if args.out is None:

@@ -114,7 +114,8 @@ def build_exact_embedding(a_normalized, mu: float = 1.0) -> Embedding:
         raise SpectralRadiusError(
             f"spectral norm {rho:.15g} exceeds 1; exact extension undefined"
         )
-    off = sqrt_psd(np.eye(ap.shape[0]) - ap @ ap)
+    gap = np.eye(ap.shape[0]) - ap @ ap  # symmetric, but the product need not be bitwise
+    off = sqrt_psd(0.5 * (gap + gap.T))
     u = _assemble(ap, off)
     d_diag = np.diag(off).copy()
     return Embedding(mu=float(mu), d_diag=d_diag, u=u, kind="exact")

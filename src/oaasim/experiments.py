@@ -143,7 +143,7 @@ def _encode_trial(cfg: ExperimentConfig, dim: int, trial: int, matrix: tuple) ->
 def _matrix_and_report(cfg: ExperimentConfig, dim: int, trial: int) -> tuple:
     """_trial_matrix and the closeness report of its embedding."""
     matrix = _trial_matrix(cfg, dim, trial)
-    return matrix, closeness(matrix[1].u)
+    return matrix, closeness(matrix[0].u)
 
 
 def _run_trial(cfg: ExperimentConfig, dim: int, trial: int,
@@ -153,8 +153,7 @@ def _run_trial(cfg: ExperimentConfig, dim: int, trial: int,
     matrix, report = shared or _matrix_and_report(cfg, dim, trial)
     enc = _encode_trial(cfg, dim, trial, matrix)
     k = iteration_count(dim)
-    best = oblivious_aa(enc.circuit, enc.state, k, cfg.variant, enc.target,
-                        project_system_zero=enc.project).peak
+    best = oblivious_aa(enc.circuit, enc.state, k, cfg.variant, enc.target).peak
     return EnsembleRecord(trial=trial, dim=dim, c2=report.c2, ef=report.ef,
                           final_fidelity=best.fidelity, final_probability=best.probability,
                           k_used=k)
@@ -181,8 +180,7 @@ def run_trace(cfg: ExperimentConfig) -> list:
     for dim in cfg.dims:
         enc = _encode_trial(cfg, dim, 0, _trial_matrix(cfg, dim, 0))
         k_marker = iteration_count(dim)
-        trace = oblivious_aa(enc.circuit, enc.state, k_marker + 2, cfg.variant, enc.target,
-                             project_system_zero=enc.project)
+        trace = oblivious_aa(enc.circuit, enc.state, k_marker + 2, cfg.variant, enc.target)
         results.append(TraceResult(dim=dim, k_marker=k_marker, trace=trace))
     return results
 

@@ -64,9 +64,11 @@ def as_square_array(m, name: str = "matrix") -> np.ndarray:
 
 
 def check_symmetric(m, name: str = "matrix") -> np.ndarray:
+    """m as a float array, refused unless max|m - m^T| <= 1e-12 max|m|
+    (measured on m / 2^e, see _pow2_scaled, so nothing overflows)."""
     a = as_square_array(m, name)
-    scale = max(1.0, float(np.abs(a).max()) if a.size else 1.0)
-    if float(np.abs(a - a.T).max()) > SYMMETRY_TOL * scale:
+    scaled, _ = _pow2_scaled(a)
+    if float(np.abs(scaled - scaled.T).max()) > SYMMETRY_TOL * float(np.abs(scaled).max()):
         raise SymmetryError(f"{name} is not symmetric within tolerance")
     return a
 
@@ -137,13 +139,14 @@ def sym_eigen(s) -> EigenPair:
 
     Converged when the off-diagonal Frobenius norm drops to 1e-12 times the
     input Frobenius norm; raises ConvergenceError if 50 sweeps do not get
-    there. Deterministic for identical input.
+    there. Deterministic for identical input. The sweeps run on s / 2^e
+    (see _pow2_scaled), exactly as on s, so no norm overflows.
     """
-    a = check_symmetric(s).copy()
+    a, e = _pow2_scaled(check_symmetric(s))
     n = a.shape[0]
     q = np.eye(n)
     if n == 1:
-        return EigenPair(values=a[0].copy(), vectors=q)
+        return EigenPair(values=np.ldexp(a[0], e), vectors=q)
     norm_s = frobenius(a)
     if norm_s == 0.0:
         return EigenPair(values=np.zeros(n), vectors=q)
@@ -191,7 +194,7 @@ def sym_eigen(s) -> EigenPair:
         raise ConvergenceError(
             f"Jacobi sweeps did not converge within {JACOBI_MAX_SWEEPS} sweeps"
         )
-    values = np.diag(a).copy()
+    values = np.ldexp(np.diag(a), e)
     order = np.argsort(values, kind="stable")
     values = values[order]
     q = q[:, order]
@@ -281,7 +284,10 @@ def read_matrix(path) -> np.ndarray:
     body of finite entries (one matrix row per line; a ragged body is
     rejected). The body is read by numpy's C text reader, whose correctly
     rounded conversion gives the same floats as Python's float()."""
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not a text file") from exc
     head = text.split(maxsplit=2)
     if len(head) < 2:
         raise ValidationError(f"{path}: missing 'rows cols' header")

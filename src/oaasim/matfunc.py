@@ -60,7 +60,8 @@ def _check_factor(w: np.ndarray, order: int | None) -> int:
 
 def product_of_factors(factors: Sequence[np.ndarray]) -> np.ndarray:
     """Classical product of the factors in application order: the first
-    factor in the list acts on the input first."""
+    factor in the list acts on the input first. A product that overflows
+    a float is refused."""
     factors = [np.asarray(w, dtype=float) for w in factors]
     if not factors:
         raise ValidationError("product needs at least one factor")
@@ -68,17 +69,24 @@ def product_of_factors(factors: Sequence[np.ndarray]) -> np.ndarray:
     for w in factors:
         order = _check_factor(w, order)
     out = np.eye(order)
-    for w in factors:
-        out = w @ out
+    with np.errstate(over="ignore", invalid="ignore"):
+        for w in factors:
+            out = w @ out
+    if not np.isfinite(out).all():
+        raise ValidationError("the product of the factors overflows a float")
     return out
 
 
 def matrix_function_oracle(a: np.ndarray, function: str) -> np.ndarray:
     """Exact matrix function through the symmetric eigendecomposition:
-    exp(A) for "exp", cos(pi A) for "cos"."""
+    exp(A) for "exp", cos(pi A) for "cos". exp refuses an eigenvalue above
+    709, whose exp would leave less than a factor 2 below float overflow."""
     a = check_symmetric(a)
     pair = sym_eigen(a)
     if function == "exp":
+        top = float(pair.values.max())
+        if top > 709.0:
+            raise ValidationError(f"exp overflows: eigenvalue {top!r} is above 709")
         mapped = np.exp(pair.values)
     elif function == "cos":
         mapped = np.cos(np.pi * pair.values)

@@ -122,8 +122,7 @@ def test_adjoint_records_match_the_spectral_oracle(log_order, seed, mode, full, 
                        SplitMix64(seed + 1))
     enc = encode(a, vec, mode)
     k = iteration_count(2 * order) + extra
-    trace = oblivious_aa(enc.circuit, enc.state, k, "adjoint", enc.target,
-                         project_system_zero=enc.project)
+    trace = oblivious_aa(enc.circuit, enc.state, k, "adjoint", enc.target)
     expected = adjoint_records(a, vec, k, mode)
     for rec, (prob, fid) in zip(trace.records, expected, strict=True):
         assert rec.probability == pytest.approx(prob, abs=1e-12)

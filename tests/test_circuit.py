@@ -315,11 +315,11 @@ def test_encode_matches_inline_recipe():
     padded = np.zeros(8)
     padded[:4] = half
     cases = [
-        ("embedded", full, full, emb.u @ full, False),
-        ("embedded", half, padded, emb.u @ padded, False),
-        ("projected", half, padded, normalized @ half, True),
+        ("embedded", full, full, emb.u @ full),
+        ("embedded", half, padded, emb.u @ padded),
+        ("projected", half, padded, normalized @ half),
     ]
-    for mode, vec, state_vec, target, project in cases:
+    for mode, vec, state_vec, target in cases:
         enc = encode(a, vec, mode)
         assert enc.embedding.mu == mu
         assert np.array_equal(enc.embedding.u, emb.u)
@@ -327,7 +327,6 @@ def test_encode_matches_inline_recipe():
         expected = prepare_input(circ, state_vec).amplitudes
         assert np.array_equal(enc.state.amplitudes, expected)
         assert np.array_equal(enc.target, target)
-        assert enc.project is project
     for mode, length in (("embedded", 5), ("embedded", 16),
                          ("projected", 8), ("projected", 2)):
         with pytest.raises(ValidationError):

@@ -1,12 +1,19 @@
 """Command line behavior: exit codes, config echo, payload formats, and
 deterministic experiment output."""
 
+import contextlib
+import io
 import math
+import re
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oaasim import SplitMix64, random_input, random_symmetric, read_vector, write_matrix
 from oaasim.cli import build_parser, main
@@ -336,3 +343,128 @@ def test_product_rejects_zero_reference(tmp_path, capsys):
     assert code == 1
     assert captured.out == ""
     assert "fidelity of a zero vector is undefined" in captured.err
+
+
+def test_non_utf8_matrix_file_exits_one(tmp_path, capsys):
+    # the bytes ff fe 00 01 escaped read_matrix as a UnicodeDecodeError
+    path = tmp_path / "a.txt"
+    path.write_bytes(bytes([0xFF, 0xFE, 0x00, 0x01]))
+    assert main(["embed", "--matrix", str(path), "--out", str(tmp_path / "u.txt")]) == 1
+    assert f"error: {path}: not a text file" in capsys.readouterr().err
+
+
+def test_embed_refuses_a_tiny_asymmetric_matrix_as_the_input(tmp_path, capsys):
+    # it was refused only after scaling, as "a_normalized is not symmetric"
+    path = tmp_path / "a.txt"
+    write_matrix(path, np.array([[1e-200, 5e-200], [-3e-200, 2e-200]]))
+    assert main(["embed", "--matrix", str(path), "--out", str(tmp_path / "u.txt")]) == 1
+    assert "error: matrix is not symmetric" in capsys.readouterr().err
+
+
+def test_product_reference_near_overflow(tmp_path, capsys):
+    # the product is finite, but the reference applied to the input is not
+    factor, vec = tmp_path / "w.txt", tmp_path / "v.txt"
+    write_matrix(factor, np.full((2, 2), 8.66e153))
+    write_matrix(vec, np.ones(2))
+    assert main(["product", "--factors", str(factor), str(factor), "--input", str(vec)]) == 0
+    fid = float(capsys.readouterr().out.split("final_fidelity_vs_oracle=")[1])
+    assert 0.0 < fid <= 1.0
+
+
+def test_matfunc_exp_refuses_an_overflowing_eigenvalue(tmp_path, capsys):
+    # diag(800, 1) overflowed np.exp and ended in a non-finite fidelity
+    path = tmp_path / "a.txt"
+    write_matrix(path, np.diag([800.0, 1.0]))
+    assert main(["matfunc", "--fn", "exp", "--matrix", str(path), "--trunc", "2"]) == 1
+    assert "exp overflows: eigenvalue 800.0 is above 709" in capsys.readouterr().err
+
+
+@st.composite
+def file_bytes(draw, rows, cols, symmetric=False):
+    """A rows x cols matrix file, most often well formed (and then
+    symmetric when asked), else with a NaN, ragged, empty or random bytes.
+    Entries are zero or of magnitude 10^x, x in [-300, 300] around a drawn
+    center, so one file may be all tiny, all huge or mixed."""
+    kind = draw(st.sampled_from(("good",) * 6 + ("nan", "ragged", "empty", "bytes")))
+    if kind == "bytes":
+        return draw(st.binary(max_size=24))
+    if kind == "empty":
+        return draw(st.sampled_from((b"", b"2 2\n", b"1 1\n\n")))
+    center, spread = draw(st.integers(-300, 300)), draw(st.sampled_from((0, 2, 20, 600)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    powers = np.clip(center + spread * (rng.random((rows, cols)) - 0.5), -300, 300)
+    grid = rng.choice((-1.0, 0.0, 1.0, 1.0), (rows, cols)) * 10.0**powers
+    if symmetric:
+        grid = np.triu(grid) + np.triu(grid, 1).T
+    grid = grid.tolist()
+    if kind == "nan":
+        grid[draw(st.integers(0, rows - 1))][0] = math.nan
+    if kind == "ragged" and cols > 1:
+        grid[draw(st.integers(0, rows - 1))].pop()
+    body = "\n".join(" ".join(repr(x) for x in row) for row in grid)
+    return f"{rows} {cols}\n{body}\n".encode()
+
+
+@st.composite
+def cli_files(draw):
+    """Bytes of two matrix files and a vector file, mostly of one order n
+    (the vector of length n or 2n) and mostly symmetric."""
+    n = draw(st.integers(1, 8))
+
+    def matrix():
+        rows = draw(st.sampled_from((n, n, n, draw(st.integers(1, 8)))))
+        return draw(file_bytes(rows, rows, draw(st.sampled_from((True,) * 5 + (False,)))))
+
+    length = draw(st.sampled_from((n, n, 2 * n, draw(st.integers(1, 16)))))
+    shape = draw(st.sampled_from(((length, 1), (1, length))))
+    return {"a": matrix(), "b": matrix(), "v": draw(file_bytes(*shape))}
+
+
+@st.composite
+def cli_calls(draw):
+    """Arguments of one CLI call; {a}, {b}, {v} and {out} stand for two
+    matrix files, a vector file and an output directory."""
+    command = draw(st.sampled_from(("embed", "amplify", "product", "matfunc", "experiment")))
+    variant = ["--variant", draw(st.sampled_from(("literal", "adjoint")))]
+    fidelity = ["--fidelity", draw(st.sampled_from(("embedded", "projected")))]
+    out = ["--out", "{out}/result"] if draw(st.booleans()) else []
+    vec = ["--input", "{v}"] if draw(st.booleans()) else []
+    if command == "embed":
+        return ["embed", "--matrix", "{a}", "--out", "{out}/u.txt"] + (
+            ["--exact"] if draw(st.booleans()) else [])
+    if command == "amplify":
+        k = ["--k", str(draw(st.integers(-1, 20)))] if draw(st.booleans()) else []
+        return ["amplify", "--matrix", "{a}", "--input", "{v}"] + k + variant + fidelity + out
+    if command == "product":
+        return ["product", "--factors", "{a}", "{b}"] + vec + variant + out
+    if command == "matfunc":
+        return (["matfunc", "--fn", draw(st.sampled_from(("exp", "cos"))), "--matrix", "{a}",
+                 "--trunc", str(draw(st.integers(0, 4)))] + vec + variant + out)
+    return ["experiment", "--kind", draw(st.sampled_from(("ensemble", "fixed", "trace"))),
+            "--dims", draw(st.sampled_from(("2", "4,2", "8", "2,4,8", "3", "2,2", ""))),
+            "--trials", str(draw(st.sampled_from((1, 2, 2, 0)))),
+            "--seed", str(draw(st.sampled_from((0, 5, 2**64 - 1, -1, 2**64)))),
+            "--out", "{out}/exp"] + variant + fidelity
+
+
+@settings(max_examples=300)
+@given(cli_calls(), cli_files())
+def test_cli_exits_cleanly_on_generated_files(argv, files):
+    # exit 0, 1 or 2 with no escaping exception (warnings are errors in
+    # tier-1), and every number printed on success is finite
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: Path(tmp, f"{name}.txt") for name in files}
+        for name, data in files.items():
+            paths[name].write_bytes(data)
+        argv = [arg.format(out=tmp, **paths) for arg in argv]
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    assert code in (0, 1, 2)
+    if code == 0:
+        for token in re.split(r"[=,\s]+", stdout.getvalue()):
+            with contextlib.suppress(ValueError):
+                assert math.isfinite(float(token)), token

@@ -23,6 +23,7 @@ from oaasim import (
     householder_from_vector,
     mu_normalize,
     polar_symmetric,
+    random_input,
     random_symmetric,
     spectral_norm_symmetric,
 )
@@ -127,6 +128,14 @@ def test_exact_embedding_orthogonal_within_radius():
     u = emb.u
     assert emb.kind == "exact"
     assert np.max(np.abs(u.T @ u - np.eye(8))) < 1e-9
+
+
+def test_exact_embedding_of_an_orthogonal_matrix():
+    # at order 33, I - A'A' is rounding noise whose product is not bitwise
+    # symmetric; Jacobi sweeps on it did not converge
+    q = householder_from_vector(random_input(33, SplitMix64(3)))
+    emb = build_exact_embedding(*mu_normalize(q))
+    assert np.max(np.abs(emb.u.T @ emb.u - np.eye(66))) < 1e-6
 
 
 def test_closeness_hand_case_scaled_identity():

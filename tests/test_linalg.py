@@ -28,7 +28,7 @@ from oaasim import (
     sym_eigen,
     write_matrix,
 )
-from oaasim.linalg import _check_count, as_square_array
+from oaasim.linalg import _check_count, as_square_array, check_symmetric
 
 
 def two_by_two_eigenvalues(a, b, d):
@@ -88,6 +88,31 @@ def test_eigen_rejects_asymmetric():
         sym_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValidationError):
         sym_eigen(np.ones((2, 3)))
+
+
+def test_eigen_near_overflow_is_the_scaled_spectrum():
+    # entries near 1e200 overflowed the Frobenius norm: the stop test passed
+    # before any rotation and the diagonal [0, 5e199] came back as values
+    hand = np.array([[0.0, 1e200], [1e200, 5e199]])
+    expect = np.linalg.eigvalsh(hand)
+    assert np.allclose(sym_eigen(hand).values, expect, rtol=1e-14, atol=0.0)
+    a = random_symmetric(8, SplitMix64(17))
+    pair = sym_eigen(a)
+    for power in (660, -660):  # about 1e199 and 1e-199: exact, so bitwise
+        scaled = sym_eigen(np.ldexp(a, power))
+        assert np.array_equal(scaled.values, np.ldexp(pair.values, power))
+        assert np.array_equal(scaled.vectors, pair.vectors)
+
+
+def test_symmetry_is_judged_against_the_matrix_scale():
+    # 1e-12 * max(1, max|a|) let the tiny asymmetric matrix pass, and
+    # a - a.T overflowed on the huge one
+    with pytest.raises(SymmetryError):
+        check_symmetric(np.array([[1e-200, 5e-200], [-3e-200, 2e-200]]))
+    with pytest.raises(SymmetryError):
+        check_symmetric(np.array([[1e308, -1e308], [1e308, 1e308]]))
+    tiny = np.ldexp(random_symmetric(4, SplitMix64(18)), -700)
+    assert np.array_equal(check_symmetric(tiny), tiny)
 
 
 def test_eigen_rejects_non_finite():

@@ -104,6 +104,12 @@ def test_product_order_is_application_order():
         product_of_factors([np.eye(2), np.eye(3)])
 
 
+def test_product_that_overflows_is_refused():
+    # the matmul overflowed with a RuntimeWarning and an inf reference
+    with pytest.raises(ValidationError, match="overflows a float"):
+        product_of_factors([np.diag([1e200, 1.0])] * 2)
+
+
 def test_custom_plan_oracle_is_the_product():
     factors = [random_symmetric(2, SplitMix64(s)) for s in (320, 321)]
     plan = custom_product_plan(factors)
