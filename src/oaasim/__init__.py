@@ -43,7 +43,6 @@ from .errors import (
     ConvergenceError,
     DimensionError,
     NoGoodAmplitudeError,
-    NotPositiveSemidefiniteError,
     NumericalError,
     PolarDegenerateError,
     RowNormError,
@@ -71,7 +70,6 @@ from .linalg import (
     read_matrix,
     read_vector,
     spectral_norm_symmetric,
-    sqrt_psd,
     sym_eigen,
     write_matrix,
 )
@@ -102,7 +100,6 @@ __all__ = [
     "FIDELITY_MODES",
     "IterationTrace",
     "NoGoodAmplitudeError",
-    "NotPositiveSemidefiniteError",
     "NumericalError",
     "PolarDegenerateError",
     "ProductPlan",
@@ -154,7 +151,6 @@ __all__ = [
     "run_ensemble",
     "run_trace",
     "spectral_norm_symmetric",
-    "sqrt_psd",
     "standard_aa",
     "sym_eigen",
     "write_matrix",

@@ -62,7 +62,7 @@ from .errors import (
     UnitNormError,
     ValidationError,
 )
-from .linalg import as_square_array, householder_from_vector
+from .linalg import _householder_vectors, as_square_array
 from .metrics import check_fidelity_mode
 
 DENSE_ORACLE_CAP = 256
@@ -241,21 +241,15 @@ def build_row_encoding(u) -> RowEncodingCircuit:
     row_norms = np.sqrt((mat * mat).sum(axis=1))
     if float(np.abs(row_norms - 1.0).max()) > 1e-10:
         raise RowNormError("every row must have unit 2-norm within 1e-10")
-    # row i is e0 - U[i]; in C order each row sums like a lone vector
-    v = np.negative(mat, order="C")
-    v[:, 0] += 1.0
-    nv = np.sqrt((v * v).sum(axis=1))
-    keep = nv >= 1e-12  # otherwise U[i] = e0 and block i is the identity
-    np.divide(v, nv[:, None], out=v, where=keep[:, None])
-    v[~keep] = 0.0
-    return RowEncodingCircuit(v)
+    return RowEncodingCircuit(_householder_vectors(mat))
 
 
 def build_lcu_encoding(unitaries, coeffs) -> LcuCircuit:
     """Circuit encoding sum_i k_i U_i / sqrt(M) in its top-left block.
 
     The unitary list is padded with identity blocks (and zero coefficients)
-    up to the next power of two; coefficients must already be normalized.
+    up to the next power of two; coefficients must already have 2-norm 1
+    within 1e-10.
     """
     mats = [as_square_array(u, f"unitaries[{i}]") for i, u in enumerate(unitaries)]
     if not mats:
@@ -283,8 +277,8 @@ def build_lcu_encoding(unitaries, coeffs) -> LcuCircuit:
         stack[i] = eye
     padded = np.zeros(m)
     padded[: k.size] = k
-    reflector = householder_from_vector(padded)
-    return LcuCircuit(stack, reflector)
+    v = _householder_vectors(padded[None, :])[0]
+    return LcuCircuit(stack, np.eye(m) - 2.0 * np.outer(v, v))
 
 
 def _check_dims(c: CircuitU, s: StateVector) -> None:

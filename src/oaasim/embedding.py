@@ -3,8 +3,9 @@
 Two constructions share the layout U = [[A', D], [D, -A']]: the estimated
 embedding fills D with the per-row defect sqrt(1 - row_norm^2), making every
 row of U exactly unit norm (U is then almost orthogonal); the exact
-embedding uses the matrix square root sqrt(I - A'^2) instead, making U
-exactly orthogonal whenever the spectral norm of A' is at most 1.
+embedding uses the matrix square root sqrt(I - A'^2) instead, read off
+one eigendecomposition of A', making U exactly orthogonal whenever the
+spectral norm of A' is at most 1.
 
 Closeness of an almost-orthogonal U to its nearest orthogonal matrix is
 read off the spectrum of U alone: c2 and cF are squared relative
@@ -25,9 +26,8 @@ from .errors import PolarDegenerateError, RowNormError, SpectralRadiusError, Zer
 from .linalg import (
     POLAR_EIGENVALUE_FLOOR,
     _pow2_scaled,
+    _spectral_map,
     check_symmetric,
-    spectral_norm_symmetric,
-    sqrt_psd,
     sym_eigen,
 )
 
@@ -104,21 +104,23 @@ def build_estimated_embedding(a_normalized, mu: float = 1.0) -> Embedding:
 def build_exact_embedding(a_normalized, mu: float = 1.0) -> Embedding:
     """Embed with the matrix square root block, giving an exactly orthogonal U.
 
-    Requires spectral norm at most 1 (within a 1e-10 slack); larger values
-    would make I - A'^2 indefinite, so they are refused rather than patched.
-    Note that row normalization alone does not guarantee this bound.
+    One sym_eigen(A') = V diag(L) V^T gives both the spectral norm max|L|
+    and the off block V sqrt(1 - L^2) V^T. A spectral norm above 1 + 1e-10
+    is refused (I - A'^2 would be indefinite); inside that slack 1 - L^2 is
+    clamped at zero. Row normalization alone does not bound the spectral
+    norm: for symmetric A' it is at least the largest row norm.
     """
     ap = check_symmetric(a_normalized, "a_normalized")
-    rho = spectral_norm_symmetric(ap)
+    pair = sym_eigen(ap)
+    rho = float(np.abs(pair.values).max())
     if rho > 1.0 + SPECTRAL_SLACK:
         raise SpectralRadiusError(
             f"spectral norm {rho:.15g} exceeds 1; exact extension undefined"
         )
-    gap = np.eye(ap.shape[0]) - ap @ ap  # symmetric, but the product need not be bitwise
-    off = sqrt_psd(0.5 * (gap + gap.T))
+    lam = pair.values
+    off = _spectral_map(pair, np.sqrt(np.clip((1.0 - lam) * (1.0 + lam), 0.0, None)))
     u = _assemble(ap, off)
-    d_diag = np.diag(off).copy()
-    return Embedding(mu=float(mu), d_diag=d_diag, u=u, kind="exact")
+    return Embedding(mu=float(mu), d_diag=np.diag(off).copy(), u=u, kind="exact")
 
 
 def _assemble(ap: np.ndarray, off: np.ndarray) -> np.ndarray:

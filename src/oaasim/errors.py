@@ -2,8 +2,9 @@
 
 ValidationError covers malformed inputs (wrong shapes, broken preconditions
 the caller can fix); NumericalError covers failures discovered during the
-computation itself (indefinite matrices, degenerate decompositions, lost
-amplitude mass). The command line maps them to exit codes 1 and 2.
+computation itself (a spectral norm too large for the exact embedding,
+degenerate decompositions, unconverged sweeps, lost amplitude mass). The
+command line maps them to exit codes 1 and 2.
 """
 
 
@@ -37,10 +38,6 @@ class RowNormError(ValidationError):
 
 class ZeroMatrixError(ValidationError):
     """Matrix with at least one nonzero entry required."""
-
-
-class NotPositiveSemidefiniteError(NumericalError):
-    """Eigenvalue below the clamp threshold in a PSD square root."""
 
 
 class PolarDegenerateError(NumericalError):

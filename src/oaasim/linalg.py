@@ -1,7 +1,9 @@
 """Dense real symmetric linear algebra built on a cyclic Jacobi eigensolver.
 
 Everything downstream (embeddings, closeness metrics, classical oracles)
-reduces to the symmetric eigendecomposition computed here. The solver uses
+reduces to the symmetric eigendecomposition computed here, and every matrix
+function f(S) = V f(L) V^T is formed from it by one private helper,
+_spectral_map. The solver uses
 round-robin pair scheduling so each sweep applies disjoint plane rotations
 in vectorized batches; disjoint rotations commute, so batching preserves
 the exact pivot-zeroing property of classical cyclic Jacobi.
@@ -25,7 +27,6 @@ import numpy as np
 from .errors import (
     ConvergenceError,
     DimensionError,
-    NotPositiveSemidefiniteError,
     PolarDegenerateError,
     SymmetryError,
     UnitNormError,
@@ -35,7 +36,6 @@ from .errors import (
 SYMMETRY_TOL = 1e-12
 JACOBI_TOL = 1e-12
 JACOBI_MAX_SWEEPS = 50
-PSD_CLAMP = 1e-10
 POLAR_EIGENVALUE_FLOOR = 1e-12
 HOUSEHOLDER_DEGENERATE = 1e-12
 
@@ -203,16 +203,10 @@ def sym_eigen(s) -> EigenPair:
     return EigenPair(values=values, vectors=q)
 
 
-def sqrt_psd(s) -> np.ndarray:
-    """Symmetric PSD square root; eigenvalues in [-1e-10, 0) are clamped
-    to zero and anything lower raises NotPositiveSemidefiniteError."""
-    pair = sym_eigen(s)
-    if float(pair.values.min()) < -PSD_CLAMP:
-        raise NotPositiveSemidefiniteError(
-            f"eigenvalue {pair.values.min():.3e} below the PSD clamp threshold"
-        )
-    vals = np.sqrt(np.clip(pair.values, 0.0, None))
-    return pair.vectors @ (vals[:, None] * pair.vectors.T)
+def _spectral_map(pair: EigenPair, mapped) -> np.ndarray:
+    """V diag(mapped) V^T for the eigenvectors V of pair: the matrix
+    function whose values on pair.values are mapped."""
+    return (pair.vectors * mapped) @ pair.vectors.T
 
 
 def polar_symmetric(s) -> tuple[np.ndarray, np.ndarray]:
@@ -226,30 +220,39 @@ def polar_symmetric(s) -> tuple[np.ndarray, np.ndarray]:
     if float(np.abs(pair.values).min()) < POLAR_EIGENVALUE_FLOOR:
         raise PolarDegenerateError("eigenvalue too close to zero for the polar sign")
     signs = np.where(pair.values >= 0.0, 1.0, -1.0)
-    u_tilde = pair.vectors @ (signs[:, None] * pair.vectors.T)
-    h_tilde = pair.vectors @ (np.abs(pair.values)[:, None] * pair.vectors.T)
-    return u_tilde, h_tilde
+    return _spectral_map(pair, signs), _spectral_map(pair, np.abs(pair.values))
+
+
+def _householder_vectors(rows: np.ndarray) -> np.ndarray:
+    """Unit Householder vectors, one per row u of the 2-D array rows.
+
+    Row i of the result is v = (e0 - u) / ||e0 - u||, so I - 2 v v^T
+    exchanges e0 and u when u has unit norm. When ||e0 - u|| < 1e-12 the
+    reflector formula degenerates; that row is all zero, whose reflector
+    is the identity.
+    """
+    # row i is e0 - rows[i]; in C order each row sums like a lone vector
+    v = np.negative(rows, order="C")
+    v[:, 0] += 1.0
+    nv = np.sqrt((v * v).sum(axis=1))
+    keep = nv >= HOUSEHOLDER_DEGENERATE
+    np.divide(v, nv[:, None], out=v, where=keep[:, None])
+    v[~keep] = 0.0
+    return v
 
 
 def householder_from_vector(u) -> np.ndarray:
-    """Reflector R with R e0 = u and R u = e0 for a unit vector u.
-
-    R = I - 2 v v^T / ||v||^2 with v = e0 - u; returns the identity exactly
-    when u is within 1e-12 of e0 (the reflector formula degenerates there).
-    """
+    """Reflector R with R e0 = u and R u = e0 for a unit vector u (norm 1
+    within 1e-12): R = I - 2 v v^T with v from _householder_vectors, the
+    identity exactly when u is within 1e-12 of e0."""
     vec = np.asarray(u, dtype=float).ravel()
     if vec.size < 1:
         raise DimensionError("vector must have at least one entry")
     norm = math.sqrt(float((vec * vec).sum()))
     if not (abs(norm - 1.0) <= 1e-12):
         raise UnitNormError(f"vector norm {norm!r} is not 1 within 1e-12")
-    n = vec.size
-    v = -vec.copy()
-    v[0] += 1.0
-    vnorm2 = float((v * v).sum())
-    if math.sqrt(vnorm2) < HOUSEHOLDER_DEGENERATE:
-        return np.eye(n)
-    return np.eye(n) - (2.0 / vnorm2) * np.outer(v, v)
+    v = _householder_vectors(vec[None, :])[0]
+    return np.eye(vec.size) - 2.0 * np.outer(v, v)
 
 
 def spectral_norm_symmetric(s) -> float:

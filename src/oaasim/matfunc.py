@@ -23,7 +23,7 @@ import numpy as np
 from .amplification import iteration_count, oblivious_aa
 from .circuit import _encode_input, _encode_matrix, collapse_good
 from .errors import DimensionError, ValidationError
-from .linalg import _check_count, _unit_vector, check_symmetric, sym_eigen
+from .linalg import _check_count, _spectral_map, _unit_vector, check_symmetric, sym_eigen
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,7 @@ def matrix_function_oracle(a: np.ndarray, function: str) -> np.ndarray:
         mapped = np.cos(np.pi * pair.values)
     else:
         raise ValidationError(f"no oracle for function {function!r}")
-    return (pair.vectors * mapped) @ pair.vectors.T
+    return _spectral_map(pair, mapped)
 
 
 def exp_product_factors(a: np.ndarray, truncation: int) -> ProductPlan:

@@ -24,6 +24,7 @@ from oaasim import (
     chained_product_circuit,
     custom_product_plan,
     dense_matrix_of,
+    derive_seed,
     exp_product_factors,
     fidelity,
     householder_from_vector,
@@ -42,6 +43,7 @@ from oaasim import (
 )
 
 from dense_reference import dense_lcu, dense_row_encoding, random_orthogonal
+from spectral_reference import adjoint_records
 
 DIMS = (16, 32, 64, 128)
 TRIALS = 100
@@ -304,3 +306,19 @@ def test_criterion_10_norm_conservation():
     with pytest.raises(NumericalError):
         apply_circuit(broken, state)
     print("PASS criterion-10: norms conserved and the runtime guard is active")
+
+
+def test_adjoint_ensemble_records_match_the_spectral_oracle(ensemble_runs):
+    # not a criterion: each adjoint record of the shared seed-0 ensemble
+    # against the qubitization oracle; a peak record may sit at any oracle
+    # iteration within 1e-12 of the top
+    runs, _ = ensemble_runs
+    assert len(runs["adjoint"]) == len(DIMS) * TRIALS
+    for rec in runs["adjoint"]:
+        a = random_symmetric(rec.dim // 2, SplitMix64(derive_seed(0, rec.dim, rec.trial, 0)))
+        vec = random_input(rec.dim, SplitMix64(derive_seed(0, rec.dim, rec.trial, 1)))
+        expected = adjoint_records(a, vec, rec.k_used, "embedded")
+        top = max(prob for prob, _ in expected)
+        assert any(abs(rec.final_probability - prob) <= 1e-12
+                   and abs(rec.final_fidelity - fid) <= 1e-12
+                   for prob, fid in expected if prob >= top - 1e-12), rec

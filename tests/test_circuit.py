@@ -290,6 +290,15 @@ def test_builder_validation():
         build_lcu_encoding([np.eye(2), np.eye(2)], [1.0])
 
 
+def test_lcu_coefficient_norm_tolerance_is_1e_10():
+    unitaries = [np.eye(2), np.eye(2)]
+    circ = build_lcu_encoding(unitaries, np.array([0.6, 0.8]) * (1.0 + 5e-11))
+    assert np.allclose(dense_matrix_of(circ)[:2, :2], 1.4 / math.sqrt(2.0) * np.eye(2),
+                       atol=1e-9)
+    with pytest.raises(UnitNormError, match="coefficient norm .* within 1e-10"):
+        build_lcu_encoding(unitaries, np.array([0.6, 0.8]) * (1.0 + 2e-10))
+
+
 def test_lcu_rejects_nan_coefficient():
     with pytest.raises(UnitNormError, match="coefficient norm"):
         build_lcu_encoding([np.eye(2), np.eye(2)], [np.nan, 1.0])

@@ -138,6 +138,22 @@ def test_exact_embedding_of_an_orthogonal_matrix():
     assert np.max(np.abs(emb.u.T @ emb.u - np.eye(66))) < 1e-6
 
 
+def test_exact_embedding_of_an_orthogonal_matrix_is_orthogonal_to_rounding():
+    # A' has every eigenvalue at +-1, so sqrt(1 - L^2) is pure rounding noise
+    q = householder_from_vector(random_input(33, SplitMix64(3)))
+    emb = build_exact_embedding(*mu_normalize(q))
+    assert np.max(np.abs(emb.u.T @ emb.u - np.eye(66))) <= 1e-12
+
+
+def test_exact_embedding_accepts_the_spectral_slack():
+    # inside the 1e-10 slack, 1 - rho^2 ~ -2 (rho - 1) is slightly negative
+    emb = build_exact_embedding(np.diag([1.0 + 7e-11, 0.5]))
+    assert np.max(np.abs(emb.u.T @ emb.u - np.eye(4))) <= 1e-9
+    assert emb.d_diag[0] == 0.0
+    with pytest.raises(SpectralRadiusError, match="exceeds 1"):
+        build_exact_embedding(np.diag([1.0 + 2e-10, 0.5]))
+
+
 def test_closeness_hand_case_scaled_identity():
     report = closeness(2.0 * np.eye(2))
     assert report.c2 == pytest.approx(0.25, abs=1e-14)
@@ -171,8 +187,9 @@ def test_closeness_routes_agree_on_embeddings():
         assert 2.0 * emb.order - report.phi >= -1e-8
 
 
-def test_closeness_makes_one_eigendecomposition(monkeypatch):
-    u = seeded_estimated_embedding(8, 5).u
+@pytest.fixture
+def sym_eigen_calls(monkeypatch):
+    """The list of matrices sym_eigen is called on from here on."""
     calls = []
     real = oaasim.linalg.sym_eigen
 
@@ -183,8 +200,20 @@ def test_closeness_makes_one_eigendecomposition(monkeypatch):
     # both bindings, so eigendecompositions reached through linalg count too
     monkeypatch.setattr(oaasim.embedding, "sym_eigen", counting, raising=False)
     monkeypatch.setattr(oaasim.linalg, "sym_eigen", counting)
-    closeness(u)
-    assert len(calls) == 1
+    return calls
+
+
+def test_closeness_makes_one_eigendecomposition(sym_eigen_calls):
+    closeness(seeded_estimated_embedding(8, 5).u)
+    assert len(sym_eigen_calls) == 1
+
+
+def test_exact_embedding_makes_one_eigendecomposition(sym_eigen_calls):
+    a = random_symmetric(6, SplitMix64(7))
+    contraction = a / spectral_norm_symmetric(a)
+    sym_eigen_calls.clear()
+    build_exact_embedding(contraction)
+    assert len(sym_eigen_calls) == 1
 
 
 def test_closeness_rejects_degenerate_spectrum():

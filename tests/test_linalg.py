@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from oaasim import (
     ConvergenceError,
     DimensionError,
-    NotPositiveSemidefiniteError,
     PolarDegenerateError,
     SplitMix64,
     SymmetryError,
@@ -24,7 +23,6 @@ from oaasim import (
     read_matrix,
     read_vector,
     spectral_norm_symmetric,
-    sqrt_psd,
     sym_eigen,
     write_matrix,
 )
@@ -121,18 +119,6 @@ def test_eigen_rejects_non_finite():
         sym_eigen(np.array([[1.0, nan], [nan, 0.5]]))
     with pytest.raises(ValidationError):
         sym_eigen(np.array([[float("inf"), 0.0], [0.0, 1.0]]))
-
-
-def test_sqrt_psd_squares_back():
-    rng = SplitMix64(21)
-    for order in (2, 7, 12):
-        m = random_symmetric(order, rng)
-        s = m @ m.T + order * np.eye(order)
-        root = sqrt_psd(s)
-        assert np.allclose(root @ root, s, atol=1e-10)
-        assert np.allclose(root, root.T, atol=1e-12)
-    with pytest.raises(NotPositiveSemidefiniteError):
-        sqrt_psd(np.diag([1.0, -0.5]))
 
 
 def test_polar_hand_cases():

@@ -1,0 +1,115 @@
+"""Run a fixed list of seeded oaasim CLI calls and keep everything they print
+and write, so two checkouts can be compared with `diff -r`.
+
+    python tools/seeded_outputs.py OUTDIR
+
+The package is imported from the `src` directory next to this script, so
+each checkout runs its own code. Input files are drawn from numpy's PCG64
+generator (stable across numpy versions) and written to OUTDIR/inputs
+without going through the package. Each call runs in process from its own
+directory OUTDIR/<nn>-<name>, with relative paths, so nothing printed
+depends on where OUTDIR is. That directory receives the files the call
+wrote plus `exit`, `stdout` and `stderr`. Run it with
+OPENBLAS_NUM_THREADS=1 for outputs independent of the BLAS thread count.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import os
+import sys
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from oaasim.cli import main  # noqa: E402
+
+AMPLIFY = [
+    (f"amplify-{variant}-{mode}",
+     ["amplify", "--matrix", "../inputs/a16.txt", "--input", "../inputs/v16.txt",
+      "--variant", variant, "--fidelity", mode, "--out", "trace.csv"])
+    for variant in ("literal", "adjoint") for mode in ("embedded", "projected")
+]
+EXPERIMENTS = [
+    (f"experiment-{kind}-{variant}",
+     ["experiment", "--kind", kind, "--dims", "16,32", "--trials", "3", "--seed", "7",
+      "--variant", variant, "--out", "."])
+    for kind in ("ensemble", "fixed", "trace") for variant in ("literal", "adjoint")
+]
+CALLS = [
+    ("embed-estimated", ["embed", "--matrix", "../inputs/a16.txt", "--out", "u.txt"]),
+    ("embed-exact-diagonal", ["embed", "--matrix", "../inputs/diag8.txt", "--exact", "--out", "u.txt"]),
+    ("embed-exact-orthogonal", ["embed", "--matrix", "../inputs/q33.txt", "--exact", "--out", "u.txt"]),
+    ("embed-exact-refused", ["embed", "--matrix", "../inputs/a16.txt", "--exact", "--out", "u.txt"]),
+    *AMPLIFY,
+    *EXPERIMENTS,
+    ("product", ["product", "--factors", "../inputs/w0.txt", "../inputs/w1.txt",
+                 "--input", "../inputs/v4.txt", "--out", "."]),
+    ("matfunc-exp", ["matfunc", "--fn", "exp", "--matrix", "../inputs/small4.txt",
+                     "--trunc", "3", "--input", "../inputs/v4.txt", "--out", "."]),
+    ("matfunc-cos", ["matfunc", "--fn", "cos", "--matrix", "../inputs/small4.txt",
+                     "--trunc", "2", "--out", "."]),
+]
+
+
+def _write(path: Path, m) -> None:
+    """The package's matrix file format: "rows cols", then one row per line."""
+    m = np.atleast_2d(m)
+    rows = [" ".join(f"{x:.16e}" for x in row) for row in m]
+    path.write_text("\n".join([f"{m.shape[0]} {m.shape[1]}", *rows]) + "\n")
+
+
+def write_inputs(inputs: Path) -> None:
+    rng = np.random.default_rng(20161)
+    inputs.mkdir(parents=True)
+
+    def sym(n):
+        g = rng.uniform(-1.0, 1.0, (n, n))
+        return np.triu(g) + np.triu(g, 1).T
+
+    _write(inputs / "a16.txt", sym(16))
+    _write(inputs / "v16.txt", rng.uniform(-1.0, 1.0, 16))
+    _write(inputs / "diag8.txt", np.diag(rng.uniform(-1.0, 1.0, 8)))
+    # a Householder reflector: orthogonal, every eigenvalue +-1
+    v = rng.uniform(-1.0, 1.0, 33)
+    _write(inputs / "q33.txt", np.eye(33) - 2.0 * np.outer(v, v) / (v @ v))
+    _write(inputs / "w0.txt", sym(4))
+    _write(inputs / "w1.txt", sym(4))
+    _write(inputs / "v4.txt", rng.uniform(-1.0, 1.0, 4))
+    _write(inputs / "small4.txt", 0.25 * sym(4))
+
+
+def run_call(workdir: Path, argv: list) -> None:
+    workdir.mkdir()
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse refusals
+                code = exc.code
+    finally:
+        os.chdir(cwd)
+    (workdir / "exit").write_text(f"{code}\n")
+    (workdir / "stdout").write_text(out.getvalue())
+    (workdir / "stderr").write_text(err.getvalue())
+
+
+def run_all(outdir: Path) -> None:
+    """Write the inputs and every call's record under outdir, which must
+    not exist yet."""
+    outdir.mkdir(parents=True)
+    write_inputs(outdir / "inputs")
+    for i, (name, argv) in enumerate(CALLS):
+        run_call(outdir / f"{i:02d}-{name}", argv)
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit("usage: seeded_outputs.py OUTDIR")
+    run_all(Path(sys.argv[1]))
