@@ -22,8 +22,10 @@ preparation operator P, but it works for any circuit. That reflection,
 U P (2|0><0| - I) P^T U^-1, is 2 s s^T - I: O(M N) after one apply.
 
 States are read through the circuit's good_first view of their grid, so
-nothing here knows which register a circuit type marks as good; a run's
-target alone records its fidelity mode.
+nothing here knows which register a circuit type marks as good. Every
+run projects exactly when its target is half the data register, so the
+target alone records the fidelity mode; the probability is then the
+squared norm of the top half of the good amplitudes.
 """
 
 from __future__ import annotations
@@ -34,13 +36,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuit import (
+    GOOD_MASS_FLOOR,
     CircuitU,
     StateVector,
     apply_circuit,
     apply_good_reflection,
     apply_image_reflection,
     check_norm,
-    collapse_good,
 )
 from .errors import DimensionError, NoGoodAmplitudeError, ValidationError
 from .linalg import _check_count
@@ -52,13 +54,14 @@ VARIANTS = ("literal", "adjoint")
 @dataclass(frozen=True)
 class TraceRecord:
     """Probability and fidelity after one iteration. The fields, in order,
-    are the columns of the amplify trace CSV table.
+    are the columns of the amplify trace CSV table. The probability is the
+    squared norm of the good amplitudes, only their top half when the
+    target is half the data register; fidelity compares that with the target.
 
-    An iteration whose good-state mass (after the projection, in projected
-    mode) is finite but below GOOD_MASS_FLOOR has nothing to collapse: its
-    record holds probability 0.0 and fidelity 0.0, the trace goes on, and
+    Below GOOD_MASS_FLOOR there is nothing to collapse: the record holds
+    probability 0.0 and fidelity 0.0, the trace goes on, and
     IterationTrace.peak picks such a record only when no iteration has
-    mass. A NaN mass still raises NoGoodAmplitudeError.
+    mass. A non-finite good amplitude raises NoGoodAmplitudeError.
     """
 
     iteration: int
@@ -101,15 +104,17 @@ def _check_good_component(c: CircuitU, s: StateVector) -> None:
         raise ValidationError("input must have its good-register component at index 0")
 
 
-def _record(c, state, target, project, iteration) -> TraceRecord:
-    try:
-        collapsed, prob = collapse_good(c, state, project_system_zero=project)
-    except NoGoodAmplitudeError:
-        if not np.isfinite(c.good_first(state.grid)[0]).all():
-            raise
+def _record(c, state, target, iteration) -> TraceRecord:
+    good = c.good_first(state.grid)[0]
+    if not np.isfinite(good).all():
+        raise NoGoodAmplitudeError("a good amplitude is not finite")
+    if 2 * np.size(target) == good.size:
+        good = good[: good.size // 2]
+    prob = float((good * good).sum())
+    if not (prob >= GOOD_MASS_FLOOR):
         return TraceRecord(iteration=iteration, probability=0.0, fidelity=0.0)
     return TraceRecord(iteration=iteration, probability=prob,
-                       fidelity=fidelity(collapsed, target))
+                       fidelity=fidelity(good / math.sqrt(prob), target))
 
 
 def oblivious_aa(c: CircuitU, input_state: StateVector, k: int, variant: str,
@@ -124,18 +129,16 @@ def oblivious_aa(c: CircuitU, input_state: StateVector, k: int, variant: str,
     runs the middle three as one image reflection). Fidelity takes
     an absolute value, so the phase never shows up in the records.
 
-    A target half as long as the data register selects projected fidelity
-    (the top half of each collapsed vector, see collapse_good); any other
-    length selects embedded fidelity.
+    A target half as long as the data register selects projected fidelity,
+    any other length embedded fidelity (see TraceRecord).
     """
     if variant not in VARIANTS:
         raise ValidationError(f"unknown variant {variant!r}")
     k = _check_count(k, "iteration count", 0)
     _check_good_component(c, input_state)
-    project = 2 * np.size(target) == c.good_first(input_state.grid).shape[1]
     state = apply_circuit(c, input_state)  # the run's one state grid
     trace = IterationTrace()
-    trace.records.append(_record(c, state, target, project, 0))
+    trace.records.append(_record(c, state, target, 0))
     for i in range(1, k + 1):
         apply_good_reflection(c, state, out=state)
         if variant == "adjoint":
@@ -145,7 +148,7 @@ def oblivious_aa(c: CircuitU, input_state: StateVector, k: int, variant: str,
             apply_good_reflection(c, state, out=state)
             apply_circuit(c, state, out=state)
         np.negative(state.grid, out=state.grid)
-        trace.records.append(_record(c, state, target, project, i))
+        trace.records.append(_record(c, state, target, i))
     if return_final_state:
         return trace, state
     return trace
@@ -158,7 +161,7 @@ def standard_aa(c: CircuitU, input_prep, k: int, target,
     input_prep is an orthogonal operator on the data register mapping e0 to
     the desired input. Each iteration applies the good-state reflection,
     then the reflection about the prepared start state s, 2 s s^T - I with
-    s taken at unit norm.
+    s taken at unit norm; a projected target projects as in oblivious_aa.
     """
     prep = np.asarray(input_prep, dtype=float)
     start = np.zeros((c.m_dim, c.n_dim))
@@ -176,14 +179,14 @@ def standard_aa(c: CircuitU, input_prep, k: int, target,
     apply_circuit(c, state, out=state)
     unit = state.grid / state.norm()  # s
     trace = IterationTrace()
-    trace.records.append(_record(c, state, target, False, 0))
+    trace.records.append(_record(c, state, target, 0))
     for i in range(1, k + 1):
         apply_good_reflection(c, state, out=state)
         before = state.norm()
         overlap = float(unit.ravel() @ state.amplitudes)
         np.subtract((2.0 * overlap) * unit, state.grid, out=state.grid)
         check_norm(before, state)
-        trace.records.append(_record(c, state, target, False, i))
+        trace.records.append(_record(c, state, target, i))
     if return_final_state:
         return trace, state
     return trace

@@ -343,28 +343,18 @@ def apply_good_reflection(c: CircuitU, s: StateVector,
     return out
 
 
-def collapse_good(c: CircuitU, s: StateVector,
-                  project_system_zero: bool = False) -> tuple[np.ndarray, float]:
-    """Project onto the good states and renormalize.
-
-    Returns (collapsed, probability) where probability is the squared
-    amplitude mass on good states. With project_system_zero the first half
-    of the collapsed vector is additionally kept and renormalized, and the
-    reported probability is the compound one (both projections succeeding).
+def collapse_good(c: CircuitU, s: StateVector) -> tuple[np.ndarray, float]:
+    """Project onto the good states and renormalize: the next input of a
+    chain. Returns (collapsed, probability), probability being the squared
+    amplitude mass on good states. Amplification runs read their records
+    through amplification._record instead, which also projects.
     """
     _check_dims(c, s)
-    good = c.good_first(s.grid)[0].copy()
+    good = c.good_first(s.grid)[0]
     prob = float((good * good).sum())
     if not (prob >= GOOD_MASS_FLOOR):
         raise NoGoodAmplitudeError("no amplitude mass on the good states")
-    collapsed = good / math.sqrt(prob)
-    if project_system_zero:
-        top = collapsed[: collapsed.size // 2].copy()
-        mass = float((top * top).sum())
-        if not (mass >= GOOD_MASS_FLOOR):
-            raise NoGoodAmplitudeError("no amplitude mass after the projection")
-        return top / math.sqrt(mass), prob * mass
-    return collapsed, prob
+    return good / math.sqrt(prob), prob
 
 
 def prepare_input(c: CircuitU, system) -> StateVector:
@@ -412,8 +402,12 @@ def encode(a, vec, fidelity_mode: str = "embedded") -> Encoded:
 
 
 def _encode_matrix(a) -> tuple:
-    """encode's matrix half: (the embedding of a / mu, its row encoding)."""
-    emb = build_estimated_embedding(*mu_normalize(a))
+    """encode's matrix half: (the embedding of a / mu, its row encoding).
+    The order of a must be a power of two, as the embedding doubles it."""
+    normalized, mu = mu_normalize(a)
+    if not _is_power_of_two(normalized.shape[0]):
+        raise ValidationError(f"matrix order {normalized.shape[0]} is not a power of two")
+    emb = build_estimated_embedding(normalized, mu)
     return emb, build_row_encoding(emb.u)
 
 

@@ -6,8 +6,9 @@ trace as CSV), experiment (random-matrix experiment families with CSV and
 SVG output), product (chained circuits for an explicit factor list), and
 matfunc (chained circuits for exp or cos truncations).
 
-Exit codes: 0 on success, 1 for invalid arguments or inputs, 2 for
-numerical failures (non-convergence, degenerate spectra, lost amplitude).
+Exit codes: 0 on success, 1 for invalid arguments or inputs (including
+unreadable files and sizes too large to allocate), 2 for numerical
+failures (non-convergence, degenerate spectra, lost amplitude).
 The resolved configuration, including seeds, is printed to stderr before
 any computation; result payloads go to stdout or files.
 """
@@ -238,7 +239,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

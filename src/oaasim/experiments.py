@@ -61,9 +61,7 @@ class ExperimentConfig:
             raise ValidationError(f"dims must be nonempty and distinct, got {dims}")
         for d in dims:
             if not _is_power_of_two(d):
-                raise ValidationError(
-                    f"embedded dimension {d} must be an even power of two"
-                )
+                raise ValidationError(f"embedded dimension {d} must be a power of two")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "trials", _check_count(self.trials, "trials", 1))
         object.__setattr__(self, "seed", _check_seed(self.seed, "seed"))

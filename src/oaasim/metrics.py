@@ -6,8 +6,9 @@ operator applied to the input. "projected" additionally projects the
 system's first qubit to index 0 (the top half of the collapsed vector) and
 compares against the original half-size matrix applied to the half-size
 input; it belongs to the exact-embedding use case. The mode decides how a
-caller builds the target, whose length oblivious_aa reads back to decide
-whether collapse_good projects; the inner product is the same either way.
+caller builds the target. Every amplification run projects exactly when
+the target is half the data register, and its probability is then the
+squared norm of that top half; the inner product is the same either way.
 """
 
 from __future__ import annotations

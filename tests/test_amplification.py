@@ -29,6 +29,7 @@ from oaasim import (
     dense_matrix_of,
     derive_seed,
     encode,
+    fidelity,
     householder_from_vector,
     iteration_count,
     mu_normalize,
@@ -401,16 +402,30 @@ def test_emptied_good_states_record_zero():
     circ = build_row_encoding(np.eye(4))
     grid = np.zeros((4, 4))
     grid[3, 0] = 1.0
-    rec = _record(circ, StateVector(grid), np.ones(2), True, 5)
+    rec = _record(circ, StateVector(grid), np.ones(2), 5)
     assert rec == TraceRecord(iteration=5, probability=0.0, fidelity=0.0)
 
 
 def test_nan_good_mass_still_raises():
     circ = build_row_encoding(np.eye(4))
-    state = StateVector(np.full((4, 4), np.nan))
-    for project in (False, True):
-        with pytest.raises(NoGoodAmplitudeError):
-            _record(circ, state, np.ones(4), project, 0)
+    infinite = np.zeros((4, 4))
+    infinite[0, 0] = np.inf
+    for grid in (np.full((4, 4), np.nan), infinite):
+        for target in (np.ones(4), np.ones(2)):  # embedded, projected
+            with pytest.raises(NoGoodAmplitudeError):
+                _record(circ, StateVector(grid), target, 0)
+
+
+def test_standard_iterate_reads_a_projected_target():
+    # the target alone selects projection, in the standard iterate too
+    enc = encode(random_symmetric(4, SplitMix64(51)), random_input(4, SplitMix64(52)),
+                 "projected")
+    prep = householder_from_vector(enc.circuit.good_first(enc.state.grid)[0])
+    for k in range(4):
+        trace, final = standard_aa(enc.circuit, prep, k, enc.target, return_final_state=True)
+        top = enc.circuit.good_first(final.grid)[0][:4]
+        assert trace.final.probability == pytest.approx(float(top @ top), abs=1e-14)
+        assert trace.final.fidelity == pytest.approx(fidelity(top, enc.target), abs=1e-14)
 
 
 def test_standard_iterate_matches_exact_rotation():

@@ -29,6 +29,7 @@ from oaasim import (
     random_input,
     random_symmetric,
 )
+from oaasim.amplification import _record
 from oaasim.circuit import CircuitU, LcuCircuit, _fwht_axis0
 
 from dense_reference import dense_lcu, dense_row_encoding, hadamard, random_orthogonal
@@ -240,10 +241,10 @@ def test_collapse_good_probability_and_vector():
     expect = np.array([0.3, 0.1, -0.2, 0.4]) / math.sqrt(0.30)
     assert np.allclose(collapsed, expect, atol=1e-15)
 
-    top, compound = collapse_good(circ, state, project_system_zero=True)
+    rec = _record(circ, state, np.array([0.3, 0.1]), 0)  # half-length target: projected
     mass = (0.09 + 0.01) / 0.30
-    assert compound == pytest.approx(0.30 * mass, abs=1e-15)
-    assert np.allclose(top, np.array([0.3, 0.1]) / math.sqrt(0.10), atol=1e-14)
+    assert rec.probability == pytest.approx(0.30 * mass, abs=1e-15)
+    assert rec.fidelity == pytest.approx(1.0, abs=1e-14)
 
     empty = np.zeros((4, 4))
     empty[1, 2] = 1.0
@@ -255,20 +256,18 @@ def test_collapse_rejects_nan_good_mass():
     # NaN compares false with the floor, so the guard must not pass it
     circ = build_row_encoding(np.eye(4))
     state = StateVector(np.full((4, 4), np.nan))
-    for project in (False, True):
-        with pytest.raises(NoGoodAmplitudeError, match="on the good states"):
-            collapse_good(circ, state, project_system_zero=project)
+    with pytest.raises(NoGoodAmplitudeError, match="on the good states"):
+        collapse_good(circ, state)
 
 
 def test_collapse_rejects_nan_projected_mass():
-    # an infinite good amplitude passes the first guard and leaves inf/inf
-    # = NaN in the collapsed vector, which the projection guard must catch
+    # an infinite good amplitude would leave inf/inf = NaN in the projected
+    # vector; the record refuses it before any division
     circ = build_row_encoding(np.eye(4))
     grid = np.zeros((4, 4))
     grid[0, 0] = np.inf
-    with np.errstate(invalid="ignore"):
-        with pytest.raises(NoGoodAmplitudeError, match="after the projection"):
-            collapse_good(circ, StateVector(grid), project_system_zero=True)
+    with pytest.raises(NoGoodAmplitudeError, match="not finite"):
+        _record(circ, StateVector(grid), np.ones(2), 0)
 
 
 def test_builder_validation():

@@ -268,6 +268,35 @@ def test_experiment_rejects_bad_dims(tmp_path, capsys):
     assert code == 1
 
 
+def test_allocation_failure_exits_one(tmp_path, capsys):
+    # a dim-2^30 ensemble asks for 1 EiB, beyond the address space, so the
+    # allocation fails at once; never try a size that could be allocated
+    out = tmp_path / "x"
+    code = main([
+        "experiment", "--kind", "ensemble", "--dims", "1073741824", "--trials", "1",
+        "--out", str(out),
+    ])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "error: Unable to allocate" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_order_errors_name_the_given_order(tmp_path, capsys):
+    a3, v3 = tmp_path / "a3.txt", tmp_path / "v3.txt"
+    write_matrix(a3, random_symmetric(3, SplitMix64(7)))
+    write_matrix(v3, random_input(3, SplitMix64(8)))
+    for argv in (["amplify", "--matrix", str(a3), "--input", str(v3)],
+                 ["product", "--factors", str(a3), str(a3)],
+                 ["matfunc", "--fn", "exp", "--matrix", str(a3), "--trunc", "2"]):
+        assert main(argv) == 1
+        assert "error: matrix order 3 is not a power of two" in capsys.readouterr().err
+    code = main(["experiment", "--kind", "ensemble", "--dims", "12", "--trials", "1",
+                 "--out", str(tmp_path / "x")])
+    assert code == 1
+    assert "error: embedded dimension 12 must be a power of two" in capsys.readouterr().err
+
+
 def test_product_chain(tmp_path, capsys):
     h = np.full((4, 4), 0.5)
     np.fill_diagonal(h, 0.5)

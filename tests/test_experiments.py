@@ -47,6 +47,8 @@ def test_config_validation():
         ExperimentConfig(dims=(6,))  # even but not a power of two
     with pytest.raises(ValidationError):
         ExperimentConfig(dims=(7,))
+    with pytest.raises(ValidationError, match="embedded dimension 12 must be a power of two$"):
+        ExperimentConfig(dims=(12,))
     with pytest.raises(ValidationError):
         ExperimentConfig(trials=0)
     with pytest.raises(ValidationError):
