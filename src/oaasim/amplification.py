@@ -39,12 +39,13 @@ from .circuit import (
     GOOD_MASS_FLOOR,
     CircuitU,
     StateVector,
+    _check_dims,
+    _norm_preserving,
     apply_circuit,
     apply_good_reflection,
     apply_image_reflection,
-    check_norm,
 )
-from .errors import DimensionError, NoGoodAmplitudeError, ValidationError
+from .errors import DimensionError, NoGoodAmplitudeError, UnitNormError, ValidationError
 from .linalg import _check_count
 from .metrics import fidelity
 
@@ -96,12 +97,16 @@ def iteration_count(m: int) -> int:
     return int(math.floor(math.pi / 4.0 * math.sqrt(m)))
 
 
-def _check_good_component(c: CircuitU, s: StateVector) -> None:
+def _check_input_state(c: CircuitU, s: StateVector) -> None:
+    _check_dims(c, s)
     if not np.isfinite(s.grid).all():
         raise ValidationError("input state has a non-finite amplitude")
     rest = c.good_first(s.grid)[1:]
     if rest.size and not (float(np.abs(rest).max()) <= 1e-12):
         raise ValidationError("input must have its good-register component at index 0")
+    norm = s.norm()
+    if not (abs(norm - 1.0) <= 1e-12):
+        raise UnitNormError(f"input state norm {norm!r} is not 1 within 1e-12")
 
 
 def _record(c, state, target, iteration) -> TraceRecord:
@@ -121,13 +126,14 @@ def oblivious_aa(c: CircuitU, input_state: StateVector, k: int, variant: str,
                  target, return_final_state: bool = False):
     """Run the oblivious amplification iterate k times and trace it.
 
-    The input must carry the good register at index 0. The circuit is
-    applied once, the (probability, fidelity against `target`) pair is
-    recorded, then each iteration applies the reflection, the circuit
-    (inverted for the adjoint variant), the reflection again, the circuit,
-    and finally the literal global -1 phase of the iterate (the adjoint
-    runs the middle three as one image reflection). Fidelity takes
-    an absolute value, so the phase never shows up in the records.
+    The input must be a finite state of the circuit's shape with its good
+    register at index 0 and norm 1 within 1e-12, as prepare_input makes it.
+    The circuit is applied once, the (probability, fidelity against
+    `target`) pair is recorded, then each iteration applies the reflection,
+    the circuit (inverted for the adjoint variant), the reflection again,
+    the circuit, and finally the literal global -1 phase of the iterate
+    (the adjoint runs the middle three as one image reflection). Fidelity
+    takes an absolute value, so the phase never shows up in the records.
 
     A target half as long as the data register selects projected fidelity,
     any other length embedded fidelity (see TraceRecord).
@@ -135,7 +141,7 @@ def oblivious_aa(c: CircuitU, input_state: StateVector, k: int, variant: str,
     if variant not in VARIANTS:
         raise ValidationError(f"unknown variant {variant!r}")
     k = _check_count(k, "iteration count", 0)
-    _check_good_component(c, input_state)
+    _check_input_state(c, input_state)
     state = apply_circuit(c, input_state)  # the run's one state grid
     trace = IterationTrace()
     trace.records.append(_record(c, state, target, 0))
@@ -178,14 +184,15 @@ def standard_aa(c: CircuitU, input_prep, k: int, target,
     state = StateVector(start)
     apply_circuit(c, state, out=state)
     unit = state.grid / state.norm()  # s
+
+    def reflect_about_start(x, out, _scratch):  # 2 s s^T - I
+        np.subtract((2.0 * float(unit.ravel() @ x.ravel())) * unit, x, out=out)
+
     trace = IterationTrace()
     trace.records.append(_record(c, state, target, 0))
     for i in range(1, k + 1):
         apply_good_reflection(c, state, out=state)
-        before = state.norm()
-        overlap = float(unit.ravel() @ state.amplitudes)
-        np.subtract((2.0 * overlap) * unit, state.grid, out=state.grid)
-        check_norm(before, state)
+        _norm_preserving(c, reflect_about_start, state, state)
         trace.records.append(_record(c, state, target, i))
     if return_final_state:
         return trace, state

@@ -297,6 +297,19 @@ def _destination(c: CircuitU, s: StateVector, out: StateVector | None) -> StateV
     return out
 
 
+def _norm_preserving(c: CircuitU, layer, s: StateVector,
+                     out: StateVector | None) -> StateVector:
+    """Run layer(s.grid, out.grid, c._scratch), `out` as in _destination,
+    and return `out`. The one norm guard: NumericalError when the norm
+    drifts by more than NORM_DRIFT_TOL * max(1, norm)."""
+    out = _destination(c, s, out)
+    before = s.norm()  # read first: out may be s
+    layer(s.grid, out.grid, c._scratch)
+    if not (abs(out.norm() - before) <= NORM_DRIFT_TOL * max(1.0, before)):
+        raise NumericalError("circuit application failed to preserve the norm")
+    return out
+
+
 def apply_circuit(c: CircuitU, s: StateVector, inverse: bool = False,
                   out: StateVector | None = None) -> StateVector:
     """Apply the structured operator (or its inverse as the reversed
@@ -306,27 +319,14 @@ def apply_circuit(c: CircuitU, s: StateVector, inverse: bool = False,
     may be `s` itself; with out=None a new state is allocated. Returns the
     state written.
     """
-    out = _destination(c, s, out)
-    before = s.norm()  # read first: out may be s
-    (c._inverse if inverse else c._forward)(s.grid, out.grid, c._scratch)
-    return check_norm(before, out)
+    return _norm_preserving(c, c._inverse if inverse else c._forward, s, out)
 
 
 def apply_image_reflection(c: CircuitU, s: StateVector,
                            out: StateVector | None = None) -> StateVector:
     """Reflect about the circuit's image of the good subspace, W R W^-1;
     `out` and the norm guard work as in apply_circuit."""
-    out = _destination(c, s, out)
-    before = s.norm()
-    c._image_reflection(s.grid, out.grid, c._scratch)
-    return check_norm(before, out)
-
-
-def check_norm(before: float, after: StateVector) -> StateVector:
-    """Return `after`, or raise NumericalError if its norm left `before`."""
-    if not (abs(after.norm() - before) <= NORM_DRIFT_TOL * max(1.0, before)):
-        raise NumericalError("circuit application failed to preserve the norm")
-    return after
+    return _norm_preserving(c, c._image_reflection, s, out)
 
 
 def apply_good_reflection(c: CircuitU, s: StateVector,
@@ -352,8 +352,9 @@ def collapse_good(c: CircuitU, s: StateVector) -> tuple[np.ndarray, float]:
     _check_dims(c, s)
     good = c.good_first(s.grid)[0]
     prob = float((good * good).sum())
-    if not (prob >= GOOD_MASS_FLOOR):
-        raise NoGoodAmplitudeError("no amplitude mass on the good states")
+    if not (GOOD_MASS_FLOOR <= prob < math.inf):
+        raise NoGoodAmplitudeError(f"amplitude mass {prob!r} on the good states "
+                                   f"is not in [{GOOD_MASS_FLOOR}, inf)")
     return good / math.sqrt(prob), prob
 
 

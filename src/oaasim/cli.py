@@ -233,15 +233,12 @@ def main(argv=None) -> int:
     _print_config(config)
     try:
         return _DISPATCH[args.command](args)
-    except ValidationError as exc:
+    except (ValidationError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -40,9 +40,7 @@ class Embedding:
     """The scale of a normalized matrix and the block operator built from it."""
 
     mu: float
-    d_diag: np.ndarray
     u: np.ndarray
-    kind: str  # "exact" or "estimated"
 
     @property
     def order(self) -> int:
@@ -96,9 +94,8 @@ def build_estimated_embedding(a_normalized, mu: float = 1.0) -> Embedding:
         raise RowNormError(
             f"row norm {math.sqrt(row2.max()):.15g} exceeds 1; normalize first"
         )
-    d_diag = np.sqrt(np.clip(1.0 - row2, 0.0, None))
-    u = _assemble(ap, np.diag(d_diag))
-    return Embedding(mu=float(mu), d_diag=d_diag, u=u, kind="estimated")
+    u = _assemble(ap, np.diag(np.sqrt(np.clip(1.0 - row2, 0.0, None))))
+    return Embedding(mu=float(mu), u=u)
 
 
 def build_exact_embedding(a_normalized, mu: float = 1.0) -> Embedding:
@@ -119,8 +116,7 @@ def build_exact_embedding(a_normalized, mu: float = 1.0) -> Embedding:
         )
     lam = pair.values
     off = _spectral_map(pair, np.sqrt(np.clip((1.0 - lam) * (1.0 + lam), 0.0, None)))
-    u = _assemble(ap, off)
-    return Embedding(mu=float(mu), d_diag=np.diag(off).copy(), u=u, kind="exact")
+    return Embedding(mu=float(mu), u=_assemble(ap, off))
 
 
 def _assemble(ap: np.ndarray, off: np.ndarray) -> np.ndarray:

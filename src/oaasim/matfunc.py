@@ -28,13 +28,10 @@ from .linalg import _check_count, _spectral_map, _unit_vector, check_symmetric, 
 
 @dataclass(frozen=True)
 class ProductPlan:
-    """Ordered factors of a matrix product, with the function and
-    truncation order they approximate and the classically computed
-    reference operator."""
+    """Ordered factors of a matrix product and the classically computed
+    reference operator they approximate."""
 
     factors: tuple
-    function: str
-    truncation: int
     target_oracle: np.ndarray
 
 
@@ -102,8 +99,6 @@ def exp_product_factors(a: np.ndarray, truncation: int) -> ProductPlan:
     w = np.eye(a.shape[0]) + a / float(truncation)
     return ProductPlan(
         factors=tuple([w] * truncation),
-        function="exp",
-        truncation=truncation,
         target_oracle=matrix_function_oracle(a, "exp"),
     )
 
@@ -122,8 +117,6 @@ def cos_product_factors(a: np.ndarray, truncation: int) -> ProductPlan:
         factors.append(eye + scale * a)
     return ProductPlan(
         factors=tuple(factors),
-        function="cos",
-        truncation=truncation,
         target_oracle=matrix_function_oracle(a, "cos"),
     )
 
@@ -134,8 +127,6 @@ def custom_product_plan(factors: Sequence[np.ndarray]) -> ProductPlan:
     factors = tuple(np.asarray(w, dtype=float) for w in factors)
     return ProductPlan(
         factors=factors,
-        function="custom",
-        truncation=len(factors),
         target_oracle=product_of_factors(factors),
     )
 

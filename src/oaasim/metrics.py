@@ -5,8 +5,8 @@ Two comparison modes exist for circuits built from block embeddings.
 operator applied to the input. "projected" additionally projects the
 system's first qubit to index 0 (the top half of the collapsed vector) and
 compares against the original half-size matrix applied to the half-size
-input; it belongs to the exact-embedding use case. The mode decides how a
-caller builds the target. Every amplification run projects exactly when
+input; encode builds that target from the top-left block a / mu of the
+estimated embedding. The mode decides how a caller builds the target. Every amplification run projects exactly when
 the target is half the data register, and its probability is then the
 squared norm of that top half; the inner product is the same either way.
 """

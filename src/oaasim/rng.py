@@ -74,11 +74,8 @@ class SplitMix64:
 
     def uniform_signed_array(self, count: int) -> np.ndarray:
         """Vectorized batch of uniform draws in [-1, 1); advances the state
-        exactly as `count` scalar calls would."""
-        if count < 0:
-            raise ValueError("count must be nonnegative")
-        if count == 0:
-            return np.zeros(0)
+        exactly as `count` (an integer >= 0) scalar calls would."""
+        count = _check_count(count, "count", 0)
         with np.errstate(over="ignore"):
             steps = np.arange(1, count + 1, dtype=np.uint64)
             z = np.uint64(self._state) + steps * np.uint64(_GAMMA)

@@ -19,6 +19,7 @@ from oaasim import (
     SplitMix64,
     StateVector,
     TraceRecord,
+    UnitNormError,
     ValidationError,
     apply_circuit,
     apply_good_reflection,
@@ -274,6 +275,26 @@ def test_input_must_be_finite():
             oblivious_aa(circ, StateVector(grid), 1, "adjoint", np.ones(4))
 
 
+def test_input_must_be_a_unit_state_of_the_circuit_shape():
+    # a scaled input recorded probabilities scaled by its squared norm
+    # (2.92 at 3x), and a short grid met the good-register check first
+    enc = encode(random_symmetric(2, SplitMix64(1)), random_input(4, SplitMix64(2)))
+    unit = oblivious_aa(enc.circuit, enc.state, 2, "adjoint", enc.target)
+    assert all(0.0 < r.probability < 1.0 for r in unit.records)
+    for scale in (3.0, 0.5, 1.0 + 2e-12):
+        scaled = StateVector(scale * enc.state.grid)
+        for variant in VARIANTS:
+            with pytest.raises(UnitNormError, match="input state norm"):
+                oblivious_aa(enc.circuit, scaled, 2, variant, enc.target)
+    inside = StateVector((1.0 + 5e-13) * enc.state.grid)  # within the tolerance
+    near = oblivious_aa(enc.circuit, inside, 2, "adjoint", enc.target)
+    for a, b in zip(near.records, unit.records, strict=True):
+        assert a.probability == pytest.approx(b.probability, abs=1e-11)
+    short = StateVector(enc.state.grid[:, :2])
+    with pytest.raises(DimensionError, match="do not match circuit"):
+        oblivious_aa(enc.circuit, short, 2, "adjoint", enc.target)
+
+
 @st.composite
 def circuits(draw):
     """Row encodings of estimated embeddings of order 2-32, or LCUs of 2-4
@@ -412,7 +433,8 @@ def test_nan_good_mass_still_raises():
     infinite[0, 0] = np.inf
     for grid in (np.full((4, 4), np.nan), infinite):
         for target in (np.ones(4), np.ones(2)):  # embedded, projected
-            with pytest.raises(NoGoodAmplitudeError):
+            # refused before any division: inf/inf would leave NaN
+            with pytest.raises(NoGoodAmplitudeError, match="not finite"):
                 _record(circ, StateVector(grid), target, 0)
 
 

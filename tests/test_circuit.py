@@ -260,14 +260,14 @@ def test_collapse_rejects_nan_good_mass():
         collapse_good(circ, state)
 
 
-def test_collapse_rejects_nan_projected_mass():
-    # an infinite good amplitude would leave inf/inf = NaN in the projected
-    # vector; the record refuses it before any division
+def test_collapse_rejects_infinite_good_amplitude():
+    # an infinite mass passed the lower bound and came back as probability
+    # inf with inf/inf = NaN in the collapsed vector
     circ = build_row_encoding(np.eye(4))
     grid = np.zeros((4, 4))
     grid[0, 0] = np.inf
-    with pytest.raises(NoGoodAmplitudeError, match="not finite"):
-        _record(circ, StateVector(grid), np.ones(2), 0)
+    with pytest.raises(NoGoodAmplitudeError, match="on the good states"):
+        collapse_good(circ, StateVector(grid))
 
 
 def test_builder_validation():

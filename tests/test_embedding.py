@@ -88,18 +88,19 @@ def test_estimated_embedding_hand_case():
     a = np.array([[1.0, 1.0], [1.0, 0.0]])
     normalized, mu = mu_normalize(a)
     emb = build_estimated_embedding(normalized, mu)
+    u = emb.u
     # first row of the scaled matrix is unit so its diagonal entry is the
     # square root of a rounding residual, second row has norm 1/sqrt(2)
-    assert emb.d_diag[0] == pytest.approx(0.0, abs=2e-8)
-    assert emb.d_diag[1] == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-15)
+    d = u[:2, 2:]
+    assert d[0, 0] == pytest.approx(0.0, abs=2e-8)
+    assert d[1, 1] == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-15)
+    assert d[0, 1] == 0.0 and d[1, 0] == 0.0
     assert emb.order == 4
-    assert emb.kind == "estimated"
-    u = emb.u
     assert np.allclose(u, u.T, atol=1e-15)
     # block layout: top-left is the scaled matrix, bottom-right its negative
     assert np.allclose(u[:2, :2], normalized, atol=1e-15)
     assert np.allclose(u[2:, 2:], -normalized, atol=1e-15)
-    assert np.allclose(u[:2, 2:], np.diag(emb.d_diag), atol=1e-15)
+    assert np.array_equal(u[2:, :2], d)
 
 
 def test_embedding_rows_are_unit():
@@ -126,7 +127,6 @@ def test_exact_embedding_orthogonal_within_radius():
     contraction = normalized / 2.0
     emb = build_exact_embedding(contraction, 2.0 * mu)
     u = emb.u
-    assert emb.kind == "exact"
     assert np.max(np.abs(u.T @ u - np.eye(8))) < 1e-9
 
 
@@ -141,7 +141,7 @@ def test_exact_embedding_accepts_the_spectral_slack():
     # inside the 1e-10 slack, 1 - rho^2 ~ -2 (rho - 1) is slightly negative
     emb = build_exact_embedding(np.diag([1.0 + 7e-11, 0.5]))
     assert np.max(np.abs(emb.u.T @ emb.u - np.eye(4))) <= 1e-9
-    assert emb.d_diag[0] == 0.0
+    assert emb.u[0, 2] == 0.0
     with pytest.raises(SpectralRadiusError, match="exceeds 1"):
         build_exact_embedding(np.diag([1.0 + 2e-10, 0.5]))
 

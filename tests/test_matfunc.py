@@ -29,8 +29,6 @@ from oaasim.experiments import csv_lines
 def test_exp_factors_structure():
     a = np.array([[0.5, 0.1], [0.1, -0.2]])
     plan = exp_product_factors(a, 4)
-    assert plan.function == "exp"
-    assert plan.truncation == 4
     assert len(plan.factors) == 4
     for w in plan.factors:
         assert np.allclose(w, np.eye(2) + a / 4.0, atol=0.0)
@@ -63,7 +61,6 @@ def test_exp_matrix_truncation_improves():
 def test_cos_factors_structure_and_exact_zero():
     a = np.array([[0.3]])
     plan = cos_product_factors(a, 3)
-    assert plan.function == "cos"
     assert len(plan.factors) == 6
     # leading pair uses the first odd number
     assert np.allclose(plan.factors[0], np.eye(1) - 2.0 * a, atol=0.0)
@@ -113,7 +110,6 @@ def test_product_that_overflows_is_refused():
 def test_custom_plan_oracle_is_the_product():
     factors = [random_symmetric(2, SplitMix64(s)) for s in (320, 321)]
     plan = custom_product_plan(factors)
-    assert plan.function == "custom"
     assert np.array_equal(plan.target_oracle, product_of_factors(factors))
 
 
@@ -174,8 +170,7 @@ def test_chain_input_handling():
     for bad in ([np.inf, 1.0, 0.0, 0.0], [np.nan, 1.0, 0.0, 0.0]):
         with pytest.raises(ValidationError, match="non-finite"):
             chained_product_circuit(plan, np.array(bad), "adjoint")
-    empty = ProductPlan(factors=(), function="custom", truncation=0,
-                        target_oracle=np.eye(4))
+    empty = ProductPlan(factors=(), target_oracle=np.eye(4))
     with pytest.raises(ValidationError, match="no factors"):
         chained_product_circuit(empty, padded, "adjoint")
 
@@ -216,7 +211,7 @@ def test_plan_validation():
             exp_product_factors(np.eye(2), bad)
         with pytest.raises(ValidationError, match="must be an integer"):
             cos_product_factors(np.eye(2), bad)
-    assert exp_product_factors(np.eye(2), np.int64(2)).truncation == 2
+    assert len(exp_product_factors(np.eye(2), np.int64(2)).factors) == 2
     with pytest.raises(Exception):
         exp_product_factors(np.array([[0.0, 1.0], [0.5, 0.0]]), 2)
 

@@ -52,8 +52,15 @@ def test_uniform_ranges():
 def test_batch_edge_cases():
     gen = SplitMix64(5)
     assert gen.uniform_signed_array(0).size == 0
-    with pytest.raises(ValueError):
+    assert np.array_equal(SplitMix64(5).uniform_signed_array(np.int64(3)),
+                          SplitMix64(5).uniform_signed_array(3))
+    with pytest.raises(ValidationError, match="at least 0"):
         gen.uniform_signed_array(-1)
+    for bad in (2.5, True):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            gen.uniform_signed_array(bad)
+    # a refused count leaves the stream where it was
+    assert gen.next_u64() == SplitMix64(5).next_u64()
 
 
 def test_derived_streams_differ():

@@ -42,7 +42,7 @@ EXPERIMENTS = [
     (f"experiment-{kind}-{variant}-projected",
      ["experiment", "--kind", kind, "--dims", "16,32", "--trials", "3", "--seed", "7",
       "--variant", variant, "--fidelity", "projected", "--out", "."])
-    for kind in ("ensemble", "trace") for variant in ("literal", "adjoint")
+    for kind in ("ensemble", "fixed", "trace") for variant in ("literal", "adjoint")
 ]
 CALLS = [
     ("embed-estimated", ["embed", "--matrix", "../inputs/a16.txt", "--out", "u.txt"]),
