@@ -9,6 +9,8 @@ matrix, reproduces random-matrix amplification experiments, and chains
 circuits to apply matrix products and truncated exp and cos factorizations.
 """
 
+import types as _types
+
 from .amplification import (
     VARIANTS,
     IterationTrace,
@@ -35,7 +37,6 @@ from .embedding import (
     Embedding,
     build_estimated_embedding,
     build_exact_embedding,
-    c2_from_eigenvalues,
     closeness,
     mu_normalize,
 )
@@ -56,7 +57,6 @@ from .errors import (
 from .experiments import (
     EnsembleRecord,
     ExperimentConfig,
-    TraceResult,
     emit_outputs,
     random_input,
     random_symmetric,
@@ -68,7 +68,6 @@ from .linalg import (
     householder_from_vector,
     polar_symmetric,
     read_matrix,
-    read_vector,
     spectral_norm_symmetric,
     sym_eigen,
     write_matrix,
@@ -84,75 +83,11 @@ from .matfunc import (
     product_of_factors,
 )
 from .metrics import FIDELITY_MODES, fidelity
-from .rng import SplitMix64, derive_seed, mix64
+from .rng import SplitMix64, derive_seed
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CircuitU",
-    "ClosenessReport",
-    "ConvergenceError",
-    "DimensionError",
-    "EigenPair",
-    "Embedding",
-    "EnsembleRecord",
-    "ExperimentConfig",
-    "FIDELITY_MODES",
-    "IterationTrace",
-    "NoGoodAmplitudeError",
-    "NumericalError",
-    "PolarDegenerateError",
-    "ProductPlan",
-    "RowNormError",
-    "SimulatorError",
-    "SpectralRadiusError",
-    "SplitMix64",
-    "StageRecord",
-    "StateVector",
-    "SymmetryError",
-    "TraceRecord",
-    "TraceResult",
-    "UnitNormError",
-    "VARIANTS",
-    "ValidationError",
-    "ZeroMatrixError",
-    "apply_circuit",
-    "apply_good_reflection",
-    "apply_image_reflection",
-    "build_estimated_embedding",
-    "build_exact_embedding",
-    "build_lcu_encoding",
-    "build_row_encoding",
-    "c2_from_eigenvalues",
-    "chained_product_circuit",
-    "closeness",
-    "collapse_good",
-    "cos_product_factors",
-    "custom_product_plan",
-    "dense_matrix_of",
-    "derive_seed",
-    "emit_outputs",
-    "encode",
-    "exp_product_factors",
-    "fidelity",
-    "householder_from_vector",
-    "iteration_count",
-    "matrix_function_oracle",
-    "mix64",
-    "mu_normalize",
-    "oblivious_aa",
-    "polar_symmetric",
-    "prepare_input",
-    "product_of_factors",
-    "random_input",
-    "random_symmetric",
-    "read_matrix",
-    "read_vector",
-    "run_ensemble",
-    "run_trace",
-    "spectral_norm_symmetric",
-    "standard_aa",
-    "sym_eigen",
-    "write_matrix",
-    "__version__",
-]
+# the public names are exactly those imported above
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _types.ModuleType))
+__all__.append("__version__")

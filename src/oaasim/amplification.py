@@ -36,17 +36,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuit import (
-    GOOD_MASS_FLOOR,
     CircuitU,
     StateVector,
     _check_dims,
+    _good_mass,
     _norm_preserving,
     apply_circuit,
     apply_good_reflection,
     apply_image_reflection,
 )
-from .errors import DimensionError, NoGoodAmplitudeError, UnitNormError, ValidationError
-from .linalg import _check_count
+from .errors import DimensionError, NoGoodAmplitudeError, ValidationError
+from .linalg import _check_count, _check_orthogonal, _check_unit_norm, _float_array
 from .metrics import fidelity
 
 VARIANTS = ("literal", "adjoint")
@@ -104,9 +104,7 @@ def _check_input_state(c: CircuitU, s: StateVector) -> None:
     rest = c.good_first(s.grid)[1:]
     if rest.size and not (float(np.abs(rest).max()) <= 1e-12):
         raise ValidationError("input must have its good-register component at index 0")
-    norm = s.norm()
-    if not (abs(norm - 1.0) <= 1e-12):
-        raise UnitNormError(f"input state norm {norm!r} is not 1 within 1e-12")
+    _check_unit_norm(s.grid, "input state")
 
 
 def _record(c, state, target, iteration) -> TraceRecord:
@@ -115,11 +113,10 @@ def _record(c, state, target, iteration) -> TraceRecord:
         raise NoGoodAmplitudeError("a good amplitude is not finite")
     if 2 * np.size(target) == good.size:
         good = good[: good.size // 2]
-    prob = float((good * good).sum())
-    if not (prob >= GOOD_MASS_FLOOR):
+    prob, unit = _good_mass(good)
+    if unit is None:
         return TraceRecord(iteration=iteration, probability=0.0, fidelity=0.0)
-    return TraceRecord(iteration=iteration, probability=prob,
-                       fidelity=fidelity(good / math.sqrt(prob), target))
+    return TraceRecord(iteration=iteration, probability=prob, fidelity=fidelity(unit, target))
 
 
 def oblivious_aa(c: CircuitU, input_state: StateVector, k: int, variant: str,
@@ -169,15 +166,14 @@ def standard_aa(c: CircuitU, input_prep, k: int, target,
     then the reflection about the prepared start state s, 2 s s^T - I with
     s taken at unit norm; a projected target projects as in oblivious_aa.
     """
-    prep = np.asarray(input_prep, dtype=float)
+    prep = _float_array(input_prep, "input_prep")
     start = np.zeros((c.m_dim, c.n_dim))
     data_dim = c.good_first(start).shape[1]
     if prep.shape != (data_dim, data_dim):
         raise DimensionError(
             f"input_prep must be {data_dim} x {data_dim}, got {prep.shape}"
         )
-    if not (float(np.abs(prep.T @ prep - np.eye(data_dim)).max()) <= 1e-10):
-        raise ValidationError("input_prep is not orthogonal within 1e-10")
+    _check_orthogonal(prep, "input_prep")
     k = _check_count(k, "iteration count", 0)
 
     c.good_first(start)[0] = prep[:, 0]  # P |0>

@@ -59,10 +59,16 @@ from .errors import (
     NoGoodAmplitudeError,
     NumericalError,
     RowNormError,
-    UnitNormError,
     ValidationError,
 )
-from .linalg import _householder_vectors, as_square_array
+from .linalg import (
+    _check_orthogonal,
+    _check_unit_norm,
+    _float_array,
+    _householder_vectors,
+    _pow2_scaled,
+    as_square_array,
+)
 from .metrics import check_fidelity_mode
 
 DENSE_ORACLE_CAP = 256
@@ -78,7 +84,7 @@ class StateVector:
 
     def __post_init__(self):
         # kept C-contiguous: the layers' row sums must run in one order
-        self.grid = np.ascontiguousarray(self.grid, dtype=float)
+        self.grid = np.ascontiguousarray(_float_array(self.grid, "state grid"))
         if self.grid.ndim != 2:
             raise DimensionError(f"state grid must be 2-D, got shape {self.grid.shape}")
 
@@ -238,7 +244,8 @@ def build_row_encoding(u) -> RowEncodingCircuit:
     m = mat.shape[0]
     if not _is_power_of_two(m):
         raise ValidationError(f"order {m} is not a power of two")
-    row_norms = np.sqrt((mat * mat).sum(axis=1))
+    with np.errstate(over="ignore"):
+        row_norms = np.sqrt((mat * mat).sum(axis=1))
     if float(np.abs(row_norms - 1.0).max()) > 1e-10:
         raise RowNormError("every row must have unit 2-norm within 1e-10")
     return RowEncodingCircuit(_householder_vectors(mat))
@@ -259,14 +266,11 @@ def build_lcu_encoding(unitaries, coeffs) -> LcuCircuit:
     for i, mat in enumerate(mats):
         if mat.shape[0] != n:
             raise DimensionError("all unitaries must share one order")
-        if float(np.abs(mat.T @ mat - eye).max()) > 1e-10:
-            raise ValidationError(f"unitaries[{i}] is not orthogonal within 1e-10")
-    k = np.asarray(coeffs, dtype=float).ravel()
+        _check_orthogonal(mat, f"unitaries[{i}]")
+    k = _float_array(coeffs, "coeffs").ravel()
     if k.size != len(mats):
         raise DimensionError("one coefficient per unitary required")
-    norm = math.sqrt(float((k * k).sum()))
-    if not (abs(norm - 1.0) <= 1e-10):
-        raise UnitNormError(f"coefficient norm {norm!r} is not 1 within 1e-10")
+    _check_unit_norm(k, "coefficient", 1e-10)
     m = 1
     while m < len(mats):
         m *= 2
@@ -303,10 +307,11 @@ def _norm_preserving(c: CircuitU, layer, s: StateVector,
     and return `out`. The one norm guard: NumericalError when the norm
     drifts by more than NORM_DRIFT_TOL * max(1, norm)."""
     out = _destination(c, s, out)
-    before = s.norm()  # read first: out may be s
-    layer(s.grid, out.grid, c._scratch)
-    if not (abs(out.norm() - before) <= NORM_DRIFT_TOL * max(1.0, before)):
-        raise NumericalError("circuit application failed to preserve the norm")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check
+        before = s.norm()  # read first: out may be s
+        layer(s.grid, out.grid, c._scratch)
+        if not (abs(out.norm() - before) <= NORM_DRIFT_TOL * max(1.0, before)):
+            raise NumericalError("circuit application failed to preserve the norm")
     return out
 
 
@@ -343,6 +348,19 @@ def apply_good_reflection(c: CircuitU, s: StateVector,
     return out
 
 
+def _good_mass(good: np.ndarray) -> tuple[float, np.ndarray | None]:
+    """(p, g / sqrt(p)) for good amplitudes g, p = sum g^2, read off g / 2^e (see
+    _pow2_scaled): no square overflows, and normal-range values are the plain
+    formulas' bit for bit. The unit vector is None unless GOOD_MASS_FLOOR <= p < inf."""
+    scaled, e = _pow2_scaled(good)
+    with np.errstate(over="ignore"):  # overflow reads inf; a NaN leaves the scale at 1
+        mass = float((scaled * scaled).sum())
+        prob = float(np.ldexp(mass, 2 * e))
+    if not (GOOD_MASS_FLOOR <= prob < math.inf):
+        return prob, None
+    return prob, scaled / math.sqrt(mass)
+
+
 def collapse_good(c: CircuitU, s: StateVector) -> tuple[np.ndarray, float]:
     """Project onto the good states and renormalize: the next input of a
     chain. Returns (collapsed, probability), probability being the squared
@@ -350,23 +368,20 @@ def collapse_good(c: CircuitU, s: StateVector) -> tuple[np.ndarray, float]:
     through amplification._record instead, which also projects.
     """
     _check_dims(c, s)
-    good = c.good_first(s.grid)[0]
-    prob = float((good * good).sum())
-    if not (GOOD_MASS_FLOOR <= prob < math.inf):
+    prob, collapsed = _good_mass(c.good_first(s.grid)[0])
+    if collapsed is None:
         raise NoGoodAmplitudeError(f"amplitude mass {prob!r} on the good states "
                                    f"is not in [{GOOD_MASS_FLOOR}, inf)")
-    return good / math.sqrt(prob), prob
+    return collapsed, prob
 
 
 def prepare_input(c: CircuitU, system) -> StateVector:
     """Build the canonical input state: the unit vector `system` on the data
     register with the good register fixed at index 0."""
-    vec = np.asarray(system, dtype=float).ravel()
+    vec = _float_array(system, "input vector").ravel()
     if not np.isfinite(vec).all():
         raise ValidationError("input vector has a non-finite entry")
-    norm = math.sqrt(float((vec * vec).sum()))
-    if abs(norm - 1.0) > 1e-12:
-        raise UnitNormError(f"input norm {norm!r} is not 1 within 1e-12")
+    _check_unit_norm(vec, "input")
     x = np.zeros((c.m_dim, c.n_dim))
     v = c.good_first(x)
     if vec.size != v.shape[1]:
@@ -416,7 +431,7 @@ def _encode_input(matrix: tuple, vec, fidelity_mode: str) -> Encoded:
     """encode's input half, on an _encode_matrix result and a checked mode;
     a / mu is the embedding's top-left block."""
     emb, circ = matrix
-    vec = np.asarray(vec, dtype=float).ravel()
+    vec = _float_array(vec, "input vector").ravel()
     order = emb.order // 2
     project = fidelity_mode == "projected"
     lengths = (order,) if project else (order, 2 * order)

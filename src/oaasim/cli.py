@@ -33,7 +33,7 @@ from .embedding import (
 )
 from .errors import NumericalError, ValidationError
 from .experiments import ExperimentConfig, csv_lines, emit_outputs, run_ensemble, run_trace
-from .linalg import _pow2_scaled, _unit_vector, read_matrix, read_vector, write_matrix
+from .linalg import _pow2_scaled, _read_vector, _unit_vector, read_matrix, write_matrix
 from .matfunc import (
     chained_product_circuit,
     cos_product_factors,
@@ -112,7 +112,7 @@ def _load_unit_vector(path_or_none, order: int) -> np.ndarray:
         vec = np.zeros(order)
         vec[0] = 1.0
         return vec
-    return _unit_vector(read_vector(path_or_none), f"input vector in {path_or_none}")
+    return _unit_vector(_read_vector(path_or_none), f"input vector in {path_or_none}")
 
 
 def _cmd_embed(args) -> int:

@@ -22,9 +22,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PolarDegenerateError, RowNormError, SpectralRadiusError, ZeroMatrixError
+from .errors import (
+    PolarDegenerateError,
+    RowNormError,
+    SpectralRadiusError,
+    ValidationError,
+    ZeroMatrixError,
+)
 from .linalg import (
     POLAR_EIGENVALUE_FLOOR,
+    _float_array,
     _pow2_scaled,
     _spectral_map,
     check_symmetric,
@@ -37,10 +44,17 @@ SPECTRAL_SLACK = 1e-10
 
 @dataclass(frozen=True)
 class Embedding:
-    """The scale of a normalized matrix and the block operator built from it."""
+    """The scale of a normalized matrix and the block operator built from it.
+    The scale mu must be a finite positive real (ValidationError otherwise)."""
 
     mu: float
     u: np.ndarray
+
+    def __post_init__(self):
+        mu = _float_array(self.mu, "mu")
+        if mu.ndim != 0 or not 0.0 < mu < math.inf:
+            raise ValidationError(f"mu must be a finite positive real, got {self.mu!r}")
+        object.__setattr__(self, "mu", float(mu))
 
     @property
     def order(self) -> int:
@@ -89,13 +103,14 @@ def build_estimated_embedding(a_normalized, mu: float = 1.0) -> Embedding:
     The optional mu records the scale divided out by mu_normalize.
     """
     ap = check_symmetric(a_normalized, "a_normalized")
-    row2 = (ap * ap).sum(axis=1)
+    with np.errstate(over="ignore"):  # an overflowing row reads inf and is refused
+        row2 = (ap * ap).sum(axis=1)
     if float(row2.max()) > 1.0 + ROW_NORM_CLAMP:
         raise RowNormError(
             f"row norm {math.sqrt(row2.max()):.15g} exceeds 1; normalize first"
         )
     u = _assemble(ap, np.diag(np.sqrt(np.clip(1.0 - row2, 0.0, None))))
-    return Embedding(mu=float(mu), u=u)
+    return Embedding(mu=mu, u=u)
 
 
 def build_exact_embedding(a_normalized, mu: float = 1.0) -> Embedding:
@@ -116,7 +131,7 @@ def build_exact_embedding(a_normalized, mu: float = 1.0) -> Embedding:
         )
     lam = pair.values
     off = _spectral_map(pair, np.sqrt(np.clip((1.0 - lam) * (1.0 + lam), 0.0, None)))
-    return Embedding(mu=float(mu), u=_assemble(ap, off))
+    return Embedding(mu=mu, u=_assemble(ap, off))
 
 
 def _assemble(ap: np.ndarray, off: np.ndarray) -> np.ndarray:
@@ -133,22 +148,22 @@ def closeness(u) -> ClosenessReport:
     """Measure how far a symmetric matrix is from its nearest orthogonal one.
 
     Everything follows from the eigenvalues lambda of one sym_eigen call:
-    c2 = c2_from_eigenvalues(lambda), cF = sum (|lambda|-1)^2 / sum lambda^2,
-    phi = 2 sum |lambda| and ef = (1 - c2)^2. |lambda| below the polar sign
-    floor raises PolarDegenerateError; c2 above 1 is reported as computed
-    (see ClosenessReport.flagged).
+    c2 = (max | |lambda| - 1 |)^2 / (max |lambda|)^2, cF = sum (|lambda|-1)^2
+    / sum lambda^2, phi = 2 sum |lambda| and ef = (1 - c2)^2. |lambda| below
+    the polar sign floor raises PolarDegenerateError; c2 above 1 is reported
+    as computed (see ClosenessReport.flagged).
     """
     lam = np.abs(sym_eigen(u).values)
     if float(lam.min()) < POLAR_EIGENVALUE_FLOOR:
         raise PolarDegenerateError("eigenvalue too close to zero for the polar sign")
-    c2 = c2_from_eigenvalues(lam)
-    cf = float(((lam - 1.0) ** 2).sum() / (lam * lam).sum())
-    return ClosenessReport(c2=c2, cF=cf, phi=2.0 * float(lam.sum()), ef=(1.0 - c2) ** 2)
+    # on lam / 2^e with 2^-e for 1: exactly the sums on lam, but no square overflows
+    lam, e = _pow2_scaled(lam)
+    dev = lam - math.ldexp(1.0, -e)
+    c2 = float((np.abs(dev).max() ** 2) / (lam.max() ** 2))
+    cf = float((dev * dev).sum() / (lam * lam).sum())
+    try:
+        phi = math.ldexp(float(lam.sum()), e + 1)  # 2 sum |lambda|
+    except OverflowError:
+        raise ValidationError("phi = 2 sum |lambda| overflows a float") from None
+    return ClosenessReport(c2=c2, cF=cf, phi=phi, ef=(1.0 - c2) ** 2)
 
-
-def c2_from_eigenvalues(values) -> float:
-    """c2 from the eigenvalue magnitudes of a symmetric U, as closeness
-    computes it: (max | |lambda| - 1 |)^2 / (max |lambda|)^2. The polar
-    route (polar_symmetric plus spectral norms) is its test reference."""
-    lam = np.abs(np.asarray(values, dtype=float))
-    return float((np.abs(lam - 1.0).max() ** 2) / (lam.max() ** 2))

@@ -54,9 +54,10 @@ class ExperimentConfig:
     experiment: str = "ensemble"
 
     def __post_init__(self):
-        if not isinstance(self.dims, (Sequence, np.ndarray)):
-            raise ValidationError(f"dims must be a sequence, got {self.dims!r}")
-        dims = tuple(_check_count(d, "embedded dimension", 2) for d in self.dims)
+        dims = self.dims
+        if isinstance(dims, (str, bytes)) or not isinstance(dims, (Sequence, np.ndarray)):
+            raise ValidationError(f"dims must be a sequence of integers, got {dims!r}")
+        dims = tuple(_check_count(d, "embedded dimension", 2) for d in dims)
         if not dims or len(set(dims)) != len(dims):
             raise ValidationError(f"dims must be nonempty and distinct, got {dims}")
         for d in dims:
@@ -208,9 +209,10 @@ def emit_outputs(results, fmt: str, path) -> list:
     if fmt not in ("csv", "svg"):
         raise ValidationError(f"format must be csv or svg, got {fmt!r}")
     results = list(results)
-    if not results:
-        raise ValidationError("no results to emit")
-    is_trace = isinstance(results[0], TraceResult)
+    kinds = {type(r) for r in results}
+    if kinds not in ({EnsembleRecord}, {TraceResult}):
+        raise ValidationError("results must be nonempty, all EnsembleRecord or all TraceResult")
+    is_trace = kinds == {TraceResult}
     path = Path(path)
     if fmt == "csv":
         if is_trace:

@@ -52,8 +52,20 @@ class EigenPair:
     vectors: np.ndarray
 
 
+def _float_array(x, name: str) -> np.ndarray:
+    """x as a float array: the one conversion of a caller's array argument.
+    What numpy cannot read as real numbers (text, complex values, ragged
+    nesting, huge integers) raises ValidationError; callers check finiteness."""
+    try:
+        if not np.iscomplexobj(x):
+            return np.asarray(x, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValidationError(f"{name} is not an array of real numbers")
+
+
 def as_square_array(m, name: str = "matrix") -> np.ndarray:
-    a = np.asarray(m, dtype=float)
+    a = _float_array(m, name)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"{name} must be square, got shape {a.shape}")
     if a.shape[0] < 1:
@@ -92,10 +104,26 @@ def _pow2_scaled(x) -> tuple[np.ndarray, int]:
     return np.ldexp(x, -e), e
 
 
+def _check_unit_norm(vec: np.ndarray, name: str, tol: float = 1e-12) -> None:
+    """UnitNormError unless ||vec|| is 1 within tol (an overflow reads inf; NaN fails)."""
+    with np.errstate(over="ignore"):
+        norm = math.sqrt(float((vec * vec).sum()))
+    if not abs(norm - 1.0) <= tol:
+        raise UnitNormError(f"{name} norm {norm!r} is not 1 within {tol:g}")
+
+
+def _check_orthogonal(mat: np.ndarray, name: str) -> None:
+    """ValidationError unless max|M^T M - I| <= 1e-10 (an overflow fails)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = float(np.abs(mat.T @ mat - np.eye(mat.shape[0])).max())
+    if not defect <= 1e-10:
+        raise ValidationError(f"{name} is not orthogonal within 1e-10")
+
+
 def _unit_vector(vec, name: str) -> np.ndarray:
     """The finite nonzero vector vec over its 2-norm, taken after
     _pow2_scaled so that any finite entries may be normalized."""
-    vec = np.asarray(vec, dtype=float).ravel()
+    vec = _float_array(vec, name).ravel()
     if not np.isfinite(vec).all():
         raise ValidationError(f"{name} has a non-finite entry")
     scaled, _ = _pow2_scaled(vec)
@@ -194,7 +222,10 @@ def sym_eigen(s) -> EigenPair:
         raise ConvergenceError(
             f"Jacobi sweeps did not converge within {JACOBI_MAX_SWEEPS} sweeps"
         )
-    values = np.ldexp(np.diag(a), e)
+    with np.errstate(over="ignore"):
+        values = np.ldexp(np.diag(a), e)
+    if not np.isfinite(values).all():
+        raise ValidationError("an eigenvalue of the matrix overflows a float")
     order = np.argsort(values, kind="stable")
     values = values[order]
     q = q[:, order]
@@ -245,12 +276,10 @@ def householder_from_vector(u) -> np.ndarray:
     """Reflector R with R e0 = u and R u = e0 for a unit vector u (norm 1
     within 1e-12): R = I - 2 v v^T with v from _householder_vectors, the
     identity exactly when u is within 1e-12 of e0."""
-    vec = np.asarray(u, dtype=float).ravel()
+    vec = _float_array(u, "vector").ravel()
     if vec.size < 1:
         raise DimensionError("vector must have at least one entry")
-    norm = math.sqrt(float((vec * vec).sum()))
-    if not (abs(norm - 1.0) <= 1e-12):
-        raise UnitNormError(f"vector norm {norm!r} is not 1 within 1e-12")
+    _check_unit_norm(vec, "vector")
     v = _householder_vectors(vec[None, :])[0]
     return np.eye(vec.size) - 2.0 * np.outer(v, v)
 
@@ -269,7 +298,7 @@ def write_matrix(path, m) -> None:
     """Write a dense matrix: header "rows cols", then one line per row with
     entries at 17 significant digits. A matrix read_matrix would refuse
     (empty, or with a non-finite entry) is refused here."""
-    a = np.asarray(m, dtype=float)
+    a = _float_array(m, "matrix")
     if a.ndim == 1:
         a = a[:, None]
     if a.ndim != 2 or a.size == 0:
@@ -316,7 +345,7 @@ def read_matrix(path) -> np.ndarray:
     return flat.reshape(rows, cols)
 
 
-def read_vector(path) -> np.ndarray:
+def _read_vector(path) -> np.ndarray:
     """Read a matrix file with a single row or column as a flat vector."""
     a = read_matrix(path)
     if a.shape[0] != 1 and a.shape[1] != 1:

@@ -23,7 +23,14 @@ import numpy as np
 from .amplification import iteration_count, oblivious_aa
 from .circuit import _encode_input, _encode_matrix, collapse_good
 from .errors import DimensionError, ValidationError
-from .linalg import _check_count, _spectral_map, _unit_vector, check_symmetric, sym_eigen
+from .linalg import (
+    _check_count,
+    _float_array,
+    _spectral_map,
+    _unit_vector,
+    check_symmetric,
+    sym_eigen,
+)
 
 
 @dataclass(frozen=True)
@@ -59,7 +66,7 @@ def product_of_factors(factors: Sequence[np.ndarray]) -> np.ndarray:
     """Classical product of the factors in application order: the first
     factor in the list acts on the input first. A product that overflows
     a float is refused."""
-    factors = [np.asarray(w, dtype=float) for w in factors]
+    factors = [_float_array(w, "factor") for w in factors]
     if not factors:
         raise ValidationError("product needs at least one factor")
     order = None
@@ -124,7 +131,7 @@ def cos_product_factors(a: np.ndarray, truncation: int) -> ProductPlan:
 def custom_product_plan(factors: Sequence[np.ndarray]) -> ProductPlan:
     """Plan for an explicit factor list; the reference operator is the
     classical product."""
-    factors = tuple(np.asarray(w, dtype=float) for w in factors)
+    factors = tuple(_float_array(w, "factor") for w in factors)
     return ProductPlan(
         factors=factors,
         target_oracle=product_of_factors(factors),

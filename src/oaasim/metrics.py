@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from .errors import DimensionError, ValidationError
-from .linalg import _pow2_scaled
+from .linalg import _float_array, _pow2_scaled
 
 FIDELITY_MODES = ("embedded", "projected")
 
@@ -30,8 +30,8 @@ def fidelity(collapsed, target) -> float:
     so scaling either vector (including by -1) never changes the result.
     The norms are taken after linalg._pow2_scaled, so no square overflows.
     """
-    u = np.asarray(collapsed, dtype=float).ravel()
-    v = np.asarray(target, dtype=float).ravel()
+    u = _float_array(collapsed, "collapsed").ravel()
+    v = _float_array(target, "target").ravel()
     if u.size != v.size:
         raise DimensionError(f"length mismatch: {u.size} vs {v.size}")
     if not (np.isfinite(u).all() and np.isfinite(v).all()):

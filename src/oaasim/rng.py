@@ -2,7 +2,7 @@
 
 The generator is SplitMix64, defined by its published recurrence: the state
 advances by the odd constant 0x9E3779B97F4A7C15 and each output is the
-advanced state passed through the finalizer
+advanced state passed through the finalizer (_mix64)
 
     z ^= z >> 30; z *= 0xBF58476D1CE4E5B9
     z ^= z >> 27; z *= 0x94D049BB133111EB
@@ -30,7 +30,7 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 
-def mix64(z: int) -> int:
+def _mix64(z: int) -> int:
     """SplitMix64 finalizer on a 64-bit integer."""
     z &= _MASK
     z = ((z ^ (z >> 30)) * _MIX1) & _MASK
@@ -52,19 +52,20 @@ def derive_seed(seed: int, *indices: int) -> int:
     its own independent generator."""
     h = _check_seed(seed, "seed")
     for v in indices:
-        h = mix64((h + _GAMMA + _check_seed(v, "seed index")) & _MASK)
+        h = _mix64((h + _GAMMA + _check_seed(v, "seed index")) & _MASK)
     return h
 
 
 class SplitMix64:
-    """Counter-based generator; output i is mix64(seed + (i+1) * gamma)."""
+    """Counter-based generator; output i is the finalizer of
+    seed + (i+1) * gamma (see the module docstring)."""
 
     def __init__(self, seed: int):
         self._state = _check_seed(seed, "seed")
 
     def next_u64(self) -> int:
         self._state = (self._state + _GAMMA) & _MASK
-        return mix64(self._state)
+        return _mix64(self._state)
 
     def uniform(self) -> float:
         return (self.next_u64() >> 11) * 2.0 ** -53

@@ -506,5 +506,6 @@ def test_standard_rejects_bad_prep():
 
 def test_standard_rejects_nan_prep():
     circ = build_row_encoding(seeded_embedded(4, 99))
-    with pytest.raises(ValidationError, match="not orthogonal"):
-        standard_aa(circ, np.full((4, 4), np.nan), 1, np.ones(4))
+    for prep in (np.full((4, 4), np.nan), 1e200 * np.eye(4)):  # 1e200 overflowed P^T P
+        with pytest.raises(ValidationError, match="not orthogonal"):
+            standard_aa(circ, prep, 1, np.ones(4))

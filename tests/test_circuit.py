@@ -2,6 +2,7 @@
 independently from Kronecker products and permutations."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -268,6 +269,51 @@ def test_collapse_rejects_infinite_good_amplitude():
     grid[0, 0] = np.inf
     with pytest.raises(NoGoodAmplitudeError, match="on the good states"):
         collapse_good(circ, StateVector(grid))
+
+
+def test_collapse_refuses_an_overflowing_good_mass_without_a_warning():
+    # the squares of 1e200 overflowed with a RuntimeWarning before the refusal
+    circ = build_row_encoding(np.eye(4))
+    grid = np.zeros((4, 4))
+    grid[:, 0] = 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NoGoodAmplitudeError, match="amplitude mass inf"):
+            collapse_good(circ, StateVector(grid))
+        grid[0, 0] = np.nan  # a NaN leaves the scale at 1
+        with pytest.raises(NoGoodAmplitudeError, match="amplitude mass nan"):
+            collapse_good(circ, StateVector(grid))
+
+
+def test_good_mass_matches_the_plain_formulas_bit_for_bit():
+    # dividing by a power of two is exact, so normal-range values are unchanged
+    circ = build_row_encoding(seeded_embedded(8, 43))
+    for seed in range(20):
+        grid = np.ldexp(random_input(64, SplitMix64(seed)).reshape(8, 8), seed - 10)
+        good = grid[:, 0]
+        prob = float((good * good).sum())
+        collapsed, got = collapse_good(circ, StateVector(grid))
+        assert got == prob
+        assert np.array_equal(collapsed, good / math.sqrt(prob))
+
+
+@pytest.mark.parametrize("call, error", [
+    pytest.param(lambda c: build_row_encoding(np.full((2, 2), 1e200)), RowNormError,
+                 id="row-norms"),
+    pytest.param(lambda c: build_lcu_encoding([1e200 * np.eye(2)], [1.0]), ValidationError,
+                 id="lcu-unitary"),
+    pytest.param(lambda c: build_lcu_encoding([np.eye(2)], [1e200]), UnitNormError,
+                 id="lcu-coefficients"),
+    pytest.param(lambda c: prepare_input(c, np.full(4, 1e200)), UnitNormError, id="input"),
+    pytest.param(lambda c: apply_circuit(c, StateVector(np.full((4, 4), 1e200))),
+                 NumericalError, id="apply"),
+    pytest.param(lambda c: apply_image_reflection(c, StateVector(np.full((4, 4), 1e200))),
+                 NumericalError, id="image-reflection"),
+])
+def test_overflowing_arguments_are_refused_without_a_warning(call, error):
+    # each overflowed with a RuntimeWarning (an error in tier-1) first
+    with pytest.raises(error):
+        call(build_row_encoding(np.eye(4)))
 
 
 def test_builder_validation():

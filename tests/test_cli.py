@@ -15,8 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oaasim import SplitMix64, random_input, random_symmetric, read_vector, write_matrix
+from oaasim import SplitMix64, random_input, random_symmetric, write_matrix
 from oaasim.cli import build_parser, main
+from oaasim.linalg import _read_vector
 
 
 def write_unchecked(path, m):
@@ -312,7 +313,7 @@ def test_product_chain(tmp_path, capsys):
     stages = (tmp_path / "prod" / "stages.csv").read_text().strip().split("\n")
     assert stages[0] == "stage,probability,fidelity,mu_scale"
     assert len(stages) == 3
-    final = read_vector(tmp_path / "prod" / "final_vector.txt")
+    final = _read_vector(tmp_path / "prod" / "final_vector.txt")
     assert final.size == 8
     fid_line = [l for l in captured.out.split("\n") if l.startswith("final_fidelity_vs_oracle=")]
     assert len(fid_line) == 1

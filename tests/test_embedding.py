@@ -15,10 +15,10 @@ from oaasim import (
     SpectralRadiusError,
     SplitMix64,
     SymmetryError,
+    ValidationError,
     ZeroMatrixError,
     build_estimated_embedding,
     build_exact_embedding,
-    c2_from_eigenvalues,
     closeness,
     householder_from_vector,
     mu_normalize,
@@ -116,6 +116,30 @@ def test_estimated_embedding_rejects_large_rows():
         build_estimated_embedding(too_big)
     with pytest.raises(SymmetryError):
         build_estimated_embedding(np.array([[0.1, 0.2], [0.3, 0.4]]))
+    with pytest.raises(RowNormError, match="row norm inf"):  # overflowed with a warning
+        build_estimated_embedding(np.full((2, 2), 1e200))
+
+
+@pytest.mark.parametrize("builder", [build_estimated_embedding, build_exact_embedding])
+@pytest.mark.parametrize("mu", [math.nan, -1.0, 0.0, math.inf, "x", np.ones(1)])
+def test_embeddings_refuse_a_bad_mu(builder, mu):
+    # nan, -1.0 and inf were stored as the Embedding's mu; "x" escaped as ValueError
+    with pytest.raises(ValidationError, match="mu"):
+        builder(0.5 * np.eye(2), mu)
+    with pytest.raises(ValidationError, match="mu"):
+        builder(0.5 * np.eye(2), mu=mu)
+
+
+def test_estimated_embedding_refuses_text_mu():
+    with pytest.raises(ValidationError, match="mu is not an array of real numbers"):
+        build_estimated_embedding(0.5 * np.eye(2), mu="x")
+
+
+def test_embeddings_keep_a_valid_mu():
+    for mu in (2.5, 3, np.float64(1e-300), np.int64(7)):
+        for builder in (build_estimated_embedding, build_exact_embedding):
+            emb = builder(0.5 * np.eye(2), mu)
+            assert type(emb.mu) is float and emb.mu == float(mu)
 
 
 def test_exact_embedding_orthogonal_within_radius():
@@ -153,10 +177,6 @@ def test_closeness_hand_case_scaled_identity():
     assert report.phi == pytest.approx(8.0, abs=1e-12)
     assert report.ef == pytest.approx(0.5625, abs=1e-14)
     assert not report.flagged
-    # independent eigenvalue route gives the same c2
-    assert c2_from_eigenvalues(np.array([2.0, 2.0])) == pytest.approx(
-        0.25, abs=1e-15
-    )
 
 
 def test_closeness_of_orthogonal_is_zero():
@@ -236,6 +256,16 @@ def test_closeness_matches_polar_route(s):
     assert report.cF == pytest.approx(cf, rel=1e-10, abs=1e-10)
     assert report.ef == pytest.approx(ef, rel=1e-10, abs=1e-10)
     assert report.phi == pytest.approx(phi, rel=1e-10)
+
+
+def test_closeness_of_a_huge_spectrum():
+    # (lambda - 1)^2 overflowed with a RuntimeWarning: the sums now run on
+    # the eigenvalues scaled by a power of two
+    report = closeness(np.diag([1e200, 2.0]))
+    assert (report.c2, report.cF, report.ef) == (1.0, 1.0, 0.0)
+    assert report.phi == pytest.approx(2e200, rel=1e-15)
+    with pytest.raises(ValidationError, match="phi"):
+        closeness(np.diag([1e308, 1.0]))  # 2 sum |lambda| is beyond the float range
 
 
 def test_closeness_flag():

@@ -68,6 +68,13 @@ def test_config_refuses_non_integer_counts(bad):
         ExperimentConfig(**bad)
 
 
+@pytest.mark.parametrize("dims", ["16", b"16", "16,32"])
+def test_config_refuses_text_dims(dims):
+    # "16" was read as the digits "1" and "6"
+    with pytest.raises(ValidationError, match="dims must be a sequence of integers"):
+        ExperimentConfig(dims=dims)
+
+
 def test_config_refuses_a_bare_dimension_and_out_of_range_seeds():
     # dims=16 raised TypeError; seed -1 ran as seed 2**64 - 1
     with pytest.raises(ValidationError, match="sequence"):
@@ -322,6 +329,12 @@ def test_emit_rejects_bad_arguments(tmp_path):
     rec = EnsembleRecord(0, 8, 0.1, 0.81, 0.9, 0.7, 2)
     with pytest.raises(ValidationError):
         emit_outputs([rec], "pdf", tmp_path / "x.pdf")
+    # records of two kinds, or no records, raised AttributeError or TypeError
+    trace = run_trace(ExperimentConfig(dims=(2,), trials=1, experiment="trace"))[0]
+    for results in ([rec, trace], [trace, rec], ["not a record"]):
+        for fmt in ("csv", "svg"):
+            with pytest.raises(ValidationError, match="EnsembleRecord or all TraceResult"):
+                emit_outputs(results, fmt, tmp_path / "mixed")
 
 
 def test_projected_mode_runs():

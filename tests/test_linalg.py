@@ -21,12 +21,11 @@ from oaasim import (
     polar_symmetric,
     random_symmetric,
     read_matrix,
-    read_vector,
     spectral_norm_symmetric,
     sym_eigen,
     write_matrix,
 )
-from oaasim.linalg import _check_count, as_square_array, check_symmetric
+from oaasim.linalg import _check_count, _read_vector, as_square_array, check_symmetric
 
 
 def two_by_two_eigenvalues(a, b, d):
@@ -121,6 +120,12 @@ def test_eigen_rejects_non_finite():
         sym_eigen(np.array([[float("inf"), 0.0], [0.0, 1.0]]))
 
 
+def test_eigen_refuses_an_overflowing_eigenvalue():
+    # the eigenvalue 4e308 of this finite matrix overflowed with a RuntimeWarning
+    with pytest.raises(ValidationError, match="eigenvalue of the matrix overflows"):
+        sym_eigen(np.full((4, 4), 1e308))
+
+
 def test_polar_hand_cases():
     near, symmetric_part = polar_symmetric(2.0 * np.eye(2))
     assert np.allclose(near, np.eye(2), atol=1e-14)
@@ -201,6 +206,9 @@ def test_check_count_minimum():
 def test_householder_rejects_nan():
     with pytest.raises(UnitNormError, match="not 1 within"):
         householder_from_vector(np.array([np.nan, 0.0]))
+    # its squares overflowed with a RuntimeWarning before the refusal
+    with pytest.raises(UnitNormError, match="norm inf is not 1"):
+        householder_from_vector(np.full(2, 1e200))
 
 
 def test_spectral_norm_matches_eigenvalue_route():
@@ -219,14 +227,14 @@ def test_matrix_file_round_trip_exact(tmp_path):
     vec = SplitMix64(62).uniform_signed_array(7)
     vpath = tmp_path / "v.txt"
     write_matrix(vpath, vec)
-    assert np.array_equal(read_vector(vpath), vec)
+    assert np.array_equal(_read_vector(vpath), vec)
     # a one-row matrix also reads back as a vector
     row = tmp_path / "row.txt"
     row.write_text("1 3\n0.5 -0.25 0.125\n")
-    assert np.array_equal(read_vector(row), np.array([0.5, -0.25, 0.125]))
+    assert np.array_equal(_read_vector(row), np.array([0.5, -0.25, 0.125]))
     # a matrix with more than one row and column is not a vector
     with pytest.raises(DimensionError, match="expected a row or column vector"):
-        read_vector(path)
+        _read_vector(path)
 
 
 def test_write_matrix_refuses_what_read_matrix_refuses(tmp_path):
@@ -318,4 +326,4 @@ def test_matrix_file_rejects_non_finite(tmp_path):
     vpath = tmp_path / "v.txt"
     vpath.write_text("1 3\n0.5 inf 0.125\n")
     with pytest.raises(ValidationError, match=re.escape(str(vpath))):
-        read_vector(vpath)
+        _read_vector(vpath)
