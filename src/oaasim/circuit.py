@@ -322,7 +322,8 @@ def apply_circuit(c: CircuitU, s: StateVector, inverse: bool = False,
 
     The result is written into `out`, a state of the circuit's shape, which
     may be `s` itself; with out=None a new state is allocated. Returns the
-    state written.
+    state written. When the norm guard raises NumericalError, `out` holds
+    no usable state; `s` is untouched when `out` is a different state.
     """
     return _norm_preserving(c, c._inverse if inverse else c._forward, s, out)
 
@@ -330,7 +331,8 @@ def apply_circuit(c: CircuitU, s: StateVector, inverse: bool = False,
 def apply_image_reflection(c: CircuitU, s: StateVector,
                            out: StateVector | None = None) -> StateVector:
     """Reflect about the circuit's image of the good subspace, W R W^-1;
-    `out` and the norm guard work as in apply_circuit."""
+    `out` and the norm guard work as in apply_circuit: after a refusal
+    `out` holds no usable state, and `s` is untouched if `out` is not `s`."""
     return _norm_preserving(c, c._image_reflection, s, out)
 
 

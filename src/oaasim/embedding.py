@@ -34,6 +34,7 @@ from .linalg import (
     _float_array,
     _pow2_scaled,
     _spectral_map,
+    _sym_eigenvalues,
     check_symmetric,
     sym_eigen,
 )
@@ -147,13 +148,14 @@ def _assemble(ap: np.ndarray, off: np.ndarray) -> np.ndarray:
 def closeness(u) -> ClosenessReport:
     """Measure how far a symmetric matrix is from its nearest orthogonal one.
 
-    Everything follows from the eigenvalues lambda of one sym_eigen call:
+    Everything follows from the eigenvalues lambda alone, which
+    linalg._sym_eigenvalues takes without building the eigenvectors:
     c2 = (max | |lambda| - 1 |)^2 / (max |lambda|)^2, cF = sum (|lambda|-1)^2
     / sum lambda^2, phi = 2 sum |lambda| and ef = (1 - c2)^2. |lambda| below
     the polar sign floor raises PolarDegenerateError; c2 above 1 is reported
     as computed (see ClosenessReport.flagged).
     """
-    lam = np.abs(sym_eigen(u).values)
+    lam = np.abs(_sym_eigenvalues(u))
     if float(lam.min()) < POLAR_EIGENVALUE_FLOOR:
         raise PolarDegenerateError("eigenvalue too close to zero for the polar sign")
     # on lam / 2^e with 2^-e for 1: exactly the sums on lam, but no square overflows

@@ -3,10 +3,13 @@
 Everything downstream (embeddings, closeness metrics, classical oracles)
 reduces to the symmetric eigendecomposition computed here, and every matrix
 function f(S) = V f(L) V^T is formed from it by one private helper,
-_spectral_map. The solver uses
-round-robin pair scheduling so each sweep applies disjoint plane rotations
-in vectorized batches; disjoint rotations commute, so batching preserves
-the exact pivot-zeroing property of classical cyclic Jacobi.
+_spectral_map. Callers that read eigenvalues only (closeness, the spectral
+norm) take them from _sym_eigenvalues: the same sweeps, bitwise the same
+values, without accumulating the eigenvectors. The solver uses a
+round-robin pair schedule, built once per order, so each sweep applies
+disjoint plane rotations in vectorized batches; disjoint rotations commute,
+so batching preserves the exact pivot-zeroing property of classical cyclic
+Jacobi.
 
 Also defines the plain-text matrix file format used across the package:
 line one holds "rows cols", each following line one matrix row, entries
@@ -17,6 +20,7 @@ matches the header.
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 from dataclasses import dataclass
@@ -138,22 +142,21 @@ def frobenius(m) -> float:
     return math.sqrt(float((a * a).sum()))
 
 
-def _rotation_rounds(n: int):
-    """Round-robin schedule: n-1 rounds of disjoint index pairs covering
-    every unordered pair exactly once (odd n padded with a skipped bye)."""
+@functools.cache
+def _rotation_rounds(n: int) -> np.ndarray:
+    """Round-robin schedule: n-1 rounds (rows p, q; p < q) of disjoint index
+    pairs covering every unordered pair exactly once (odd n padded with a
+    skipped bye). Cached and read-only: solves of order n share one copy."""
     m = n if n % 2 == 0 else n + 1
     idx = list(range(m))
     rounds = []
     for _ in range(m - 1):
-        ps, qs = [], []
-        for i in range(m // 2):
-            a, b = idx[i], idx[m - 1 - i]
-            if a < n and b < n:
-                ps.append(min(a, b))
-                qs.append(max(a, b))
-        rounds.append((np.array(ps, dtype=np.intp), np.array(qs, dtype=np.intp)))
+        pairs = [sorted((idx[i], idx[m - 1 - i])) for i in range(m // 2)]
+        rounds.append(np.array([pq for pq in pairs if pq[1] < n], dtype=np.intp).T)
         idx = [idx[0], idx[-1]] + idx[1:-1]
-    return rounds
+    schedule = np.ascontiguousarray(rounds)
+    schedule.flags.writeable = False
+    return schedule
 
 
 def _off_diagonal_norm(a: np.ndarray) -> float:
@@ -162,22 +165,21 @@ def _off_diagonal_norm(a: np.ndarray) -> float:
     return math.sqrt(float((b * b).sum()))
 
 
-def sym_eigen(s) -> EigenPair:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi sweeps.
-
+def _jacobi(s, vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """The cyclic Jacobi solver of sym_eigen and _sym_eigenvalues: (the
+    eigenvalues of s in sweep order, their rotations Q or None unless
+    `vectors`). No rotation reads Q, so both routes get the same values.
     Converged when the off-diagonal Frobenius norm drops to 1e-12 times the
-    input Frobenius norm; raises ConvergenceError if 50 sweeps do not get
-    there. Deterministic for identical input. The sweeps run on s / 2^e
-    (see _pow2_scaled), exactly as on s, so no norm overflows.
-    """
+    input Frobenius norm, else ConvergenceError after 50 sweeps. The sweeps
+    run on s / 2^e (see _pow2_scaled), exactly as on s, so no norm overflows."""
     a, e = _pow2_scaled(check_symmetric(s))
     n = a.shape[0]
-    q = np.eye(n)
+    q = np.eye(n) if vectors else None
     if n == 1:
-        return EigenPair(values=np.ldexp(a[0], e), vectors=q)
+        return np.ldexp(a[0], e), q
     norm_s = frobenius(a)
     if norm_s == 0.0:
-        return EigenPair(values=np.zeros(n), vectors=q)
+        return np.zeros(n), q
     stop = JACOBI_TOL * norm_s
     # if every pivot in a sweep is at or below this, the off norm is below stop
     skip = stop / math.sqrt(n * (n - 1))
@@ -211,10 +213,9 @@ def sym_eigen(s) -> EigenPair:
             cq = a[:, q_idx]
             a[:, p_idx] = cp * c - cq * sn
             a[:, q_idx] = cp * sn + cq * c
-            vp = q[:, p_idx]
-            vq = q[:, q_idx]
-            q[:, p_idx] = vp * c - vq * sn
-            q[:, q_idx] = vp * sn + vq * c
+            if q is not None:
+                vp, vq = q[:, p_idx], q[:, q_idx]
+                q[:, p_idx], q[:, q_idx] = vp * c - vq * sn, vp * sn + vq * c
         if not rotated:
             converged = True
             break
@@ -226,12 +227,25 @@ def sym_eigen(s) -> EigenPair:
         values = np.ldexp(np.diag(a), e)
     if not np.isfinite(values).all():
         raise ValidationError("an eigenvalue of the matrix overflows a float")
+    return values, q
+
+
+def sym_eigen(s) -> EigenPair:
+    """Eigendecomposition of a symmetric matrix by cyclic Jacobi sweeps (see
+    _jacobi for convergence and ConvergenceError); deterministic."""
+    values, q = _jacobi(s, vectors=True)
     order = np.argsort(values, kind="stable")
-    values = values[order]
-    q = q[:, order]
-    flip = q[np.abs(q).argmax(axis=0), np.arange(n)] < 0.0
+    values, q = values[order], q[:, order]
+    flip = q[np.abs(q).argmax(axis=0), np.arange(q.shape[0])] < 0.0
     q[:, flip] = -q[:, flip]
     return EigenPair(values=values, vectors=q)
+
+
+def _sym_eigenvalues(s) -> np.ndarray:
+    """sym_eigen(s).values, bitwise, from the same sweeps without the
+    eigenvector updates, the column permutation or the sign fix (a stable
+    sort, as sym_eigen's, keeps the order of equal values such as -0, +0)."""
+    return np.sort(_jacobi(s, vectors=False)[0], kind="stable")
 
 
 def _spectral_map(pair: EigenPair, mapped) -> np.ndarray:
@@ -286,8 +300,7 @@ def householder_from_vector(u) -> np.ndarray:
 
 def spectral_norm_symmetric(s) -> float:
     """Largest eigenvalue magnitude of a symmetric matrix."""
-    pair = sym_eigen(s)
-    return float(np.abs(pair.values).max())
+    return float(np.abs(_sym_eigenvalues(s)).max())
 
 
 # ---------------------------------------------------------------------------

@@ -70,12 +70,9 @@ class SplitMix64:
     def uniform(self) -> float:
         return (self.next_u64() >> 11) * 2.0 ** -53
 
-    def uniform_signed(self) -> float:
-        return 2.0 * self.uniform() - 1.0
-
     def uniform_signed_array(self, count: int) -> np.ndarray:
         """Vectorized batch of uniform draws in [-1, 1); advances the state
-        exactly as `count` (an integer >= 0) scalar calls would."""
+        exactly as `count` (an integer >= 0) uniform() calls would."""
         count = _check_count(count, "count", 0)
         with np.errstate(over="ignore"):
             steps = np.arange(1, count + 1, dtype=np.uint64)

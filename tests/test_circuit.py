@@ -358,6 +358,27 @@ def test_apply_rejects_nan_result():
         apply_circuit(circ, state)
 
 
+@pytest.mark.parametrize("apply", [
+    pytest.param(lambda c, s, out: apply_circuit(c, s, out=out), id="forward"),
+    pytest.param(lambda c, s, out: apply_circuit(c, s, inverse=True, out=out), id="inverse"),
+    pytest.param(lambda c, s, out: apply_image_reflection(c, s, out=out),
+                 id="image-reflection"),
+])
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: build_row_encoding(np.eye(4)), id="row"),
+    pytest.param(lambda: build_lcu_encoding([np.eye(4), -np.eye(4)], [0.6, 0.8]), id="lcu"),
+])
+def test_refused_apply_leaves_its_input_untouched(apply, build):
+    # the guard runs after the layer wrote into out, so out holds no usable
+    # state; s, a different state, is bitwise what it was
+    circ = build()
+    s = StateVector(np.full((circ.m_dim, circ.n_dim), 1e308))
+    kept = s.grid.tobytes()
+    with pytest.raises(NumericalError, match="preserve the norm"):
+        apply(circ, s, StateVector(np.zeros_like(s.grid)))
+    assert s.grid.tobytes() == kept
+
+
 def test_encode_matches_inline_recipe():
     # the normalize -> embed -> row-encode -> input/target steps written out
     a = random_symmetric(4, SplitMix64(61))

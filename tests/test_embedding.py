@@ -200,32 +200,32 @@ def test_closeness_routes_agree_on_embeddings():
 
 
 @pytest.fixture
-def sym_eigen_calls(monkeypatch):
-    """The list of matrices sym_eigen is called on from here on."""
+def jacobi_calls(monkeypatch):
+    """The `vectors` flag of each eigendecomposition from here on, counted
+    at the one Jacobi solver behind sym_eigen and the eigenvalue-only route."""
     calls = []
-    real = oaasim.linalg.sym_eigen
+    real = oaasim.linalg._jacobi
 
-    def counting(s):
-        calls.append(s)
-        return real(s)
+    def counting(s, vectors):
+        calls.append(vectors)
+        return real(s, vectors)
 
-    # both bindings, so eigendecompositions reached through linalg count too
-    monkeypatch.setattr(oaasim.embedding, "sym_eigen", counting, raising=False)
-    monkeypatch.setattr(oaasim.linalg, "sym_eigen", counting)
+    monkeypatch.setattr(oaasim.linalg, "_jacobi", counting)
     return calls
 
 
-def test_closeness_makes_one_eigendecomposition(sym_eigen_calls):
+def test_closeness_makes_one_eigendecomposition(jacobi_calls):
     closeness(seeded_estimated_embedding(8, 5).u)
-    assert len(sym_eigen_calls) == 1
+    assert len(jacobi_calls) == 1
+    assert jacobi_calls[0] is False  # eigenvalues only, no eigenvectors built
 
 
-def test_exact_embedding_makes_one_eigendecomposition(sym_eigen_calls):
+def test_exact_embedding_makes_one_eigendecomposition(jacobi_calls):
     a = random_symmetric(6, SplitMix64(7))
     contraction = a / spectral_norm_symmetric(a)
-    sym_eigen_calls.clear()
+    jacobi_calls.clear()
     build_exact_embedding(contraction)
-    assert len(sym_eigen_calls) == 1
+    assert len(jacobi_calls) == 1
 
 
 def test_closeness_rejects_degenerate_spectrum():

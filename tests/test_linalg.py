@@ -25,7 +25,13 @@ from oaasim import (
     sym_eigen,
     write_matrix,
 )
-from oaasim.linalg import _check_count, _read_vector, as_square_array, check_symmetric
+from oaasim.linalg import (
+    _check_count,
+    _read_vector,
+    _sym_eigenvalues,
+    as_square_array,
+    check_symmetric,
+)
 
 
 def two_by_two_eigenvalues(a, b, d):
@@ -53,7 +59,7 @@ def test_eigen_diagonal_passthrough():
 def test_eigen_two_by_two_closed_form():
     rng = SplitMix64(11)
     for _ in range(50):
-        a, b, d = (rng.uniform_signed() for _ in range(3))
+        a, b, d = (2.0 * rng.uniform() - 1.0 for _ in range(3))
         m = np.array([[a, b], [b, d]])
         lo, hi = two_by_two_eigenvalues(a, b, d)
         pair = sym_eigen(m)
@@ -124,6 +130,32 @@ def test_eigen_refuses_an_overflowing_eigenvalue():
     # the eigenvalue 4e308 of this finite matrix overflowed with a RuntimeWarning
     with pytest.raises(ValidationError, match="eigenvalue of the matrix overflows"):
         sym_eigen(np.full((4, 4), 1e308))
+
+
+def test_eigenvalue_route_is_bitwise_the_full_route():
+    # _sym_eigenvalues runs the sweeps of sym_eigen without the eigenvectors
+    cases = [random_symmetric(n, SplitMix64(60 + n)) for n in (1, 2, 3, 16, 33, 128)]
+    base = random_symmetric(8, SplitMix64(17))
+    cases += [np.zeros((5, 5)), np.diag([3.0, -1.0, 0.0, 2.0, -1.0]),
+              householder_from_vector(np.full(9, 1.0 / 3.0)),  # eigenvalues -1, +1 x 8
+              np.ldexp(base, 660), np.ldexp(base, -660)]
+    for s in cases:
+        assert np.array_equal(_sym_eigenvalues(s), sym_eigen(s).values)
+
+
+@pytest.mark.parametrize("bad, error", [
+    (np.array([[0.0, 1.0], [0.0, 0.0]]), SymmetryError),
+    (np.array([[1.0, np.nan], [np.nan, 0.5]]), ValidationError),
+    (np.array([[np.inf, 0.0], [0.0, 1.0]]), ValidationError),
+    (np.full((4, 4), 1e308), ValidationError),
+])
+def test_eigenvalue_route_refuses_what_the_full_route_refuses(bad, error):
+    raised = []
+    for route in (sym_eigen, _sym_eigenvalues):
+        with pytest.raises(error) as info:
+            route(bad)
+        raised.append((type(info.value), str(info.value)))
+    assert raised[0] == raised[1]
 
 
 def test_polar_hand_cases():

@@ -31,7 +31,7 @@ def test_mix64_matches_pure_python_recurrence():
 def test_vectorized_batch_equals_scalar_sequence():
     scalar = SplitMix64(987654321)
     batch = SplitMix64(987654321)
-    expected = np.array([scalar.uniform_signed() for _ in range(257)])
+    expected = np.array([2.0 * scalar.uniform() - 1.0 for _ in range(257)])
     got = batch.uniform_signed_array(257)
     assert np.array_equal(expected, got)
     # both generators continue identically after the batch

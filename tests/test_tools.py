@@ -13,7 +13,7 @@ def test_seeded_outputs_are_complete_and_repeatable(tmp_path, child_env):
         subprocess.run([sys.executable, str(SCRIPT), str(tmp_path / name)], env=child_env(1),
                        check=True, capture_output=True, timeout=300)
     calls = sorted(p for p in (tmp_path / "a").iterdir() if p.name != "inputs")
-    assert len(calls) == 23
+    assert len(calls) == 24
     for call in calls:
         assert {"exit", "stdout", "stderr"} <= {p.name for p in call.iterdir()}
         want = "2\n" if call.name.endswith("embed-exact-refused") else "0\n"

@@ -57,6 +57,8 @@ CALLS = [
                      "--trunc", "3", "--input", "../inputs/v4.txt", "--out", "."]),
     ("matfunc-cos", ["matfunc", "--fn", "cos", "--matrix", "../inputs/small4.txt",
                      "--trunc", "2", "--out", "."]),
+    # embedded order 128: the largest closeness of the acceptance ensemble
+    ("embed-estimated-64", ["embed", "--matrix", "../inputs/a64.txt", "--out", "u.txt"]),
 ]
 
 
@@ -85,6 +87,7 @@ def write_inputs(inputs: Path) -> None:
     _write(inputs / "w1.txt", sym(4))
     _write(inputs / "v4.txt", rng.uniform(-1.0, 1.0, 4))
     _write(inputs / "small4.txt", 0.25 * sym(4))
+    _write(inputs / "a64.txt", sym(64))  # drawn last: earlier inputs keep their values
 
 
 def run_call(workdir: Path, argv: list) -> None:
