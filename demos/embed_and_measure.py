@@ -12,12 +12,9 @@ unit rows, but not orthogonal in general; the closeness report quantifies
 the gap and predicts the fidelity the amplified circuit can reach.
 """
 
-import numpy as np
-
 from oaasim import (
     SplitMix64,
     build_estimated_embedding,
-    build_exact_embedding,
     closeness,
     mu_normalize,
     polar_symmetric,
@@ -44,18 +41,3 @@ via_polar = (spectral_norm_symmetric(emb.u - u_tilde) ** 2
              / spectral_norm_symmetric(emb.u) ** 2)
 print(f"  c2 via the polar route = {via_polar:.6f} "
       f"(gap {abs(report.c2 - via_polar):.2e})")
-
-# the exact square-root extension is orthogonal, but only exists when the
-# scaled matrix is a contraction in the spectral norm
-radius = float(np.max(np.abs(np.linalg.eigvalsh(normalized))))
-print(f"spectral radius of the scaled matrix: {radius:.4f}")
-if radius <= 1.0:
-    exact = build_exact_embedding(normalized, mu)
-    gap = float(np.max(np.abs(exact.u.T @ exact.u - np.eye(exact.order))))
-    print(f"exact embedding exists; orthogonality gap {gap:.2e}")
-else:
-    shrunk = normalized / radius
-    exact = build_exact_embedding(shrunk, mu * radius)
-    gap = float(np.max(np.abs(exact.u.T @ exact.u - np.eye(exact.order))))
-    print("scaled matrix is not a contraction; shrinking it by the spectral")
-    print(f"radius makes the exact embedding orthogonal (gap {gap:.2e})")

@@ -51,7 +51,7 @@ print("  stage   probability   fidelity     mu")
 for rec in records:
     print(f"  {rec.stage:5d}   {rec.probability:.9f}   {rec.fidelity:.6f}   "
           f"{rec.mu_scale:.6f}")
-reference = np.concatenate([plan.target_oracle @ vec, np.zeros(4)])
+reference = np.concatenate([oracle @ vec, np.zeros(4)])
 print(f"  final fidelity against exp(A) @ in: "
       f"{fidelity(collapsed, reference):.4f}")
 print(f"  product of stage scales: "

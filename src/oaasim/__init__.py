@@ -36,7 +36,6 @@ from .embedding import (
     ClosenessReport,
     Embedding,
     build_estimated_embedding,
-    build_exact_embedding,
     closeness,
     mu_normalize,
 )
@@ -48,7 +47,6 @@ from .errors import (
     PolarDegenerateError,
     RowNormError,
     SimulatorError,
-    SpectralRadiusError,
     SymmetryError,
     UnitNormError,
     ValidationError,

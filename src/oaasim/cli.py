@@ -25,16 +25,13 @@ import numpy as np
 
 from .amplification import VARIANTS, iteration_count, oblivious_aa
 from .circuit import encode
-from .embedding import (
-    build_estimated_embedding,
-    build_exact_embedding,
-    closeness,
-    mu_normalize,
-)
+from .embedding import build_estimated_embedding, closeness, mu_normalize
 from .errors import NumericalError, ValidationError
 from .experiments import ExperimentConfig, csv_lines, emit_outputs, run_ensemble, run_trace
-from .linalg import _pow2_scaled, _read_vector, _unit_vector, read_matrix, write_matrix
+from .linalg import _read_vector, _unit_vector, read_matrix, write_matrix
 from .matfunc import (
+    _function_reference,
+    _product_reference,
     chained_product_circuit,
     cos_product_factors,
     custom_product_plan,
@@ -62,11 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("embed", help="embed a symmetric matrix and report closeness")
     p.add_argument("--matrix", required=True, help="matrix file to embed")
-    p.add_argument(
-        "--exact",
-        action="store_true",
-        help="use the exact square-root off-diagonal blocks",
-    )
     p.add_argument("--out", default="embedded_u.txt", help="output file for the operator")
 
     p = sub.add_parser("amplify", help="amplify one matrix applied to one input")
@@ -118,8 +110,7 @@ def _load_unit_vector(path_or_none, order: int) -> np.ndarray:
 def _cmd_embed(args) -> int:
     a = read_matrix(args.matrix)
     normalized, mu = mu_normalize(a)
-    builder = build_exact_embedding if args.exact else build_estimated_embedding
-    emb = builder(normalized, mu)
+    emb = build_estimated_embedding(normalized, mu)
     report = closeness(emb.u)
     write_matrix(args.out, emb.u)
     print(f"mu={mu!r}")
@@ -174,7 +165,7 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
-def _run_plan(plan, args) -> int:
+def _run_plan(plan, args, reference) -> int:
     order = plan.factors[0].shape[0]
     vec = _load_unit_vector(args.input, order)
     if vec.size != order:
@@ -182,8 +173,8 @@ def _run_plan(plan, args) -> int:
             f"input length {vec.size} does not match the factor order {order}"
         )
     collapsed, records = chained_product_circuit(plan, vec, args.variant)
-    embedded_ref = np.zeros(2 * order)  # fidelity is scale-free: scale so nothing overflows
-    embedded_ref[:order] = _pow2_scaled(plan.target_oracle)[0] @ vec
+    embedded_ref = np.zeros(2 * order)
+    embedded_ref[:order] = reference(vec)  # up to a positive scale, which fidelity ignores
     final_fid = fidelity(collapsed, embedded_ref)
     lines = csv_lines([asdict(r) for r in records])
     if args.out is None:
@@ -204,7 +195,7 @@ def _run_plan(plan, args) -> int:
 def _cmd_product(args) -> int:
     factors = [read_matrix(path) for path in args.factors]
     plan = custom_product_plan(factors)
-    return _run_plan(plan, args)
+    return _run_plan(plan, args, lambda vec: _product_reference(plan.factors, vec))
 
 
 def _cmd_matfunc(args) -> int:
@@ -213,7 +204,7 @@ def _cmd_matfunc(args) -> int:
         plan = exp_product_factors(a, args.trunc)
     else:
         plan = cos_product_factors(a, args.trunc)
-    return _run_plan(plan, args)
+    return _run_plan(plan, args, lambda vec: _function_reference(a, args.fn, vec))
 
 
 _DISPATCH = {

@@ -1,11 +1,8 @@
-"""Block embeddings of symmetric matrices into larger operators.
+"""Block embedding of a symmetric matrix into a larger operator.
 
-Two constructions share the layout U = [[A', D], [D, -A']]: the estimated
-embedding fills D with the per-row defect sqrt(1 - row_norm^2), making every
-row of U exactly unit norm (U is then almost orthogonal); the exact
-embedding uses the matrix square root sqrt(I - A'^2) instead, read off
-one eigendecomposition of A', making U exactly orthogonal whenever the
-spectral norm of A' is at most 1.
+The estimated embedding has the layout U = [[A', D], [D, -A']] with D
+the diagonal per-row defect sqrt(1 - row_norm^2), which makes every row
+of U exactly unit norm: U is almost orthogonal.
 
 Closeness of an almost-orthogonal U to its nearest orthogonal matrix is
 read off the spectrum of U alone: c2 and cF are squared relative
@@ -25,7 +22,6 @@ import numpy as np
 from .errors import (
     PolarDegenerateError,
     RowNormError,
-    SpectralRadiusError,
     ValidationError,
     ZeroMatrixError,
 )
@@ -33,14 +29,11 @@ from .linalg import (
     POLAR_EIGENVALUE_FLOOR,
     _float_array,
     _pow2_scaled,
-    _spectral_map,
     _sym_eigenvalues,
     check_symmetric,
-    sym_eigen,
 )
 
 ROW_NORM_CLAMP = 1e-12
-SPECTRAL_SLACK = 1e-10
 
 
 @dataclass(frozen=True)
@@ -110,39 +103,14 @@ def build_estimated_embedding(a_normalized, mu: float = 1.0) -> Embedding:
         raise RowNormError(
             f"row norm {math.sqrt(row2.max()):.15g} exceeds 1; normalize first"
         )
-    u = _assemble(ap, np.diag(np.sqrt(np.clip(1.0 - row2, 0.0, None))))
-    return Embedding(mu=mu, u=u)
-
-
-def build_exact_embedding(a_normalized, mu: float = 1.0) -> Embedding:
-    """Embed with the matrix square root block, giving an exactly orthogonal U.
-
-    One sym_eigen(A') = V diag(L) V^T gives both the spectral norm max|L|
-    and the off block V sqrt(1 - L^2) V^T. A spectral norm above 1 + 1e-10
-    is refused (I - A'^2 would be indefinite); inside that slack 1 - L^2 is
-    clamped at zero. Row normalization alone does not bound the spectral
-    norm: for symmetric A' it is at least the largest row norm.
-    """
-    ap = check_symmetric(a_normalized, "a_normalized")
-    pair = sym_eigen(ap)
-    rho = float(np.abs(pair.values).max())
-    if rho > 1.0 + SPECTRAL_SLACK:
-        raise SpectralRadiusError(
-            f"spectral norm {rho:.15g} exceeds 1; exact extension undefined"
-        )
-    lam = pair.values
-    off = _spectral_map(pair, np.sqrt(np.clip((1.0 - lam) * (1.0 + lam), 0.0, None)))
-    return Embedding(mu=mu, u=_assemble(ap, off))
-
-
-def _assemble(ap: np.ndarray, off: np.ndarray) -> np.ndarray:
     d = ap.shape[0]
+    off = np.diag(np.sqrt(np.clip(1.0 - row2, 0.0, None)))
     u = np.zeros((2 * d, 2 * d))
     u[:d, :d] = ap
     u[:d, d:] = off
     u[d:, :d] = off
     u[d:, d:] = -ap
-    return u
+    return Embedding(mu=mu, u=u)
 
 
 def closeness(u) -> ClosenessReport:

@@ -2,9 +2,8 @@
 
 ValidationError covers malformed inputs (wrong shapes, broken preconditions
 the caller can fix); NumericalError covers failures discovered during the
-computation itself (a spectral norm too large for the exact embedding,
-degenerate decompositions, unconverged sweeps, lost amplitude mass). The
-command line maps them to exit codes 1 and 2.
+computation itself (degenerate decompositions, unconverged sweeps, lost
+amplitude mass). The command line maps them to exit codes 1 and 2.
 """
 
 
@@ -42,10 +41,6 @@ class ZeroMatrixError(ValidationError):
 
 class PolarDegenerateError(NumericalError):
     """Eigenvalue too close to zero to fix the polar sign."""
-
-
-class SpectralRadiusError(NumericalError):
-    """Spectral norm exceeds the bound required for the exact extension."""
 
 
 class ConvergenceError(NumericalError):

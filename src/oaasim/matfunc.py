@@ -11,6 +11,10 @@ provided:
 * cos(pi A) as the truncation of the even product
   prod_{j=0}^{J-1} (I - 2A/(2j+1)) (I + 2A/(2j+1)),
   whose j = 0 pair makes the product vanish exactly at A = I/2.
+
+A plan holds only its factors. A chain is checked against a classical
+vector, exact up to a positive scale, that never forms the product or
+f(A), so it neither overflows nor underflows.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from .errors import DimensionError, ValidationError
 from .linalg import (
     _check_count,
     _float_array,
+    _pow2_scaled,
     _spectral_map,
     _unit_vector,
     check_symmetric,
@@ -35,11 +40,9 @@ from .linalg import (
 
 @dataclass(frozen=True)
 class ProductPlan:
-    """Ordered factors of a matrix product and the classically computed
-    reference operator they approximate."""
+    """Ordered factors of a matrix product, in application order."""
 
     factors: tuple
-    target_oracle: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -62,23 +65,39 @@ def _check_factor(w: np.ndarray, order: int | None) -> int:
     return w.shape[0]
 
 
-def product_of_factors(factors: Sequence[np.ndarray]) -> np.ndarray:
-    """Classical product of the factors in application order: the first
-    factor in the list acts on the input first. A product that overflows
-    a float is refused."""
-    factors = [_float_array(w, "factor") for w in factors]
+def _checked_factors(factors: Sequence[np.ndarray]) -> tuple:
+    """The factors as float arrays, refused unless there is at least one
+    and all are symmetric of one order."""
+    factors = tuple(_float_array(w, "factor") for w in factors)
     if not factors:
         raise ValidationError("product needs at least one factor")
     order = None
     for w in factors:
         order = _check_factor(w, order)
-    out = np.eye(order)
+    return factors
+
+
+def product_of_factors(factors: Sequence[np.ndarray]) -> np.ndarray:
+    """Classical product of the factors in application order: the first
+    factor in the list acts on the input first. A product that overflows
+    a float is refused."""
+    factors = _checked_factors(factors)
+    out = np.eye(factors[0].shape[0])
     with np.errstate(over="ignore", invalid="ignore"):
         for w in factors:
             out = w @ out
     if not np.isfinite(out).all():
         raise ValidationError("the product of the factors overflows a float")
     return out
+
+
+def _product_reference(factors: Sequence[np.ndarray], vec: np.ndarray) -> np.ndarray:
+    """product_of_factors(factors) @ vec up to a positive power of two: the
+    factors act on vec in turn, each result rescaled by _pow2_scaled, so
+    no product of any scale overflows or underflows to zero."""
+    for w in factors:
+        vec = _pow2_scaled(w @ vec)[0]
+    return vec
 
 
 def matrix_function_oracle(a: np.ndarray, function: str) -> np.ndarray:
@@ -99,15 +118,28 @@ def matrix_function_oracle(a: np.ndarray, function: str) -> np.ndarray:
     return _spectral_map(pair, mapped)
 
 
+def _function_reference(a: np.ndarray, function: str, vec: np.ndarray) -> np.ndarray:
+    """matrix_function_oracle(a, function) @ vec up to a positive scale, as
+    V (f(L) * c) with c = V^T vec from one sym_eigen(a). exp weighs by
+    exp(min(L - m, 0)), m the largest eigenvalue with c_j != 0: the
+    eigenvalues that carry vec have weights in (0, 1], the top one exactly 1."""
+    pair = sym_eigen(a)
+    c = pair.vectors.T @ vec
+    if function == "exp":
+        top = pair.values[c != 0.0].max()
+        with np.errstate(over="ignore"):  # a gap beyond the float range weighs exp(-inf) = 0
+            mapped = np.exp(np.minimum(pair.values - top, 0.0))
+    else:
+        mapped = np.cos(np.pi * pair.values)
+    return pair.vectors @ (mapped * c)
+
+
 def exp_product_factors(a: np.ndarray, truncation: int) -> ProductPlan:
     """Plan for exp(A) ~ (I + A/k)^k with k = truncation."""
     a = check_symmetric(a)
     truncation = _check_count(truncation, "exp truncation", 1)
     w = np.eye(a.shape[0]) + a / float(truncation)
-    return ProductPlan(
-        factors=tuple([w] * truncation),
-        target_oracle=matrix_function_oracle(a, "exp"),
-    )
+    return ProductPlan(factors=tuple([w] * truncation))
 
 
 def cos_product_factors(a: np.ndarray, truncation: int) -> ProductPlan:
@@ -122,20 +154,13 @@ def cos_product_factors(a: np.ndarray, truncation: int) -> ProductPlan:
         scale = 2.0 / (2.0 * j + 1.0)
         factors.append(eye - scale * a)
         factors.append(eye + scale * a)
-    return ProductPlan(
-        factors=tuple(factors),
-        target_oracle=matrix_function_oracle(a, "cos"),
-    )
+    return ProductPlan(factors=tuple(factors))
 
 
 def custom_product_plan(factors: Sequence[np.ndarray]) -> ProductPlan:
-    """Plan for an explicit factor list; the reference operator is the
-    classical product."""
-    factors = tuple(_float_array(w, "factor") for w in factors)
-    return ProductPlan(
-        factors=factors,
-        target_oracle=product_of_factors(factors),
-    )
+    """Plan for an explicit factor list, refused as product_of_factors
+    refuses it."""
+    return ProductPlan(factors=_checked_factors(factors))
 
 
 def chained_product_circuit(

@@ -99,13 +99,15 @@ def test_experiment_rejects_seed_outside_64_bits(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_embed_exact_outside_radius_is_numerical_failure(tmp_path, capsys):
+def test_embed_exact_is_an_argument_error(tmp_path, capsys):
+    # the exact square-root embedding is gone; --exact ran it
     path = tmp_path / "ones.txt"
     write_matrix(path, np.ones((4, 4)))
-    code = main(["embed", "--matrix", str(path), "--exact", "--out", str(tmp_path / "u.txt")])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert "numerical error:" in captured.err
+    with pytest.raises(SystemExit) as exc:
+        main(["embed", "--matrix", str(path), "--exact", "--out", str(tmp_path / "u.txt")])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --exact" in capsys.readouterr().err
+    assert not (tmp_path / "u.txt").exists()
 
 
 def test_amplify_stdout_trace(matrix_file, input_file, capsys):
@@ -401,12 +403,32 @@ def test_product_reference_near_overflow(tmp_path, capsys):
     assert 0.0 < fid <= 1.0
 
 
-def test_matfunc_exp_refuses_an_overflowing_eigenvalue(tmp_path, capsys):
-    # diag(800, 1) overflowed np.exp and ended in a non-finite fidelity
+@pytest.mark.parametrize("command, diagonal, vec", [
+    # exp(A) underflowed to the zero matrix: "fidelity of a zero vector"
+    ("matfunc", [-1000.0, -2000.0], None),
+    # refused as "exp overflows: eigenvalue 800.0 is above 709"
+    ("matfunc", [800.0, 1.0], None),
+    # exp(A) e1 = exp(-1000) e1 underflows; the top eigenvalue 0 does not carry e1
+    ("matfunc", [0.0, -1000.0], [0.0, 1.0]),
+    # the product underflowed to zero, or was refused as overflowing a float
+    ("product", [1e-200, 2e-200], None),
+    ("product", [1e200, 1.0], None),
+], ids=["exp-diag-neg", "exp-diag-big", "exp-diag-zero-neg", "product-diag-tiny",
+        "product-diag-huge"])
+def test_chain_reference_of_any_scale(tmp_path, capsys, command, diagonal, vec):
+    # the chain runs at any scale, and so does its classical reference now
     path = tmp_path / "a.txt"
-    write_matrix(path, np.diag([800.0, 1.0]))
-    assert main(["matfunc", "--fn", "exp", "--matrix", str(path), "--trunc", "2"]) == 1
-    assert "exp overflows: eigenvalue 800.0 is above 709" in capsys.readouterr().err
+    write_matrix(path, np.diag(diagonal))
+    if command == "matfunc":
+        argv = ["matfunc", "--fn", "exp", "--matrix", str(path), "--trunc", "4"]
+    else:
+        argv = ["product", "--factors", str(path), str(path)]
+    if vec is not None:
+        write_matrix(tmp_path / "v.txt", np.array(vec))
+        argv += ["--input", str(tmp_path / "v.txt")]
+    assert main(argv + ["--variant", "adjoint"]) == 0
+    fid = float(capsys.readouterr().out.split("final_fidelity_vs_oracle=")[1])
+    assert fid == pytest.approx(1.0, abs=1e-12)
 
 
 @st.composite
@@ -460,8 +482,7 @@ def cli_calls(draw):
     out = ["--out", "{out}/result"] if draw(st.booleans()) else []
     vec = ["--input", "{v}"] if draw(st.booleans()) else []
     if command == "embed":
-        return ["embed", "--matrix", "{a}", "--out", "{out}/u.txt"] + (
-            ["--exact"] if draw(st.booleans()) else [])
+        return ["embed", "--matrix", "{a}", "--out", "{out}/u.txt"]
     if command == "amplify":
         k = ["--k", str(draw(st.integers(-1, 20)))] if draw(st.booleans()) else []
         return ["amplify", "--matrix", "{a}", "--input", "{v}"] + k + variant + fidelity + out

@@ -12,18 +12,15 @@ import oaasim.linalg
 from oaasim import (
     PolarDegenerateError,
     RowNormError,
-    SpectralRadiusError,
     SplitMix64,
     SymmetryError,
     ValidationError,
     ZeroMatrixError,
     build_estimated_embedding,
-    build_exact_embedding,
     closeness,
     householder_from_vector,
     mu_normalize,
     polar_symmetric,
-    random_input,
     random_symmetric,
     spectral_norm_symmetric,
 )
@@ -120,7 +117,7 @@ def test_estimated_embedding_rejects_large_rows():
         build_estimated_embedding(np.full((2, 2), 1e200))
 
 
-@pytest.mark.parametrize("builder", [build_estimated_embedding, build_exact_embedding])
+@pytest.mark.parametrize("builder", [build_estimated_embedding])
 @pytest.mark.parametrize("mu", [math.nan, -1.0, 0.0, math.inf, "x", np.ones(1)])
 def test_embeddings_refuse_a_bad_mu(builder, mu):
     # nan, -1.0 and inf were stored as the Embedding's mu; "x" escaped as ValueError
@@ -137,37 +134,8 @@ def test_estimated_embedding_refuses_text_mu():
 
 def test_embeddings_keep_a_valid_mu():
     for mu in (2.5, 3, np.float64(1e-300), np.int64(7)):
-        for builder in (build_estimated_embedding, build_exact_embedding):
-            emb = builder(0.5 * np.eye(2), mu)
-            assert type(emb.mu) is float and emb.mu == float(mu)
-
-
-def test_exact_embedding_orthogonal_within_radius():
-    ones = np.ones((4, 4))
-    normalized, mu = mu_normalize(ones)
-    # row-scaled all-ones has spectral radius 2 > 1
-    with pytest.raises(SpectralRadiusError):
-        build_exact_embedding(normalized, mu)
-    contraction = normalized / 2.0
-    emb = build_exact_embedding(contraction, 2.0 * mu)
-    u = emb.u
-    assert np.max(np.abs(u.T @ u - np.eye(8))) < 1e-9
-
-
-def test_exact_embedding_of_an_orthogonal_matrix_is_orthogonal_to_rounding():
-    # A' has every eigenvalue at +-1, so sqrt(1 - L^2) is pure rounding noise
-    q = householder_from_vector(random_input(33, SplitMix64(3)))
-    emb = build_exact_embedding(*mu_normalize(q))
-    assert np.max(np.abs(emb.u.T @ emb.u - np.eye(66))) <= 1e-12
-
-
-def test_exact_embedding_accepts_the_spectral_slack():
-    # inside the 1e-10 slack, 1 - rho^2 ~ -2 (rho - 1) is slightly negative
-    emb = build_exact_embedding(np.diag([1.0 + 7e-11, 0.5]))
-    assert np.max(np.abs(emb.u.T @ emb.u - np.eye(4))) <= 1e-9
-    assert emb.u[0, 2] == 0.0
-    with pytest.raises(SpectralRadiusError, match="exceeds 1"):
-        build_exact_embedding(np.diag([1.0 + 2e-10, 0.5]))
+        emb = build_estimated_embedding(0.5 * np.eye(2), mu)
+        assert type(emb.mu) is float and emb.mu == float(mu)
 
 
 def test_closeness_hand_case_scaled_identity():
@@ -218,14 +186,6 @@ def test_closeness_makes_one_eigendecomposition(jacobi_calls):
     closeness(seeded_estimated_embedding(8, 5).u)
     assert len(jacobi_calls) == 1
     assert jacobi_calls[0] is False  # eigenvalues only, no eigenvectors built
-
-
-def test_exact_embedding_makes_one_eigendecomposition(jacobi_calls):
-    a = random_symmetric(6, SplitMix64(7))
-    contraction = a / spectral_norm_symmetric(a)
-    jacobi_calls.clear()
-    build_exact_embedding(contraction)
-    assert len(jacobi_calls) == 1
 
 
 def test_closeness_rejects_degenerate_spectrum():

@@ -1,10 +1,13 @@
 """Product factorizations of matrix functions and chained-circuit applies."""
 
 import math
+import re
 from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oaasim import (
     DimensionError,
@@ -24,6 +27,7 @@ from oaasim import (
     spectral_norm_symmetric,
 )
 from oaasim.experiments import csv_lines
+from oaasim.matfunc import _function_reference, _product_reference
 
 
 def test_exp_factors_structure():
@@ -110,7 +114,32 @@ def test_product_that_overflows_is_refused():
 def test_custom_plan_oracle_is_the_product():
     factors = [random_symmetric(2, SplitMix64(s)) for s in (320, 321)]
     plan = custom_product_plan(factors)
-    assert np.array_equal(plan.target_oracle, product_of_factors(factors))
+    assert np.array_equal(product_of_factors(plan.factors), product_of_factors(factors))
+
+
+@pytest.mark.parametrize("factors", [
+    [], [np.eye(2), np.eye(3)], [np.eye(2), np.array([[0.0, 1.0], [0.5, 0.0]])],
+], ids=["empty", "mismatched", "non-symmetric"])
+def test_custom_plan_refuses_as_the_product_does(factors):
+    with pytest.raises(ValidationError) as want:
+        product_of_factors(factors)
+    with pytest.raises(type(want.value), match=re.escape(str(want.value))):
+        custom_product_plan(factors)
+
+
+@settings(max_examples=100)
+@given(st.integers(2, 16), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_vector_references_match_the_matrix_oracles(order, count, seed):
+    # on normal-range inputs the scale-free references point where the
+    # matrix oracles applied to the input point
+    a = random_symmetric(order, SplitMix64(seed))
+    vec = random_input(order, SplitMix64(seed + 1))
+    for function in ("exp", "cos"):
+        want = matrix_function_oracle(a, function) @ vec
+        assert 1.0 - fidelity(_function_reference(a, function, vec), want) <= 1e-14
+    factors = [random_symmetric(order, SplitMix64(seed + 2 + j)) for j in range(count)]
+    want = product_of_factors(factors) @ vec
+    assert 1.0 - fidelity(_product_reference(factors, vec), want) <= 1e-14
 
 
 def test_single_orthogonal_factor_chain_is_faithful():
@@ -149,7 +178,7 @@ def test_exp_chain_fidelity_stays_high():
         plan = exp_product_factors(a, 8)
         vec = random_input(4, SplitMix64(2000 + seed))
         collapsed, _ = chained_product_circuit(plan, vec, "adjoint")
-        reference = plan.target_oracle @ vec
+        reference = matrix_function_oracle(a, "exp") @ vec
         expect = np.concatenate([reference, np.zeros(4)])
         worst = min(worst, fidelity(collapsed, expect))
     assert worst >= 0.85
@@ -170,7 +199,7 @@ def test_chain_input_handling():
     for bad in ([np.inf, 1.0, 0.0, 0.0], [np.nan, 1.0, 0.0, 0.0]):
         with pytest.raises(ValidationError, match="non-finite"):
             chained_product_circuit(plan, np.array(bad), "adjoint")
-    empty = ProductPlan(factors=(), target_oracle=np.eye(4))
+    empty = ProductPlan(factors=())
     with pytest.raises(ValidationError, match="no factors"):
         chained_product_circuit(empty, padded, "adjoint")
 

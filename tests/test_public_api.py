@@ -50,8 +50,8 @@ from oaasim import (
 EXCLUDED = {
     # exception classes
     "ConvergenceError", "DimensionError", "NoGoodAmplitudeError", "NumericalError",
-    "PolarDegenerateError", "RowNormError", "SimulatorError", "SpectralRadiusError",
-    "SymmetryError", "UnitNormError", "ValidationError", "ZeroMatrixError",
+    "PolarDegenerateError", "RowNormError", "SimulatorError", "SymmetryError",
+    "UnitNormError", "ValidationError", "ZeroMatrixError",
     # record and container types
     "CircuitU", "ClosenessReport", "EigenPair", "Embedding", "EnsembleRecord",
     "IterationTrace", "ProductPlan", "StageRecord", "TraceRecord",
@@ -123,7 +123,7 @@ STATES = st.one_of(st.sampled_from([enc.state.grid for enc in ENCODED]), GRIDS).
 PLANS = st.one_of(
     st.sampled_from([exp_product_factors(SMALL, 1), cos_product_factors(SMALL, 1),
                      custom_product_plan([SMALL, -SMALL])]),
-    st.builds(ProductPlan, st.tuples(ARRAYS), st.just(np.eye(2))))
+    st.builds(ProductPlan, st.tuples(ARRAYS)))
 CONFIGS = st.builds(ExperimentConfig, dims=st.just((2,)), trials=st.just(1),
                     variant=st.sampled_from(oaasim.VARIANTS),
                     fidelity_mode=st.sampled_from(oaasim.FIDELITY_MODES),
@@ -190,8 +190,6 @@ TABLE = {
                                   out=st.one_of(st.none(), STATES)),
     "build_estimated_embedding": row(oaasim.build_estimated_embedding, ARRAYS,
                                      mu=st.one_of(ARRAYS, st.floats())),
-    "build_exact_embedding": row(oaasim.build_exact_embedding, ARRAYS,
-                                 mu=st.one_of(ARRAYS, st.floats())),
     "build_lcu_encoding": row(oaasim.build_lcu_encoding, st.lists(ARRAYS, max_size=3), ARRAYS),
     "build_row_encoding": row(oaasim.build_row_encoding, ARRAYS),
     "chained_product_circuit": row(oaasim.chained_product_circuit, PLANS, ARRAYS,

@@ -7,10 +7,12 @@ The package is imported from the `src` directory next to this script, so
 each checkout runs its own code. Input files are drawn from numpy's PCG64
 generator (stable across numpy versions) and written to OUTDIR/inputs
 without going through the package. Each call runs in process from its own
-directory OUTDIR/<nn>-<name>, with relative paths, so nothing printed
-depends on where OUTDIR is. That directory receives the files the call
-wrote plus `exit`, `stdout` and `stderr`. Run it with
-OPENBLAS_NUM_THREADS=1 for outputs independent of the BLAS thread count.
+directory OUTDIR/<name>, with relative paths, so nothing printed depends
+on where OUTDIR is; naming it by the call alone keeps the other calls
+aligned under `diff -r` when one is added or removed. That directory
+receives the files the call wrote plus `exit`, `stdout` and `stderr`. Run
+it with OPENBLAS_NUM_THREADS=1 for outputs independent of the BLAS thread
+count.
 """
 
 from __future__ import annotations
@@ -46,9 +48,6 @@ EXPERIMENTS = [
 ]
 CALLS = [
     ("embed-estimated", ["embed", "--matrix", "../inputs/a16.txt", "--out", "u.txt"]),
-    ("embed-exact-diagonal", ["embed", "--matrix", "../inputs/diag8.txt", "--exact", "--out", "u.txt"]),
-    ("embed-exact-orthogonal", ["embed", "--matrix", "../inputs/q33.txt", "--exact", "--out", "u.txt"]),
-    ("embed-exact-refused", ["embed", "--matrix", "../inputs/a16.txt", "--exact", "--out", "u.txt"]),
     *AMPLIFY,
     *EXPERIMENTS,
     ("product", ["product", "--factors", "../inputs/w0.txt", "../inputs/w1.txt",
@@ -59,6 +58,20 @@ CALLS = [
                      "--trunc", "2", "--out", "."]),
     # embedded order 128: the largest closeness of the acceptance ensemble
     ("embed-estimated-64", ["embed", "--matrix", "../inputs/a64.txt", "--out", "u.txt"]),
+    # chains whose classical result, as a matrix, overflows or underflows
+    ("matfunc-exp-diag-neg", ["matfunc", "--fn", "exp", "--matrix", "../inputs/diag-neg.txt",
+                              "--trunc", "4", "--variant", "adjoint", "--out", "."]),
+    ("matfunc-exp-diag-big", ["matfunc", "--fn", "exp", "--matrix", "../inputs/diag-big.txt",
+                              "--trunc", "4", "--variant", "adjoint", "--out", "."]),
+    # e1 lies in the eigenspace of -1000 alone: exp(-1000) e1 underflows
+    ("matfunc-exp-diag-zero-neg", ["matfunc", "--fn", "exp", "--matrix",
+                                   "../inputs/diag-zero-neg.txt", "--trunc", "4",
+                                   "--input", "../inputs/e1.txt", "--variant", "adjoint",
+                                   "--out", "."]),
+    ("product-diag-tiny", ["product", "--factors", "../inputs/diag-tiny.txt",
+                           "../inputs/diag-tiny.txt", "--variant", "adjoint", "--out", "."]),
+    ("product-diag-huge", ["product", "--factors", "../inputs/diag-huge.txt",
+                           "../inputs/diag-huge.txt", "--variant", "adjoint", "--out", "."]),
 ]
 
 
@@ -79,15 +92,17 @@ def write_inputs(inputs: Path) -> None:
 
     _write(inputs / "a16.txt", sym(16))
     _write(inputs / "v16.txt", rng.uniform(-1.0, 1.0, 16))
-    _write(inputs / "diag8.txt", np.diag(rng.uniform(-1.0, 1.0, 8)))
-    # a Householder reflector: orthogonal, every eigenvalue +-1
-    v = rng.uniform(-1.0, 1.0, 33)
-    _write(inputs / "q33.txt", np.eye(33) - 2.0 * np.outer(v, v) / (v @ v))
+    rng.uniform(-1.0, 1.0, 8 + 33)  # draws of two retired inputs: later inputs keep their values
     _write(inputs / "w0.txt", sym(4))
     _write(inputs / "w1.txt", sym(4))
     _write(inputs / "v4.txt", rng.uniform(-1.0, 1.0, 4))
     _write(inputs / "small4.txt", 0.25 * sym(4))
     _write(inputs / "a64.txt", sym(64))  # drawn last: earlier inputs keep their values
+    for name, diagonal in (("diag-neg", [-1000.0, -2000.0]), ("diag-big", [800.0, 1.0]),
+                           ("diag-zero-neg", [0.0, -1000.0]), ("diag-tiny", [1e-200, 2e-200]),
+                           ("diag-huge", [1e200, 1.0])):
+        _write(inputs / f"{name}.txt", np.diag(diagonal))
+    _write(inputs / "e1.txt", np.array([0.0, 1.0]))
 
 
 def run_call(workdir: Path, argv: list) -> None:
@@ -113,8 +128,8 @@ def run_all(outdir: Path) -> None:
     not exist yet."""
     outdir.mkdir(parents=True)
     write_inputs(outdir / "inputs")
-    for i, (name, argv) in enumerate(CALLS):
-        run_call(outdir / f"{i:02d}-{name}", argv)
+    for name, argv in CALLS:
+        run_call(outdir / name, argv)
 
 
 if __name__ == "__main__":
