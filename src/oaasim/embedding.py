@@ -27,9 +27,9 @@ from .errors import (
 )
 from .linalg import (
     POLAR_EIGENVALUE_FLOOR,
+    _abs_eigenvalues,
     _float_array,
     _pow2_scaled,
-    _sym_eigenvalues,
     check_symmetric,
 )
 
@@ -116,14 +116,14 @@ def build_estimated_embedding(a_normalized, mu: float = 1.0) -> Embedding:
 def closeness(u) -> ClosenessReport:
     """Measure how far a symmetric matrix is from its nearest orthogonal one.
 
-    Everything follows from the eigenvalues lambda alone, which
-    linalg._sym_eigenvalues takes without building the eigenvectors:
+    Everything follows from the eigenvalue magnitudes |lambda| alone, which
+    linalg._abs_eigenvalues reads as row norms without eigenvectors:
     c2 = (max | |lambda| - 1 |)^2 / (max |lambda|)^2, cF = sum (|lambda|-1)^2
     / sum lambda^2, phi = 2 sum |lambda| and ef = (1 - c2)^2. |lambda| below
     the polar sign floor raises PolarDegenerateError; c2 above 1 is reported
     as computed (see ClosenessReport.flagged).
     """
-    lam = np.abs(_sym_eigenvalues(u))
+    lam = _abs_eigenvalues(u)
     if float(lam.min()) < POLAR_EIGENVALUE_FLOOR:
         raise PolarDegenerateError("eigenvalue too close to zero for the polar sign")
     # on lam / 2^e with 2^-e for 1: exactly the sums on lam, but no square overflows

@@ -3,13 +3,12 @@
 Everything downstream (embeddings, closeness metrics, classical oracles)
 reduces to the symmetric eigendecomposition computed here, and every matrix
 function f(S) = V f(L) V^T is formed from it by one private helper,
-_spectral_map. Callers that read eigenvalues only (closeness, the spectral
-norm) take them from _sym_eigenvalues: the same sweeps, bitwise the same
-values, without accumulating the eigenvectors. The solver uses a
-round-robin pair schedule, built once per order, so each sweep applies
-disjoint plane rotations in vectorized batches; disjoint rotations commute,
-so batching preserves the exact pivot-zeroing property of classical cyclic
-Jacobi.
+_spectral_map. Callers that read only |eigenvalues| (closeness, the
+spectral norm) take _abs_eigenvalues: one-sided Jacobi rotates row pairs,
+with no eigenvectors, until the rows are orthogonal and their norms are the
+|eigenvalues|. Both solvers rotate disjoint pairs in vectorized batches from
+a round-robin schedule built once per order; disjoint rotations commute, so
+batching keeps the exact pair-zeroing property of classical cyclic Jacobi.
 
 Also defines the plain-text matrix file format used across the package:
 line one holds "rows cols", each following line one matrix row, entries
@@ -42,6 +41,7 @@ JACOBI_TOL = 1e-12
 JACOBI_MAX_SWEEPS = 50
 POLAR_EIGENVALUE_FLOOR = 1e-12
 HOUSEHOLDER_DEGENERATE = 1e-12
+_NOT_CONVERGED = "Jacobi sweeps did not converge within {} sweeps"
 
 
 @dataclass(frozen=True)
@@ -137,11 +137,6 @@ def _unit_vector(vec, name: str) -> np.ndarray:
     return scaled / norm
 
 
-def frobenius(m) -> float:
-    a = np.asarray(m, dtype=float)
-    return math.sqrt(float((a * a).sum()))
-
-
 @functools.cache
 def _rotation_rounds(n: int) -> np.ndarray:
     """Round-robin schedule: n-1 rounds (rows p, q; p < q) of disjoint index
@@ -152,7 +147,7 @@ def _rotation_rounds(n: int) -> np.ndarray:
     rounds = []
     for _ in range(m - 1):
         pairs = [sorted((idx[i], idx[m - 1 - i])) for i in range(m // 2)]
-        rounds.append(np.array([pq for pq in pairs if pq[1] < n], dtype=np.intp).T)
+        rounds.append(np.array([pq for pq in pairs if pq[1] < n], np.intp).reshape(-1, 2).T)
         idx = [idx[0], idx[-1]] + idx[1:-1]
     schedule = np.ascontiguousarray(rounds)
     schedule.flags.writeable = False
@@ -165,29 +160,26 @@ def _off_diagonal_norm(a: np.ndarray) -> float:
     return math.sqrt(float((b * b).sum()))
 
 
-def _jacobi(s, vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """The cyclic Jacobi solver of sym_eigen and _sym_eigenvalues: (the
-    eigenvalues of s in sweep order, their rotations Q or None unless
-    `vectors`). No rotation reads Q, so both routes get the same values.
-    Converged when the off-diagonal Frobenius norm drops to 1e-12 times the
-    input Frobenius norm, else ConvergenceError after 50 sweeps. The sweeps
-    run on s / 2^e (see _pow2_scaled), exactly as on s, so no norm overflows."""
+def _jacobi(s) -> tuple[np.ndarray, np.ndarray]:
+    """The cyclic Jacobi solver of sym_eigen: (the eigenvalues of s in
+    sweep order, their accumulated rotations Q). Converged when the
+    off-diagonal Frobenius norm drops to 1e-12 times the input Frobenius
+    norm, else ConvergenceError after 50 sweeps. The sweeps run on s / 2^e
+    (see _pow2_scaled), exactly as on s, so no norm overflows."""
     a, e = _pow2_scaled(check_symmetric(s))
     n = a.shape[0]
-    q = np.eye(n) if vectors else None
+    q = np.eye(n)
     if n == 1:
         return np.ldexp(a[0], e), q
-    norm_s = frobenius(a)
+    norm_s = math.sqrt(float((a * a).sum()))
     if norm_s == 0.0:
         return np.zeros(n), q
     stop = JACOBI_TOL * norm_s
     # if every pivot in a sweep is at or below this, the off norm is below stop
     skip = stop / math.sqrt(n * (n - 1))
     rounds = _rotation_rounds(n)
-    converged = False
     for _ in range(JACOBI_MAX_SWEEPS):
         if _off_diagonal_norm(a) <= stop:
-            converged = True
             break
         rotated = False
         for p_idx, q_idx in rounds:
@@ -213,16 +205,13 @@ def _jacobi(s, vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
             cq = a[:, q_idx]
             a[:, p_idx] = cp * c - cq * sn
             a[:, q_idx] = cp * sn + cq * c
-            if q is not None:
-                vp, vq = q[:, p_idx], q[:, q_idx]
-                q[:, p_idx], q[:, q_idx] = vp * c - vq * sn, vp * sn + vq * c
+            vp, vq = q[:, p_idx], q[:, q_idx]
+            q[:, p_idx], q[:, q_idx] = vp * c - vq * sn, vp * sn + vq * c
         if not rotated:
-            converged = True
             break
-    if not converged and _off_diagonal_norm(a) > stop:
-        raise ConvergenceError(
-            f"Jacobi sweeps did not converge within {JACOBI_MAX_SWEEPS} sweeps"
-        )
+    else:
+        if _off_diagonal_norm(a) > stop:
+            raise ConvergenceError(_NOT_CONVERGED.format(JACOBI_MAX_SWEEPS))
     with np.errstate(over="ignore"):
         values = np.ldexp(np.diag(a), e)
     if not np.isfinite(values).all():
@@ -233,7 +222,7 @@ def _jacobi(s, vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
 def sym_eigen(s) -> EigenPair:
     """Eigendecomposition of a symmetric matrix by cyclic Jacobi sweeps (see
     _jacobi for convergence and ConvergenceError); deterministic."""
-    values, q = _jacobi(s, vectors=True)
+    values, q = _jacobi(s)
     order = np.argsort(values, kind="stable")
     values, q = values[order], q[:, order]
     flip = q[np.abs(q).argmax(axis=0), np.arange(q.shape[0])] < 0.0
@@ -241,11 +230,40 @@ def sym_eigen(s) -> EigenPair:
     return EigenPair(values=values, vectors=q)
 
 
-def _sym_eigenvalues(s) -> np.ndarray:
-    """sym_eigen(s).values, bitwise, from the same sweeps without the
-    eigenvector updates, the column permutation or the sign fix (a stable
-    sort, as sym_eigen's, keeps the order of equal values such as -0, +0)."""
-    return np.sort(_jacobi(s, vectors=False)[0], kind="stable")
+def _abs_eigenvalues(s) -> np.ndarray:
+    """The ascending |eigenvalues| of a symmetric matrix: the row norms (by
+    hypot, which neither underflows nor overflows) of s / 2^e once one-sided
+    Jacobi rotations of row pairs make its rows orthogonal. A sweep converges
+    when no row product gamma exceeds both 1e-12 |row p| |row q| and the
+    smallest normal float, else ConvergenceError after 50 sweeps."""
+    a, e = _pow2_scaled(check_symmetric(s))
+    for _ in range(JACOBI_MAX_SWEEPS):
+        norm2 = np.einsum("ij,ij->i", a, a)
+        rotated = False
+        for p, q in _rotation_rounds(a.shape[0]):
+            gamma = np.einsum("ij,ij->i", a[p], a[q])
+            bound = JACOBI_TOL * np.sqrt(norm2[p]) * np.sqrt(norm2[q])
+            active = np.abs(gamma) > np.maximum(bound, np.finfo(float).tiny)
+            if not active.any():
+                continue
+            rotated = True
+            p, q, gamma = p[active], q[active], gamma[active]
+            rp, rq, d = a[p], a[q], norm2[q] - norm2[p]
+            # t = tan of the angle that zeroes gamma, without forming d / gamma
+            t = np.copysign(2.0, d) * gamma / (np.abs(d) + np.hypot(d, 2.0 * gamma))
+            c = 1.0 / np.sqrt(1.0 + t * t)[:, None]
+            a[p], a[q] = c * rp - t[:, None] * c * rq, t[:, None] * c * rp + c * rq
+            norm2[p] = np.maximum(norm2[p] - t * gamma, 0.0)
+            norm2[q] = np.maximum(norm2[q] + t * gamma, 0.0)
+        if not rotated:
+            break
+    else:
+        raise ConvergenceError(_NOT_CONVERGED.format(JACOBI_MAX_SWEEPS))
+    with np.errstate(over="ignore"):
+        values = np.ldexp(np.hypot.reduce(a, axis=1), e)
+    if not np.isfinite(values).all():
+        raise ValidationError("an eigenvalue of the matrix overflows a float")
+    return np.sort(values)
 
 
 def _spectral_map(pair: EigenPair, mapped) -> np.ndarray:
@@ -300,7 +318,7 @@ def householder_from_vector(u) -> np.ndarray:
 
 def spectral_norm_symmetric(s) -> float:
     """Largest eigenvalue magnitude of a symmetric matrix."""
-    return float(np.abs(_sym_eigenvalues(s)).max())
+    return float(_abs_eigenvalues(s)[-1])
 
 
 # ---------------------------------------------------------------------------

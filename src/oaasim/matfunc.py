@@ -145,9 +145,11 @@ def exp_product_factors(a: np.ndarray, truncation: int) -> ProductPlan:
 def cos_product_factors(a: np.ndarray, truncation: int) -> ProductPlan:
     """Plan for cos(pi A) ~ prod_{j=0}^{J-1} (I - 2A/(2j+1))
     (I + 2A/(2j+1)) with J = truncation. The factor pair for j = 0 makes
-    the truncation vanish identically at A = I/2."""
+    the truncation vanish identically at A = I/2. An A whose 2A overflows is refused."""
     a = check_symmetric(a)
     truncation = _check_count(truncation, "cos truncation", 1)
+    if float(np.abs(a).max()) > np.finfo(float).max / 2.0:
+        raise ValidationError("cos factor I -+ 2 A (j = 0) overflows a float")
     eye = np.eye(a.shape[0])
     factors = []
     for j in range(truncation):

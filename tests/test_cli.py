@@ -343,6 +343,18 @@ def test_matfunc_rejects_bad_truncation(matrix_file, capsys):
     assert code == 1
 
 
+def test_matfunc_refuses_an_overflowing_cos_factor(tmp_path, capsys):
+    # the finite input was blamed: "matrix has a non-finite entry"
+    path = tmp_path / "big.txt"
+    write_matrix(path, np.diag([1e308, 1.0]))
+    code = main(["matfunc", "--fn", "cos", "--matrix", str(path), "--trunc", "2",
+                 "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error: cos factor I -+ 2 A (j = 0) overflows a float" in err
+    assert "non-finite" not in err
+
+
 def test_plan_rejects_zero_or_mismatched_input(tmp_path, matrix_file, capsys):
     zero, short = tmp_path / "zero.txt", tmp_path / "short.txt"
     write_matrix(zero, np.zeros(4))

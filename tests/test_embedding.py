@@ -168,24 +168,25 @@ def test_closeness_routes_agree_on_embeddings():
 
 
 @pytest.fixture
-def jacobi_calls(monkeypatch):
-    """The `vectors` flag of each eigendecomposition from here on, counted
-    at the one Jacobi solver behind sym_eigen and the eigenvalue-only route."""
+def eigen_calls(monkeypatch):
+    """The name of each eigen route called from here on: the |eigenvalue|
+    route, or the Jacobi solver behind sym_eigen that builds eigenvectors."""
     calls = []
-    real = oaasim.linalg._jacobi
+    for module, name in ((oaasim.linalg, "_abs_eigenvalues"), (oaasim.linalg, "_jacobi"),
+                         (oaasim.embedding, "_abs_eigenvalues")):  # embedding's own binding
+        real = getattr(module, name)
 
-    def counting(s, vectors):
-        calls.append(vectors)
-        return real(s, vectors)
+        def counting(s, name=name, real=real):
+            calls.append(name)
+            return real(s)
 
-    monkeypatch.setattr(oaasim.linalg, "_jacobi", counting)
+        monkeypatch.setattr(module, name, counting)
     return calls
 
 
-def test_closeness_makes_one_eigendecomposition(jacobi_calls):
+def test_closeness_makes_one_eigendecomposition(eigen_calls):
     closeness(seeded_estimated_embedding(8, 5).u)
-    assert len(jacobi_calls) == 1
-    assert jacobi_calls[0] is False  # eigenvalues only, no eigenvectors built
+    assert eigen_calls == ["_abs_eigenvalues"]  # no eigenvectors built
 
 
 def test_closeness_rejects_degenerate_spectrum():

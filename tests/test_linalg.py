@@ -3,12 +3,14 @@ matrix file format, each checked against an independent route."""
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oaasim.linalg
 from oaasim import (
     ConvergenceError,
     DimensionError,
@@ -17,7 +19,9 @@ from oaasim import (
     SymmetryError,
     UnitNormError,
     ValidationError,
+    build_estimated_embedding,
     householder_from_vector,
+    mu_normalize,
     polar_symmetric,
     random_symmetric,
     read_matrix,
@@ -25,10 +29,11 @@ from oaasim import (
     sym_eigen,
     write_matrix,
 )
+from oaasim.cli import main
 from oaasim.linalg import (
+    _abs_eigenvalues,
     _check_count,
     _read_vector,
-    _sym_eigenvalues,
     as_square_array,
     check_symmetric,
 )
@@ -132,15 +137,47 @@ def test_eigen_refuses_an_overflowing_eigenvalue():
         sym_eigen(np.full((4, 4), 1e308))
 
 
-def test_eigenvalue_route_is_bitwise_the_full_route():
-    # _sym_eigenvalues runs the sweeps of sym_eigen without the eigenvectors
+def test_abs_eigenvalue_route_matches_both_eigen_routes():
+    # one-sided Jacobi on the rows: |lambda| against LAPACK and sym_eigen
     cases = [random_symmetric(n, SplitMix64(60 + n)) for n in (1, 2, 3, 16, 33, 128)]
     base = random_symmetric(8, SplitMix64(17))
+    embedded = []  # spectra of +-sigma pairs, as closeness meets them
+    for order, seed in ((4, 70), (16, 71), (64, 72)):
+        normalized, mu = mu_normalize(random_symmetric(order, SplitMix64(seed)))
+        embedded.append(build_estimated_embedding(normalized, mu).u)
+    # a unit entry beside a tiny block: at 1e-100 a product of squared row
+    # norms underflows, at 1e-160 the row products are subnormal rounding
+    for tiny in (1e-100, 1e-160):
+        block = np.zeros((6, 6))
+        block[0, 0], block[1:, 1:] = 1.0, tiny * random_symmetric(5, SplitMix64(73))
+        cases.append(block)
     cases += [np.zeros((5, 5)), np.diag([3.0, -1.0, 0.0, 2.0, -1.0]),
               householder_from_vector(np.full(9, 1.0 / 3.0)),  # eigenvalues -1, +1 x 8
-              np.ldexp(base, 660), np.ldexp(base, -660)]
+              np.ones((7, 7)), *embedded, base, np.ldexp(base, 660), np.ldexp(base, -660)]
     for s in cases:
-        assert np.array_equal(_sym_eigenvalues(s), sym_eigen(s).values)
+        got = _abs_eigenvalues(s)
+        tol = 1e-13 * float(np.abs(s).sum(axis=1).max())  # bounds max|lambda|
+        assert np.all(np.diff(got) >= 0.0)
+        assert np.allclose(got, np.sort(np.abs(np.linalg.eigvalsh(s))), rtol=0.0, atol=tol)
+        assert np.allclose(got, np.sort(np.abs(sym_eigen(s).values)), rtol=0.0, atol=tol)
+    base_values = _abs_eigenvalues(base)
+    for power in (660, -660):  # about 1e199 and 1e-199: exact, so bitwise
+        assert np.array_equal(_abs_eigenvalues(np.ldexp(base, power)),
+                              np.ldexp(base_values, power))
+
+
+def test_eigen_routes_refuse_what_does_not_converge(monkeypatch, tmp_path, capsys):
+    s = random_symmetric(16, SplitMix64(74))
+    monkeypatch.setattr(oaasim.linalg, "JACOBI_MAX_SWEEPS", 1)
+    for route in (sym_eigen, _abs_eigenvalues):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError, match="within 1 sweeps"):
+                route(s)
+    path = tmp_path / "s.txt"
+    write_matrix(path, s)
+    assert main(["embed", "--matrix", str(path), "--out", str(tmp_path / "u.txt")]) == 2
+    assert "numerical error: Jacobi sweeps did not converge" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("bad, error", [
@@ -151,7 +188,7 @@ def test_eigenvalue_route_is_bitwise_the_full_route():
 ])
 def test_eigenvalue_route_refuses_what_the_full_route_refuses(bad, error):
     raised = []
-    for route in (sym_eigen, _sym_eigenvalues):
+    for route in (sym_eigen, _abs_eigenvalues):
         with pytest.raises(error) as info:
             route(bad)
         raised.append((type(info.value), str(info.value)))

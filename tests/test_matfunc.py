@@ -75,6 +75,16 @@ def test_cos_factors_structure_and_exact_zero():
     assert np.abs(prod).max() == 0.0
 
 
+def test_cos_factor_that_overflows_is_refused():
+    # I - 2A overflowed with RuntimeWarnings and the CLI then blamed the input
+    with pytest.raises(ValidationError, match=r"cos factor I -\+ 2 A \(j = 0\) overflows"):
+        cos_product_factors(np.diag([1e308, 1.0]), 2)
+    edge = np.diag([np.finfo(float).max / 2.0, -1.0])  # 2A is still finite
+    plan = cos_product_factors(edge, 2)
+    assert np.array_equal(plan.factors[0], np.eye(2) - 2.0 * edge)
+    assert np.array_equal(plan.factors[3], np.eye(2) + (2.0 / 3.0) * edge)
+
+
 def test_cos_scalar_converges():
     a = np.array([[0.25]])
     prod = product_of_factors(cos_product_factors(a, 50).factors)

@@ -1,7 +1,9 @@
-"""tools/seeded_outputs.py records every call and repeats itself exactly."""
+"""tools/seeded_outputs.py records every call, repeats itself exactly, and
+compares two records within a relative tolerance."""
 
 import filecmp
 import importlib.util
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -9,11 +11,16 @@ from pathlib import Path
 SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "seeded_outputs.py"
 
 
-def test_seeded_call_names_are_unique():
-    # each call's directory is named by the call alone
+def _load():
     spec = importlib.util.spec_from_file_location("seeded_outputs", SCRIPT)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+def test_seeded_call_names_are_unique():
+    # each call's directory is named by the call alone
+    module = _load()
     names = [name for name, _ in module.CALLS]
     assert len(set(names)) == len(names) == 26
 
@@ -33,3 +40,38 @@ def test_seeded_outputs_are_complete_and_repeatable(tmp_path, child_env):
         node = stack.pop()
         assert not (node.diff_files or node.left_only or node.right_only), node.left
         stack.extend(node.subdirs.values())
+
+
+def test_compare_allows_number_drift_within_rtol(tmp_path):
+    for side, value in (("a", "0.25"), ("b", "0.2500000000001")):
+        call = tmp_path / side / "embed"
+        call.mkdir(parents=True)
+        (call / "stdout").write_text(f"mu=3.5\nc2={value}\n")
+        (call / "exit").write_text("0\n")
+    base = [sys.executable, str(SCRIPT), "--compare", str(tmp_path / "a"), str(tmp_path / "b")]
+    near = subprocess.run(base + ["--rtol", "1e-12"], capture_output=True, text=True, timeout=60)
+    assert near.returncode == 0, near.stdout
+    assert near.stdout.splitlines() == ["embed/stdout: numbers drift by at most 4e-13",
+                                        "within rtol 1e-12"]
+    far = subprocess.run(base + ["--rtol", "1e-13"], capture_output=True, text=True, timeout=60)
+    assert far.returncode == 1 and far.stdout.endswith("NOT within rtol 1e-13\n")
+
+
+def test_compare_refuses_text_changes_and_missing_files():
+    module = _load()
+    assert module.relative_drift("c2=0.5 ef=nan", "c2=0.5 ef=nan") == 0.0
+    assert module.relative_drift("c2=0.5", "c2=-0.5") == 2.0
+    assert module.relative_drift("c2=0.5", "c2=nan") == math.inf
+    assert module.relative_drift("c2=0.5", "c3=0.5") is None
+    assert module.relative_drift("c2=0.5", "c2=0.5 flagged") is None
+    assert module.relative_drift("1,2", "1,2,3") is None
+
+
+def test_compare_reports_files_on_one_side(tmp_path):
+    module = _load()
+    for side, names in (("a", ("exit", "u.txt")), ("b", ("exit",))):
+        (tmp_path / side).mkdir()
+        for name in names:
+            (tmp_path / side / name).write_text("0\n")
+    lines, ok = module.compare(tmp_path / "a", tmp_path / "b", 1.0)
+    assert not ok and lines == [f"u.txt: only in {tmp_path / 'a'}"]

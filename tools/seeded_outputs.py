@@ -2,6 +2,7 @@
 and write, so two checkouts can be compared with `diff -r`.
 
     python tools/seeded_outputs.py OUTDIR
+    python tools/seeded_outputs.py --compare A B --rtol R
 
 The package is imported from the `src` directory next to this script, so
 each checkout runs its own code. Input files are drawn from numpy's PCG64
@@ -13,13 +14,22 @@ aligned under `diff -r` when one is added or removed. That directory
 receives the files the call wrote plus `exit`, `stdout` and `stderr`. Run
 it with OPENBLAS_NUM_THREADS=1 for outputs independent of the BLAS thread
 count.
+
+The compare form checks two such directories when a numerical route
+changes: every file must be in both, its text outside numbers must match
+exactly, and each number may differ from its counterpart by at most R
+relative to the larger magnitude. It prints one line per file that is not
+identical and exits 1 if any file breaks these rules.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
+import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -132,7 +142,64 @@ def run_all(outdir: Path) -> None:
         run_call(outdir / name, argv)
 
 
+# a decimal number as the package prints it, not the digits of a name such as
+# c2 or dim16; the text between numbers must match
+NUMBER = re.compile(r"(?<![\w.])([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:inf|nan))")
+
+
+def relative_drift(a: str, b: str) -> float | None:
+    """The largest relative difference |x - y| / max(|x|, |y|) between the
+    numbers of a and b, taken in order, or None when the text around them
+    differs. Numbers written alike count as equal, nan included; a
+    non-finite number against another number drifts by inf."""
+    parts_a, parts_b = NUMBER.split(a), NUMBER.split(b)
+    if len(parts_a) != len(parts_b) or parts_a[::2] != parts_b[::2]:
+        return None
+    worst = 0.0
+    for x, y in zip(parts_a[1::2], parts_b[1::2]):
+        if x != y and float(x) != float(y):
+            x, y = float(x), float(y)
+            drift = abs(x - y) / max(abs(x), abs(y))
+            worst = max(worst, math.inf if math.isnan(drift) else drift)
+    return worst
+
+
+def compare(a: Path, b: Path, rtol: float) -> tuple[list, bool]:
+    """(report lines, ok) for the directories a and b: a line per file that
+    is missing on one side, differs outside its numbers, or differs in a
+    number (with its largest relative drift); ok unless a drift exceeds rtol
+    or a file is missing or differs as text."""
+    files_a = {p.relative_to(a) for p in a.rglob("*") if p.is_file()}
+    files_b = {p.relative_to(b) for p in b.rglob("*") if p.is_file()}
+    lines, ok = [], True
+    for rel in sorted(files_a | files_b):
+        if rel not in files_a or rel not in files_b:
+            lines.append(f"{rel}: only in {a if rel in files_a else b}")
+            ok = False
+            continue
+        text_a, text_b = (a / rel).read_text(), (b / rel).read_text()
+        if text_a == text_b:
+            continue
+        drift = relative_drift(text_a, text_b)
+        if drift is None:
+            lines.append(f"{rel}: text differs")
+            ok = False
+        else:
+            lines.append(f"{rel}: numbers drift by at most {drift:.3g}")
+            ok = ok and drift <= rtol
+    return lines, ok
+
+
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
-        sys.exit("usage: seeded_outputs.py OUTDIR")
-    run_all(Path(sys.argv[1]))
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("outdir", nargs="?", type=Path, help="directory to write")
+    parser.add_argument("--compare", nargs=2, type=Path, metavar=("A", "B"))
+    parser.add_argument("--rtol", type=float, default=0.0)
+    args = parser.parse_args()
+    if args.compare:
+        report, ok = compare(*args.compare, args.rtol)
+        print("\n".join(report + [f"{'within' if ok else 'NOT within'} rtol {args.rtol:g}"]))
+        sys.exit(0 if ok else 1)
+    if args.outdir is None:
+        parser.error("give OUTDIR, or --compare A B")
+    run_all(args.outdir)
