@@ -6,9 +6,10 @@ function f(S) = V f(L) V^T is formed from it by one private helper,
 _spectral_map. Callers that read only |eigenvalues| (closeness, the
 spectral norm) take _abs_eigenvalues: one-sided Jacobi rotates row pairs,
 with no eigenvectors, until the rows are orthogonal and their norms are the
-|eigenvalues|. Both solvers rotate disjoint pairs in vectorized batches from
-a round-robin schedule built once per order; disjoint rotations commute, so
-batching keeps the exact pair-zeroing property of classical cyclic Jacobi.
+|eigenvalues|. Both solvers rotate the h disjoint pairs of a round-robin
+round (schedule built once per order) as one batch: in _abs_eigenvalues one
+gather, one (h, 2, 2) @ (h, 2, n) product and one scatter. Disjoint rotations
+commute, so batching keeps the pair-zeroing property of cyclic Jacobi.
 
 Also defines the plain-text matrix file format used across the package:
 line one holds "rows cols", each following line one matrix row, entries
@@ -42,6 +43,7 @@ JACOBI_MAX_SWEEPS = 50
 POLAR_EIGENVALUE_FLOOR = 1e-12
 HOUSEHOLDER_DEGENERATE = 1e-12
 _NOT_CONVERGED = "Jacobi sweeps did not converge within {} sweeps"
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -139,15 +141,16 @@ def _unit_vector(vec, name: str) -> np.ndarray:
 
 @functools.cache
 def _rotation_rounds(n: int) -> np.ndarray:
-    """Round-robin schedule: n-1 rounds (rows p, q; p < q) of disjoint index
-    pairs covering every unordered pair exactly once (odd n padded with a
-    skipped bye). Cached and read-only: solves of order n share one copy."""
+    """Round-robin schedule of shape (rounds, h, 2): n-1 rounds (n for odd
+    n, padded with a skipped bye) of h disjoint index pairs (p, q; p < q)
+    covering every unordered pair exactly once. Cached and read-only:
+    solves of order n share one copy."""
     m = n if n % 2 == 0 else n + 1
     idx = list(range(m))
     rounds = []
     for _ in range(m - 1):
         pairs = [sorted((idx[i], idx[m - 1 - i])) for i in range(m // 2)]
-        rounds.append(np.array([pq for pq in pairs if pq[1] < n], np.intp).reshape(-1, 2).T)
+        rounds.append(np.array([pq for pq in pairs if pq[1] < n], np.intp).reshape(-1, 2))
         idx = [idx[0], idx[-1]] + idx[1:-1]
     schedule = np.ascontiguousarray(rounds)
     schedule.flags.writeable = False
@@ -182,7 +185,7 @@ def _jacobi(s) -> tuple[np.ndarray, np.ndarray]:
         if _off_diagonal_norm(a) <= stop:
             break
         rotated = False
-        for p_idx, q_idx in rounds:
+        for p_idx, q_idx in (pq.T for pq in rounds):
             apq = a[p_idx, q_idx]
             active = np.abs(apq) > skip
             if not active.any():
@@ -233,28 +236,30 @@ def sym_eigen(s) -> EigenPair:
 def _abs_eigenvalues(s) -> np.ndarray:
     """The ascending |eigenvalues| of a symmetric matrix: the row norms (by
     hypot, which neither underflows nor overflows) of s / 2^e once one-sided
-    Jacobi rotations of row pairs make its rows orthogonal. A sweep converges
-    when no row product gamma exceeds both 1e-12 |row p| |row q| and the
-    smallest normal float, else ConvergenceError after 50 sweeps."""
+    Jacobi rotations of row pairs make its rows orthogonal, each round as one
+    gather of (h, 2, n) rows, one (h, 2, 2) product and one scatter. A sweep
+    converges when no row product gamma exceeds both 1e-12 |row p| |row q|
+    and the smallest normal float, else ConvergenceError after 50 sweeps."""
     a, e = _pow2_scaled(check_symmetric(s))
     for _ in range(JACOBI_MAX_SWEEPS):
         norm2 = np.einsum("ij,ij->i", a, a)
         rotated = False
-        for p, q in _rotation_rounds(a.shape[0]):
-            gamma = np.einsum("ij,ij->i", a[p], a[q])
-            bound = JACOBI_TOL * np.sqrt(norm2[p]) * np.sqrt(norm2[q])
-            active = np.abs(gamma) > np.maximum(bound, np.finfo(float).tiny)
+        for pq in _rotation_rounds(a.shape[0]):
+            rows, n2 = a[pq], norm2[pq]
+            gamma = np.einsum("ij,ij->i", rows[:, 0], rows[:, 1])
+            bound = JACOBI_TOL * np.sqrt(n2[:, 0]) * np.sqrt(n2[:, 1])
+            active = np.abs(gamma) > np.maximum(bound, _TINY)
             if not active.any():
                 continue
             rotated = True
-            p, q, gamma = p[active], q[active], gamma[active]
-            rp, rq, d = a[p], a[q], norm2[q] - norm2[p]
+            if not active.all():
+                pq, rows, n2, gamma = pq[active], rows[active], n2[active], gamma[active]
+            d = n2[:, 1] - n2[:, 0]
             # t = tan of the angle that zeroes gamma, without forming d / gamma
             t = np.copysign(2.0, d) * gamma / (np.abs(d) + np.hypot(d, 2.0 * gamma))
-            c = 1.0 / np.sqrt(1.0 + t * t)[:, None]
-            a[p], a[q] = c * rp - t[:, None] * c * rq, t[:, None] * c * rp + c * rq
-            norm2[p] = np.maximum(norm2[p] - t * gamma, 0.0)
-            norm2[q] = np.maximum(norm2[q] + t * gamma, 0.0)
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            a[pq] = np.array([[c, -t * c], [t * c, c]]).transpose(2, 0, 1) @ rows
+            norm2[pq] = np.maximum(n2 + np.outer(t * gamma, [-1.0, 1.0]), 0.0)
         if not rotated:
             break
     else:

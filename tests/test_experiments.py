@@ -173,8 +173,9 @@ def test_ensemble_records_order_and_determinism():
 BLAS_RECORDS_SCRIPT = """
 import json
 from dataclasses import astuple
-from oaasim import (VARIANTS, ExperimentConfig, SplitMix64, encode,
-                    iteration_count, oblivious_aa, random_input,
+from oaasim import (VARIANTS, ExperimentConfig, SplitMix64,
+                    build_estimated_embedding, closeness, encode,
+                    iteration_count, mu_normalize, oblivious_aa, random_input,
                     random_symmetric, run_ensemble)
 
 def hexed(record):
@@ -190,13 +191,17 @@ for order in (1, 2, 4, 8, 16, 32, 64, 128):
         out.append([hexed(r) for r in trace.records])
 cfg = ExperimentConfig(dims=(16, 32), trials=2, seed=7, variant="adjoint")
 out.append([hexed(r) for r in run_ensemble(cfg)])
+for order in (32, 64):  # closeness at embedded dims 64 and 128
+    normalized, mu = mu_normalize(random_symmetric(order, SplitMix64(order + 2000)))
+    report = closeness(build_estimated_embedding(normalized, mu).u)
+    out.append([report.c2.hex(), report.cF.hex(), report.phi.hex()])
 print(json.dumps(out))
 """
 
 
 def test_records_independent_of_blas_threads(run_child):
     outputs = [json.loads(run_child(BLAS_RECORDS_SCRIPT, threads)) for threads in (1, 2)]
-    assert len(outputs[0]) == 17
+    assert len(outputs[0]) == 19
     assert outputs[0] == outputs[1]
 
 

@@ -34,6 +34,7 @@ from oaasim.linalg import (
     _abs_eigenvalues,
     _check_count,
     _read_vector,
+    _rotation_rounds,
     as_square_array,
     check_symmetric,
 )
@@ -164,6 +165,24 @@ def test_abs_eigenvalue_route_matches_both_eigen_routes():
     for power in (660, -660):  # about 1e199 and 1e-199: exact, so bitwise
         assert np.array_equal(_abs_eigenvalues(np.ldexp(base, power)),
                               np.ldexp(base_values, power))
+
+
+@pytest.mark.parametrize("n", [*range(1, 10), 16, 33, 128])
+def test_rotation_schedule_pairs_every_row_once(n):
+    # a round rotates its pairs as one batch, which is exact only when no
+    # row appears twice in it; a sweep must meet every pair once
+    schedule = _rotation_rounds(n)
+    h = n // 2
+    assert schedule.shape == (n - 1 if n % 2 == 0 else n, h, 2)
+    assert not schedule.flags.writeable
+    seen = []
+    for pq in schedule:
+        assert np.all(pq[:, 0] < pq[:, 1])
+        assert np.all((0 <= pq) & (pq < n))
+        assert len(np.unique(pq)) == 2 * h
+        seen += [tuple(pair) for pair in pq.tolist()]
+    assert len(seen) == len(set(seen)) == n * (n - 1) // 2
+    assert _rotation_rounds(n) is schedule
 
 
 def test_eigen_routes_refuse_what_does_not_converge(monkeypatch, tmp_path, capsys):
