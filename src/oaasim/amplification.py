@@ -1,37 +1,38 @@
 """Amplitude amplification over structured block-encoding circuits.
 
-The oblivious iterate needs nothing but the circuit and one fixed
-reflection about the good states, so it can run without knowing the input,
-which is what makes chains of encoded operators composable. It comes in
-two variants: "literal" uses Q = -U S U S with the circuit applied forward
-both times; "adjoint" uses Q = -U S U^-1 S, the form whose behavior on an
-orthogonal encoded matrix follows the exact closed form
-p_i = sin((2i+1) arcsin(1/sqrt(M)))^2, and which runs U S U^-1 as one
-image reflection (apply_image_reflection, O(M N) for the row encoding).
-On any row encoding the adjoint iterate is the qubitization walk (Low and
-Chuang, arXiv:1610.06546): the good block is U/sqrt(M) with U symmetric,
-so after i iterations the good amplitudes are +-T_{2i+1}(U/sqrt(M)) x
-and, with U = V diag(lambda) V^T and c = V^T x,
-p_i = sum_j c_j^2 cos((2i+1) arccos(lambda_j/sqrt(M)))^2. The closed form
-above is the case |lambda_j| = 1; the tests use the sum as an oracle.
-The variants coincide whenever the dense circuit operator is symmetric.
-
-The standard (input-dependent) iterate is also provided; it reflects about
-the prepared start state s = U P |0> and therefore needs the input
-preparation operator P, but it works for any circuit. That reflection,
-U P (2|0><0| - I) P^T U^-1, is 2 s s^T - I: O(M N) after one apply.
+Every iterate runs one loop (_amplify): record the state after the
+circuit, then per iteration reflect about the good states (S), run one
+middle reflection as a layer under the norm guard, negate, record. The
+middle reflection is
+- "adjoint": U S U^-1, the image reflection (O(M N) for the row encoding);
+- "literal": U S U, the circuit applied forward both times;
+- standard: I - 2 s s^T about the start state s = U P |0>; the -1 turns
+  it into 2 s s^T - I bit for bit.
+The two oblivious variants need nothing but the circuit and the fixed
+reflection S, so they run without knowing the input, which is what makes
+chains of encoded operators composable (Berry et al., arXiv:1312.1414);
+the standard iterate needs the input preparation P but works for any
+circuit. On an orthogonal encoded matrix the adjoint iterate follows
+p_i = sin((2i+1) arcsin(1/sqrt(M)))^2. On any row encoding it is the
+qubitization walk (Low and Chuang, arXiv:1610.06546): the good block is
+U/sqrt(M) with U symmetric, so after i iterations the good amplitudes are
++-T_{2i+1}(U/sqrt(M)) x and, with U = V diag(lambda) V^T and c = V^T x,
+p_i = sum_j c_j^2 cos((2i+1) arccos(lambda_j/sqrt(M)))^2 (the closed form
+is the case |lambda_j| = 1; the tests use the sum as an oracle). The
+variants coincide whenever the dense circuit operator is symmetric.
 
 States are read through the circuit's good_first view of their grid, so
-nothing here knows which register a circuit type marks as good. Every
-run projects exactly when its target is half the data register, so the
-target alone records the fidelity mode; the probability is then the
-squared norm of the top half of the good amplitudes.
+nothing here knows which register a circuit type marks as good. The
+loop refuses a bad target before its first record; it then reads the
+first len(target) good amplitudes: the top half, projected, when the
+target is half the data register.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -43,7 +44,6 @@ from .circuit import (
     _norm_preserving,
     apply_circuit,
     apply_good_reflection,
-    apply_image_reflection,
 )
 from .errors import DimensionError, NoGoodAmplitudeError, ValidationError
 from .linalg import _check_count, _check_orthogonal, _check_unit_norm, _float_array
@@ -111,12 +111,33 @@ def _record(c, state, target, iteration) -> TraceRecord:
     good = c.good_first(state.grid)[0]
     if not np.isfinite(good).all():
         raise NoGoodAmplitudeError("a good amplitude is not finite")
-    if 2 * np.size(target) == good.size:
-        good = good[: good.size // 2]
-    prob, unit = _good_mass(good)
+    prob, unit = _good_mass(good[: target.size])
     if unit is None:
         return TraceRecord(iteration=iteration, probability=0.0, fidelity=0.0)
     return TraceRecord(iteration=iteration, probability=prob, fidelity=fidelity(unit, target))
+
+
+def _amplify(c: CircuitU, state: StateVector, k: int, middle, target,
+             return_final_state: bool):
+    """The one amplification loop. Records `state` (the circuit already
+    applied) as iteration 0, then k times applies the good reflection, the
+    layer middle(x, out, scratch) under the norm guard and the -1, each in
+    place on `state`, and records. Returns the trace, and `state` too when
+    return_final_state is set. The target is checked once, first: a finite,
+    nonzero real array as long as the data register or half of it."""
+    target = _float_array(target, "target").ravel()
+    data_dim = c.good_first(state.grid).shape[1]
+    if target.size not in (data_dim, data_dim / 2):
+        raise DimensionError(f"target length {target.size} is neither {data_dim} nor half of it")
+    if not (np.isfinite(target).all() and target.any()):
+        raise ValidationError("target must be finite and nonzero")
+    trace = IterationTrace([_record(c, state, target, 0)])
+    for i in range(1, k + 1):
+        apply_good_reflection(c, state, out=state)
+        _norm_preserving(c, middle, state, state)
+        np.negative(state.grid, out=state.grid)
+        trace.records.append(_record(c, state, target, i))
+    return (trace, state) if return_final_state else trace
 
 
 def oblivious_aa(c: CircuitU, input_state: StateVector, k: int, variant: str,
@@ -126,35 +147,23 @@ def oblivious_aa(c: CircuitU, input_state: StateVector, k: int, variant: str,
     The input must be a finite state of the circuit's shape with its good
     register at index 0 and norm 1 within 1e-12, as prepare_input makes it.
     The circuit is applied once, the (probability, fidelity against
-    `target`) pair is recorded, then each iteration applies the reflection,
-    the circuit (inverted for the adjoint variant), the reflection again,
-    the circuit, and finally the literal global -1 phase of the iterate
-    (the adjoint runs the middle three as one image reflection). Fidelity
-    takes an absolute value, so the phase never shows up in the records.
+    `target`) pair is recorded, then each iteration of the shared loop
+    applies the good reflection, the middle reflection (U S U^-1 for the
+    adjoint variant, U S U for the literal one, each as one guarded step)
+    and the literal global -1 phase of the iterate. Fidelity takes an
+    absolute value, so the phase never shows up in the records.
 
     A target half as long as the data register selects projected fidelity,
-    any other length embedded fidelity (see TraceRecord).
+    one as long as it embedded fidelity (see TraceRecord). Any other length
+    raises DimensionError, and a text, non-finite or zero target
+    ValidationError, before the first record.
     """
     if variant not in VARIANTS:
         raise ValidationError(f"unknown variant {variant!r}")
     k = _check_count(k, "iteration count", 0)
     _check_input_state(c, input_state)
-    state = apply_circuit(c, input_state)  # the run's one state grid
-    trace = IterationTrace()
-    trace.records.append(_record(c, state, target, 0))
-    for i in range(1, k + 1):
-        apply_good_reflection(c, state, out=state)
-        if variant == "adjoint":
-            apply_image_reflection(c, state, out=state)
-        else:
-            apply_circuit(c, state, out=state)
-            apply_good_reflection(c, state, out=state)
-            apply_circuit(c, state, out=state)
-        np.negative(state.grid, out=state.grid)
-        trace.records.append(_record(c, state, target, i))
-    if return_final_state:
-        return trace, state
-    return trace
+    middle = c._image_reflection if variant == "adjoint" else partial(c._sandwich, c._forward)
+    return _amplify(c, apply_circuit(c, input_state), k, middle, target, return_final_state)
 
 
 def standard_aa(c: CircuitU, input_prep, k: int, target,
@@ -162,17 +171,16 @@ def standard_aa(c: CircuitU, input_prep, k: int, target,
     """Input-dependent amplitude amplification.
 
     input_prep is an orthogonal operator on the data register mapping e0 to
-    the desired input. Each iteration applies the good-state reflection,
-    then the reflection about the prepared start state s, 2 s s^T - I with
-    s taken at unit norm; a projected target projects as in oblivious_aa.
+    the desired input. The circuit is applied once to P |0>, giving the
+    start state s (taken at unit norm); then the shared loop runs with the
+    middle reflection I - 2 s s^T, so each iteration applies the good-state
+    reflection and then 2 s s^T - I. The target works as in oblivious_aa.
     """
     prep = _float_array(input_prep, "input_prep")
     start = np.zeros((c.m_dim, c.n_dim))
     data_dim = c.good_first(start).shape[1]
     if prep.shape != (data_dim, data_dim):
-        raise DimensionError(
-            f"input_prep must be {data_dim} x {data_dim}, got {prep.shape}"
-        )
+        raise DimensionError(f"input_prep must be {data_dim} x {data_dim}, got {prep.shape}")
     _check_orthogonal(prep, "input_prep")
     k = _check_count(k, "iteration count", 0)
 
@@ -181,15 +189,7 @@ def standard_aa(c: CircuitU, input_prep, k: int, target,
     apply_circuit(c, state, out=state)
     unit = state.grid / state.norm()  # s
 
-    def reflect_about_start(x, out, _scratch):  # 2 s s^T - I
-        np.subtract((2.0 * float(unit.ravel() @ x.ravel())) * unit, x, out=out)
+    def reflect_about_start(x, out, _scratch):  # I - 2 s s^T
+        np.subtract(x, (2.0 * float(unit.ravel() @ x.ravel())) * unit, out=out)
 
-    trace = IterationTrace()
-    trace.records.append(_record(c, state, target, 0))
-    for i in range(1, k + 1):
-        apply_good_reflection(c, state, out=state)
-        _norm_preserving(c, reflect_about_start, state, state)
-        trace.records.append(_record(c, state, target, i))
-    if return_final_state:
-        return trace, state
-    return trace
+    return _amplify(c, state, k, reflect_about_start, target, return_final_state)

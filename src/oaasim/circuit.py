@@ -132,7 +132,11 @@ class CircuitU:
         return x.T if self.good_register == "second" else x
 
     def _image_reflection(self, x, out, scratch):
-        self._inverse(x, out, scratch)
+        self._sandwich(self._inverse, x, out, scratch)
+
+    def _sandwich(self, first, x, out, scratch):
+        # first, R, forward: W R W^-1 from _inverse, literal's W R W from _forward
+        first(x, out, scratch)
         self.good_first(out)[0] *= -1.0
         self._forward(out, out, scratch)
 

@@ -16,6 +16,7 @@ from oaasim import (
     ExperimentConfig,
     IterationTrace,
     NoGoodAmplitudeError,
+    NumericalError,
     SplitMix64,
     StateVector,
     TraceRecord,
@@ -27,6 +28,7 @@ from oaasim import (
     build_estimated_embedding,
     build_lcu_encoding,
     build_row_encoding,
+    collapse_good,
     dense_matrix_of,
     derive_seed,
     encode,
@@ -44,7 +46,7 @@ from oaasim import (
 )
 
 from oaasim.amplification import _record
-from oaasim.circuit import CircuitU
+from oaasim.circuit import CircuitU, LcuCircuit
 
 from dense_reference import random_orthogonal
 from spectral_reference import adjoint_records
@@ -252,6 +254,86 @@ def test_trace_peak_breaks_ties_toward_earlier_iteration():
     assert trace.final == records[3]
 
 
+ANTIPODAL = build_lcu_encoding([np.eye(2), -np.eye(2)], [2**-0.5, 2**-0.5])
+
+
+@pytest.mark.parametrize("target, error", [
+    ([np.nan, np.nan], ValidationError), (np.zeros(2), ValidationError),
+    ("ab", ValidationError), (np.ones(7), DimensionError), (np.ones(3), DimensionError),
+], ids=["nan", "zero", "text", "length-7", "length-3"])
+def test_bad_target_is_refused_at_entry(target, error):
+    # every record of this LCU sits below the good-mass floor, so fidelity
+    # never saw the target and both variants returned three zero records
+    state = prepare_input(ANTIPODAL, [1.0, 0.0])
+    for variant in VARIANTS:
+        with pytest.raises(error):
+            oblivious_aa(ANTIPODAL, state, 2, variant, target)
+    with pytest.raises(error):
+        standard_aa(ANTIPODAL, np.eye(2), 2, target)
+
+
+def test_norm_guard_fires_inside_a_run():
+    # K e0 = e0 keeps the first apply's norm; the first middle step does not
+    circ = LcuCircuit(np.stack([np.eye(2), np.eye(2)]), np.diag([1.0, 2.0]))
+    state = StateVector(np.array([[0.6, 0.8], [0.0, 0.0]]))
+    assert apply_circuit(circ, state).norm() == pytest.approx(1.0, abs=1e-15)
+    for variant in VARIANTS:
+        with pytest.raises(NumericalError, match="preserve the norm"):
+            oblivious_aa(circ, state, 2, variant, np.ones(2))
+
+
+def composed_reference(circ, state, k, target, iterate):
+    """(records, grids) of iterations 0..k, each step composed from public
+    calls as separate steps: the old per-iterate loop bodies."""
+    state = apply_circuit(circ, state)
+    unit = state.grid / state.norm()
+    records, grids = [], []
+    for i in range(k + 1):
+        if i > 0:
+            apply_good_reflection(circ, state, out=state)
+            x = state.grid
+            if iterate == "standard":  # 2 s s^T - I
+                np.subtract((2.0 * float(unit.ravel() @ x.ravel())) * unit, x, out=x)
+            elif iterate == "adjoint":  # -U S U^-1
+                apply_image_reflection(circ, state, out=state)
+                np.negative(x, out=x)
+            else:  # -U S U
+                apply_circuit(circ, state, out=state)
+                apply_good_reflection(circ, state, out=state)
+                apply_circuit(circ, state, out=state)
+                np.negative(x, out=x)
+        collapsed, prob = collapse_good(circ, state)
+        records.append(TraceRecord(i, prob, fidelity(collapsed, target)))
+        grids.append(state.grid.copy())
+    return records, grids
+
+
+@pytest.mark.parametrize("iterate", ["adjoint", "literal", "standard"])
+@pytest.mark.parametrize("kind", ["row", "lcu"])
+def test_iterates_equal_the_composed_public_steps(kind, iterate):
+    # bit for bit, every record and every intermediate state
+    if kind == "row":
+        u = seeded_embedded(8, 61)
+        circ, vec = build_row_encoding(u), random_input(8, SplitMix64(62))
+        target = u @ vec
+    else:
+        circ = build_lcu_encoding([random_orthogonal(4, 63 + i) for i in range(3)],
+                                  np.array([0.6, 0.0, 0.8]))
+        vec, target = random_input(4, SplitMix64(66)), random_input(4, SplitMix64(67))
+    prep = householder_from_vector(vec)
+    state = prepare_input(circ, prep[:, 0] if iterate == "standard" else vec)
+    k = 5
+    records, grids = composed_reference(circ, state, k, target, iterate)
+    for i in range(k + 1):
+        if iterate == "standard":
+            trace, final = standard_aa(circ, prep, i, target, return_final_state=True)
+        else:
+            trace, final = oblivious_aa(circ, state, i, iterate, target,
+                                        return_final_state=True)
+        assert trace.records == records[: i + 1]
+        assert np.array_equal(final.grid, grids[i])
+
+
 def test_input_must_sit_on_good_register():
     u = seeded_embedded(4, 93)
     circ = build_row_encoding(u)
@@ -375,22 +457,30 @@ def test_runs_leave_their_inputs_alone():
         assert not np.shares_memory(final.grid, target)
 
 
-# page faults of a second adjoint run at embedded dimension 256, k = 12:
-# one run that allocated its grids on every step took about 5,400
+# page faults of a second run at embedded dimension 256, k = 12: one
+# adjoint run that allocated its grids on every step took about 5,400
 PAGE_FAULT_SCRIPT = """
 import resource
-from oaasim import SplitMix64, encode, oblivious_aa, random_input, random_symmetric
+from oaasim import (SplitMix64, encode, householder_from_vector, oblivious_aa,
+                    random_input, random_symmetric, standard_aa)
 
 enc = encode(random_symmetric(128, SplitMix64(5)), random_input(128, SplitMix64(6)))
-oblivious_aa(enc.circuit, enc.state, 12, "adjoint", enc.target)
+prep = householder_from_vector(enc.circuit.good_first(enc.state.grid)[0])
+{run}
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-oblivious_aa(enc.circuit, enc.state, 12, "adjoint", enc.target)
+{run}
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
+PAGE_FAULT_RUNS = {
+    "adjoint": 'oblivious_aa(enc.circuit, enc.state, 12, "adjoint", enc.target)',
+    "literal": 'oblivious_aa(enc.circuit, enc.state, 12, "literal", enc.target)',
+    "standard": "standard_aa(enc.circuit, prep, 12, enc.target)",
+}
 
 
-def test_amplification_loop_reuses_its_grids(run_child):
-    assert int(run_child(PAGE_FAULT_SCRIPT, 1)) < 1000
+@pytest.mark.parametrize("iterate", PAGE_FAULT_RUNS)
+def test_amplification_loop_reuses_its_grids(run_child, iterate):
+    assert int(run_child(PAGE_FAULT_SCRIPT.format(run=PAGE_FAULT_RUNS[iterate]), 1)) < 1000
 
 
 @given(circuits(), st.integers(0, 8), st.integers(0, 2**32 - 1))
