@@ -2,8 +2,9 @@
 
 ValidationError covers malformed inputs (wrong shapes, broken preconditions
 the caller can fix); NumericalError covers failures discovered during the
-computation itself (degenerate decompositions, unconverged sweeps, lost
-amplitude mass). The command line maps them to exit codes 1 and 2.
+computation itself (degenerate decompositions, eigensolvers that do not
+converge, lost amplitude mass). The command line maps them to exit codes 1
+and 2.
 """
 
 
@@ -44,7 +45,8 @@ class PolarDegenerateError(NumericalError):
 
 
 class ConvergenceError(NumericalError):
-    """Iterative solver exhausted its sweep budget."""
+    """Eigensolver did not converge: the one-sided Jacobi route exhausted its
+    sweep budget, or LAPACK reported non-convergence in sym_eigen."""
 
 
 class NoGoodAmplitudeError(NumericalError):

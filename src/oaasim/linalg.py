@@ -1,15 +1,16 @@
-"""Dense real symmetric linear algebra built on a cyclic Jacobi eigensolver.
+"""Dense real symmetric linear algebra built on LAPACK's symmetric eigensolver.
 
 Everything downstream (embeddings, closeness metrics, classical oracles)
-reduces to the symmetric eigendecomposition computed here, and every matrix
-function f(S) = V f(L) V^T is formed from it by one private helper,
-_spectral_map. Callers that read only |eigenvalues| (closeness, the
-spectral norm) take _abs_eigenvalues: one-sided Jacobi rotates row pairs,
-with no eigenvectors, until the rows are orthogonal and their norms are the
-|eigenvalues|. Both solvers rotate the h disjoint pairs of a round-robin
-round (schedule built once per order) as one batch: in _abs_eigenvalues one
-gather, one (h, 2, 2) @ (h, 2, n) product and one scatter. Disjoint rotations
-commute, so batching keeps the pair-zeroing property of cyclic Jacobi.
+reduces to the symmetric eigendecomposition computed here by sym_eigen
+(np.linalg.eigh on a power-of-two-scaled copy), and every matrix function
+f(S) = V f(L) V^T is formed from it by one private helper, _spectral_map.
+Callers that read only |eigenvalues| (closeness, the spectral norm) take
+_abs_eigenvalues: one-sided Jacobi rotates row pairs, with no eigenvectors,
+until the rows are orthogonal and their norms are the |eigenvalues|. It
+rotates the h disjoint pairs of a round-robin round (schedule built once per
+order) as one gather, one (h, 2, 2) @ (h, 2, n) product and one scatter.
+Disjoint rotations commute, so batching keeps the pair-zeroing property of
+cyclic Jacobi.
 
 Also defines the plain-text matrix file format used across the package:
 line one holds "rows cols", each following line one matrix row, entries
@@ -157,77 +158,21 @@ def _rotation_rounds(n: int) -> np.ndarray:
     return schedule
 
 
-def _off_diagonal_norm(a: np.ndarray) -> float:
-    b = a.copy()
-    np.fill_diagonal(b, 0.0)
-    return math.sqrt(float((b * b).sum()))
-
-
-def _jacobi(s) -> tuple[np.ndarray, np.ndarray]:
-    """The cyclic Jacobi solver of sym_eigen: (the eigenvalues of s in
-    sweep order, their accumulated rotations Q). Converged when the
-    off-diagonal Frobenius norm drops to 1e-12 times the input Frobenius
-    norm, else ConvergenceError after 50 sweeps. The sweeps run on s / 2^e
-    (see _pow2_scaled), exactly as on s, so no norm overflows."""
+def sym_eigen(s) -> EigenPair:
+    """Eigendecomposition of a symmetric matrix by LAPACK (np.linalg.eigh),
+    run on s / 2^e (see _pow2_scaled) so no intermediate overflows, and on
+    (a + a^T) / 2 of it so both triangles are read (exact when s is exactly
+    symmetric). LAPACK non-convergence raises ConvergenceError; an
+    eigenvalue beyond the float range, ValidationError."""
     a, e = _pow2_scaled(check_symmetric(s))
-    n = a.shape[0]
-    q = np.eye(n)
-    if n == 1:
-        return np.ldexp(a[0], e), q
-    norm_s = math.sqrt(float((a * a).sum()))
-    if norm_s == 0.0:
-        return np.zeros(n), q
-    stop = JACOBI_TOL * norm_s
-    # if every pivot in a sweep is at or below this, the off norm is below stop
-    skip = stop / math.sqrt(n * (n - 1))
-    rounds = _rotation_rounds(n)
-    for _ in range(JACOBI_MAX_SWEEPS):
-        if _off_diagonal_norm(a) <= stop:
-            break
-        rotated = False
-        for p_idx, q_idx in (pq.T for pq in rounds):
-            apq = a[p_idx, q_idx]
-            active = np.abs(apq) > skip
-            if not active.any():
-                continue
-            rotated = True
-            app = a[p_idx, p_idx]
-            aqq = a[q_idx, q_idx]
-            safe = np.where(active, apq, 1.0)
-            tau = (aqq - app) / (2.0 * safe)
-            t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            sn = t * c
-            c = np.where(active, c, 1.0)
-            sn = np.where(active, sn, 0.0)
-            rp = a[p_idx, :]
-            rq = a[q_idx, :]
-            a[p_idx, :] = c[:, None] * rp - sn[:, None] * rq
-            a[q_idx, :] = sn[:, None] * rp + c[:, None] * rq
-            cp = a[:, p_idx]
-            cq = a[:, q_idx]
-            a[:, p_idx] = cp * c - cq * sn
-            a[:, q_idx] = cp * sn + cq * c
-            vp, vq = q[:, p_idx], q[:, q_idx]
-            q[:, p_idx], q[:, q_idx] = vp * c - vq * sn, vp * sn + vq * c
-        if not rotated:
-            break
-    else:
-        if _off_diagonal_norm(a) > stop:
-            raise ConvergenceError(_NOT_CONVERGED.format(JACOBI_MAX_SWEEPS))
+    try:
+        values, q = np.linalg.eigh((a + a.T) / 2.0)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"LAPACK eigh did not converge: {exc}") from exc
     with np.errstate(over="ignore"):
-        values = np.ldexp(np.diag(a), e)
+        values = np.ldexp(values, e)
     if not np.isfinite(values).all():
         raise ValidationError("an eigenvalue of the matrix overflows a float")
-    return values, q
-
-
-def sym_eigen(s) -> EigenPair:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi sweeps (see
-    _jacobi for convergence and ConvergenceError); deterministic."""
-    values, q = _jacobi(s)
-    order = np.argsort(values, kind="stable")
-    values, q = values[order], q[:, order]
     flip = q[np.abs(q).argmax(axis=0), np.arange(q.shape[0])] < 0.0
     q[:, flip] = -q[:, flip]
     return EigenPair(values=values, vectors=q)

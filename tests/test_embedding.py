@@ -170,9 +170,9 @@ def test_closeness_routes_agree_on_embeddings():
 @pytest.fixture
 def eigen_calls(monkeypatch):
     """The name of each eigen route called from here on: the |eigenvalue|
-    route, or the Jacobi solver behind sym_eigen that builds eigenvectors."""
+    route, or sym_eigen, which builds eigenvectors."""
     calls = []
-    for module, name in ((oaasim.linalg, "_abs_eigenvalues"), (oaasim.linalg, "_jacobi"),
+    for module, name in ((oaasim.linalg, "_abs_eigenvalues"), (oaasim.linalg, "sym_eigen"),
                          (oaasim.embedding, "_abs_eigenvalues")):  # embedding's own binding
         real = getattr(module, name)
 

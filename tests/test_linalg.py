@@ -185,18 +185,42 @@ def test_rotation_schedule_pairs_every_row_once(n):
     assert _rotation_rounds(n) is schedule
 
 
-def test_eigen_routes_refuse_what_does_not_converge(monkeypatch, tmp_path, capsys):
+def test_abs_eigenvalues_refuses_what_does_not_converge(monkeypatch, tmp_path, capsys):
     s = random_symmetric(16, SplitMix64(74))
     monkeypatch.setattr(oaasim.linalg, "JACOBI_MAX_SWEEPS", 1)
-    for route in (sym_eigen, _abs_eigenvalues):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ConvergenceError, match="within 1 sweeps"):
-                route(s)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError, match="within 1 sweeps"):
+            _abs_eigenvalues(s)
     path = tmp_path / "s.txt"
     write_matrix(path, s)
     assert main(["embed", "--matrix", str(path), "--out", str(tmp_path / "u.txt")]) == 2
     assert "numerical error: Jacobi sweeps did not converge" in capsys.readouterr().err
+
+
+def test_sym_eigen_refuses_what_lapack_does_not_converge(monkeypatch, tmp_path, capsys):
+    def unconverged(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    s = random_symmetric(16, SplitMix64(74))
+    monkeypatch.setattr(oaasim.linalg.np.linalg, "eigh", unconverged)
+    with pytest.raises(ConvergenceError, match="LAPACK eigh did not converge"):
+        sym_eigen(s)
+    path = tmp_path / "s.txt"
+    write_matrix(path, s)
+    assert main(["matfunc", "--fn", "exp", "--matrix", str(path), "--trunc", "2"]) == 2
+    assert "numerical error: LAPACK eigh did not converge" in capsys.readouterr().err
+
+
+def test_sym_eigen_reads_both_triangles():
+    # LAPACK reads one triangle; an asymmetry check_symmetric accepts must
+    # not make the result depend on which one
+    b = random_symmetric(16, SplitMix64(75))
+    b[3, 11] += 5e-13
+    check_symmetric(b)
+    pair, pair_t = sym_eigen(b), sym_eigen(b.T)
+    assert np.array_equal(pair.values, pair_t.values)
+    assert np.array_equal(pair.vectors, pair_t.vectors)
 
 
 @pytest.mark.parametrize("bad, error", [
