@@ -1,13 +1,20 @@
 """Amplitude amplification over structured block-encoding circuits.
 
 Every iterate runs one loop (_amplify): record the state after the
-circuit, then per iteration reflect about the good states (S), run one
-middle reflection as a layer under the norm guard, negate, record. The
-middle reflection is
+circuit, then record the good amplitudes after each iteration of a step
+iterator. On the grid (_grid_steps) an iteration reflects about the good
+states (S), runs one middle reflection as a layer under the norm guard
+and negates. The middle reflection is
 - "adjoint": U S U^-1, the image reflection (O(M N) for the row encoding);
-- "literal": U S U, the circuit applied forward both times;
+- "literal": U S U, the circuit applied forward both times; for the row
+  encoding one layer with no register swap (see circuit);
 - standard: I - 2 s s^T about the start state s = U P |0>; the -1 turns
   it into 2 s s^T - I bit for bit.
+The adjoint iterate of a row encoding skips the grid: it runs on the
+structured state of the circuit module (RowEncodingCircuit._adjoint_steps),
+two matrix-vector products per iteration under the same norm rule, and
+writes the grid only when the final state is asked for. oblivious_aa
+picks the route from the circuit type and the variant.
 The two oblivious variants need nothing but the circuit and the fixed
 reflection S, so they run without knowing the input, which is what makes
 chains of encoded operators composable (Berry et al., arXiv:1312.1414);
@@ -23,21 +30,21 @@ variants coincide whenever the dense circuit operator is symmetric.
 
 States are read through the circuit's good_first view of their grid, so
 nothing here knows which register a circuit type marks as good. The
-loop refuses a bad target before its first record; it then reads the
-first len(target) good amplitudes: the top half, projected, when the
-target is half the data register.
+loop refuses a bad target before its first record and scales it once;
+it then reads the first len(target) good amplitudes: the top half,
+projected, when the target is half the data register.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
 from .circuit import (
     CircuitU,
+    RowEncodingCircuit,
     StateVector,
     _check_dims,
     _good_mass,
@@ -46,8 +53,7 @@ from .circuit import (
     apply_good_reflection,
 )
 from .errors import DimensionError, NoGoodAmplitudeError, ValidationError
-from .linalg import _check_count, _check_orthogonal, _check_unit_norm, _float_array
-from .metrics import fidelity
+from .linalg import _check_count, _check_orthogonal, _check_unit_norm, _float_array, _pow2_scaled
 
 VARIANTS = ("literal", "adjoint")
 
@@ -107,36 +113,63 @@ def _check_input_state(c: CircuitU, s: StateVector) -> None:
     _check_unit_norm(s.grid, "input state")
 
 
+def _scaled_target(target) -> tuple[np.ndarray, float]:
+    """(target / 2^e, its norm), the target as fidelity scales it (see
+    linalg._pow2_scaled); a run takes it once, before its first record."""
+    scaled, _ = _pow2_scaled(target)
+    return scaled, math.sqrt(float((scaled * scaled).sum()))
+
+
 def _record(c, state, target, iteration) -> TraceRecord:
-    good = c.good_first(state.grid)[0]
+    """The record of one state against an unscaled target."""
+    return _record_good(c.good_first(state.grid)[0], _scaled_target(target), iteration)
+
+
+def _record_good(good, target, iteration) -> TraceRecord:
+    """The record of the good amplitudes `good` (of either sign) against
+    target = _scaled_target(t): mass and fidelity of its first len(t)
+    entries, both read off the one unit vector _good_mass scales them to.
+    The fidelity is metrics.fidelity's bit for bit, whose power-of-two
+    scaling of that vector cancels in the quotient."""
+    scaled, norm = target
     if not np.isfinite(good).all():
         raise NoGoodAmplitudeError("a good amplitude is not finite")
-    prob, unit = _good_mass(good[: target.size])
+    prob, unit = _good_mass(good[: scaled.size])
     if unit is None:
         return TraceRecord(iteration=iteration, probability=0.0, fidelity=0.0)
-    return TraceRecord(iteration=iteration, probability=prob, fidelity=fidelity(unit, target))
+    fid = abs(float(unit @ scaled)) / (math.sqrt(float((unit * unit).sum())) * norm)
+    return TraceRecord(iteration=iteration, probability=prob, fidelity=fid)
 
 
-def _amplify(c: CircuitU, state: StateVector, k: int, middle, target,
-             return_final_state: bool):
+def _grid_steps(c: CircuitU, middle, state: StateVector, k: int):
+    """k iterations on the grid of `state`, in place: the good reflection,
+    the layer middle(x, out, scratch) under the norm guard and the -1.
+    Yields the good amplitudes after each."""
+    good = c.good_first(state.grid)[0]
+    for _ in range(k):
+        apply_good_reflection(c, state, out=state)
+        _norm_preserving(c, middle, state, state)
+        np.negative(state.grid, out=state.grid)
+        yield good
+
+
+def _amplify(c: CircuitU, state: StateVector, steps, target, return_final_state: bool):
     """The one amplification loop. Records `state` (the circuit already
-    applied) as iteration 0, then k times applies the good reflection, the
-    layer middle(x, out, scratch) under the norm guard and the -1, each in
-    place on `state`, and records. Returns the trace, and `state` too when
-    return_final_state is set. The target is checked once, first: a finite,
-    nonzero real array as long as the data register or half of it."""
+    applied) as iteration 0, then the good amplitudes that the iterator
+    `steps` yields after each iteration. Returns the trace, and `state`
+    too when return_final_state is set; the steps then leave the final
+    state in it. The target is checked once, first: a finite, nonzero
+    real array as long as the data register or half of it."""
     target = _float_array(target, "target").ravel()
     data_dim = c.good_first(state.grid).shape[1]
     if target.size not in (data_dim, data_dim / 2):
         raise DimensionError(f"target length {target.size} is neither {data_dim} nor half of it")
     if not (np.isfinite(target).all() and target.any()):
         raise ValidationError("target must be finite and nonzero")
-    trace = IterationTrace([_record(c, state, target, 0)])
-    for i in range(1, k + 1):
-        apply_good_reflection(c, state, out=state)
-        _norm_preserving(c, middle, state, state)
-        np.negative(state.grid, out=state.grid)
-        trace.records.append(_record(c, state, target, i))
+    target = _scaled_target(target)
+    trace = IterationTrace([_record_good(c.good_first(state.grid)[0], target, 0)])
+    for i, good in enumerate(steps, 1):
+        trace.records.append(_record_good(good, target, i))
     return (trace, state) if return_final_state else trace
 
 
@@ -151,7 +184,9 @@ def oblivious_aa(c: CircuitU, input_state: StateVector, k: int, variant: str,
     applies the good reflection, the middle reflection (U S U^-1 for the
     adjoint variant, U S U for the literal one, each as one guarded step)
     and the literal global -1 phase of the iterate. Fidelity takes an
-    absolute value, so the phase never shows up in the records.
+    absolute value, so the phase never shows up in the records. A row
+    encoding's adjoint iterations run on its structured state instead of
+    the grid (see the module docstring).
 
     A target half as long as the data register selects projected fidelity,
     one as long as it embedded fidelity (see TraceRecord). Any other length
@@ -162,8 +197,14 @@ def oblivious_aa(c: CircuitU, input_state: StateVector, k: int, variant: str,
         raise ValidationError(f"unknown variant {variant!r}")
     k = _check_count(k, "iteration count", 0)
     _check_input_state(c, input_state)
-    middle = c._image_reflection if variant == "adjoint" else partial(c._sandwich, c._forward)
-    return _amplify(c, apply_circuit(c, input_state), k, middle, target, return_final_state)
+    state = apply_circuit(c, input_state)
+    if variant == "literal":
+        steps = _grid_steps(c, c._literal_reflection, state, k)
+    elif isinstance(c, RowEncodingCircuit):
+        steps = c._adjoint_steps(state, k, return_final_state)
+    else:
+        steps = _grid_steps(c, c._image_reflection, state, k)
+    return _amplify(c, state, steps, target, return_final_state)
 
 
 def standard_aa(c: CircuitU, input_prep, k: int, target,
@@ -192,4 +233,5 @@ def standard_aa(c: CircuitU, input_prep, k: int, target,
     def reflect_about_start(x, out, _scratch):  # I - 2 s s^T
         np.subtract(x, (2.0 * float(unit.ravel() @ x.ravel())) * unit, out=out)
 
-    return _amplify(c, state, k, reflect_about_start, target, return_final_state)
+    steps = _grid_steps(c, reflect_about_start, state, k)
+    return _amplify(c, state, steps, target, return_final_state)

@@ -38,6 +38,24 @@ d_i = <hh_i, x_i>: one row-dot, one column sum, two matrix-vector
 products and three elementwise passes, O(M N) with no Hadamard.
 dense_matrix_of exists only as a small-dimension oracle for tests.
 
+Amplification reads only the good amplitudes between iterations, so the
+row encoding's adjoint iterate -L D L R runs on a structured state
+(_adjoint_steps). With x the grid after the circuit, the state after i
+iterations is (-1)^i y, y = x + 1 a^T + diag(s) hh + w e0^T: R negates
+the good column g of y, which sets w -= 2 g; L D L sets a -= (2/M) c and
+s += (4/M) hh c; the -1 is the sign. From the row dots hh.x, colsum(x),
+x e0 and ||x||^2, taken once, and hh a, kept up to date, an iteration
+finds c, d and g with two matrix-vector products, hh^T (s - 2 d) and
+hh c, and O(M) work besides; the grid is written only when the final
+state is asked for. The norm guard reads the norm of y off the same terms:
+||y||^2 = ||x||^2 + 2 colsum(x).a + (hh.x).s + (x e0).w + M a.a
++ s.(d + hh a) + w.g + a_0 sum(w), with d and g those of y.
+The literal middle step W R W = L H P R L H P, P the register swap,
+needs no swap either: P L H P = Lc Hc, the Hadamard layer on axis 1
+(_fwht_axis1) and the Householder layer with block i on column i, and
+P R P = R' negates row 0, so W R W = L H R' Lc Hc.
+The public applies and the LCU form keep the grid route.
+
 Memory: the layers write into a destination the caller may own (the `out`
 of apply_circuit, which may be the input state) and work in one scratch
 grid per circuit, made on first use, so an amplification loop allocates
@@ -134,6 +152,9 @@ class CircuitU:
     def _image_reflection(self, x, out, scratch):
         self._sandwich(self._inverse, x, out, scratch)
 
+    def _literal_reflection(self, x, out, scratch):
+        self._sandwich(self._forward, x, out, scratch)
+
     def _sandwich(self, first, x, out, scratch):
         # first, R, forward: W R W^-1 from _inverse, literal's W R W from _forward
         first(x, out, scratch)
@@ -177,6 +198,71 @@ class RowEncodingCircuit(CircuitU):
         np.multiply(hh, ((4.0 / m) * (hh @ c))[:, None], out=scratch)
         np.subtract(x, (2.0 / m) * c, out=out)
         out += scratch
+
+    @functools.cached_property
+    def _hh_columns(self) -> np.ndarray:
+        """_hh transposed, C-contiguous: column i is block i's vector."""
+        return np.ascontiguousarray(self._hh.T)
+
+    def _literal_reflection(self, x, out, scratch):
+        # W R W as L H R' Lc Hc, the register swaps moved through (module docstring)
+        _fwht_axis1(x, out, scratch)
+        hc = self._hh_columns
+        dots = np.einsum("ij,ij->j", hc, out)
+        np.multiply(hc, -2.0 * dots, out=scratch)
+        scratch += out
+        scratch[0] *= -1.0
+        _fwht_axis0(scratch, scratch, out)
+        self._householder_layer(scratch, out)
+
+    def _adjoint_steps(self, state: StateVector, k: int, keep: bool):
+        """Run the adjoint iterate -L D L R k times on the structured state
+        y of the module docstring, yielding its good amplitudes (the sign
+        left out) after each step under the norm guard. state holds x, the
+        grid after the circuit; with keep set, the final state is written
+        into it after the last step."""
+        x, hh, m = state.grid, self._hh, self.m_dim
+        h0, x0 = hh[:, 0].copy(), x[:, 0].copy()
+        hn, rdx = np.einsum("ij,ij->i", hh, hh), np.einsum("ij,ij->i", hh, x)
+        csx = x.sum(axis=0)
+        p = np.concatenate([2.0 * csx, rdx, x0])  # ||y||^2 = ||x||^2 + p.z + ...
+        xx = float(x.ravel() @ x.ravel())
+        z = np.zeros(3 * m)
+        a, s, w = z[:m], z[m : 2 * m], z[2 * m :]
+        ha, c, t = np.zeros(m), np.empty(m), np.empty(m)  # ha = hh @ a
+        g, d = x0.copy(), rdx.copy()  # good column and row dots of y
+        before = math.sqrt(xx)
+        for _ in range(k):
+            g += g
+            w -= g  # R
+            d -= g * h0
+            np.matmul(s - 2.0 * d, hh, out=c)  # c = colsum(R y) - 2 hh^T d
+            c += csx
+            c += m * a
+            c[0] += w.sum()
+            np.matmul(hh, c, out=t)
+            a -= (2.0 / m) * c  # L D L
+            s += (4.0 / m) * t
+            ha -= (2.0 / m) * t
+            np.multiply(s, h0, out=g)
+            g += x0
+            g += w
+            g += a[0]
+            np.multiply(s, hn, out=d)
+            d += rdx
+            d += ha
+            d += w * h0
+            after = math.sqrt(max(xx + p @ z + m * (a @ a) + s @ (d + ha) + w @ g
+                                  + a[0] * w.sum(), 0.0))
+            _check_norm(before, after)
+            before = after
+            yield g
+        if keep:
+            x += a
+            x += s[:, None] * hh
+            x[:, 0] += w
+            if k % 2:
+                np.negative(x, out=x)
 
 
 class LcuCircuit(CircuitU):
@@ -234,6 +320,17 @@ def _fwht_axis0(x: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
     b = m // a
     y = np.matmul(_hadamard(a), x.reshape(a, -1), out=scratch.reshape(a, -1))
     np.matmul(_hadamard(b), y.reshape(a, b, -1), out=out.reshape(a, b, -1))
+
+
+def _fwht_axis1(x: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+    """_fwht_axis0 over axis 1 (length N a power of two), with no transposed
+    copy: H_b on the last index of the (M, a, b) view as one (M a, b) @
+    (b, b) product, into scratch, then H_a on its middle index, into out."""
+    n = x.shape[1]
+    a = 1 << (n.bit_length() // 2)
+    b = n // a
+    y = np.matmul(x.reshape(-1, b), _hadamard(b), out=scratch.reshape(-1, b))
+    np.matmul(_hadamard(a), y.reshape(-1, a, b), out=out.reshape(-1, a, b))
 
 
 def build_row_encoding(u) -> RowEncodingCircuit:
@@ -314,9 +411,13 @@ def _norm_preserving(c: CircuitU, layer, s: StateVector,
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check
         before = s.norm()  # read first: out may be s
         layer(s.grid, out.grid, c._scratch)
-        if not (abs(out.norm() - before) <= NORM_DRIFT_TOL * max(1.0, before)):
-            raise NumericalError("circuit application failed to preserve the norm")
+        _check_norm(before, out.norm())
     return out
+
+
+def _check_norm(before: float, after: float) -> None:
+    if not (abs(after - before) <= NORM_DRIFT_TOL * max(1.0, before)):
+        raise NumericalError("circuit application failed to preserve the norm")
 
 
 def apply_circuit(c: CircuitU, s: StateVector, inverse: bool = False,

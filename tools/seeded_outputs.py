@@ -82,6 +82,11 @@ CALLS = [
                            "../inputs/diag-tiny.txt", "--variant", "adjoint", "--out", "."]),
     ("product-diag-huge", ["product", "--factors", "../inputs/diag-huge.txt",
                            "../inputs/diag-huge.txt", "--variant", "adjoint", "--out", "."]),
+    # embedded order 256, k = 12: the benchmark's amplify call
+    *[(f"amplify-{variant}-128",
+       ["amplify", "--matrix", "../inputs/a128.txt", "--input", "../inputs/v128.txt",
+        "--k", "12", "--variant", variant, "--out", "trace.csv"])
+      for variant in ("literal", "adjoint")],
 ]
 
 
@@ -107,7 +112,10 @@ def write_inputs(inputs: Path) -> None:
     _write(inputs / "w1.txt", sym(4))
     _write(inputs / "v4.txt", rng.uniform(-1.0, 1.0, 4))
     _write(inputs / "small4.txt", 0.25 * sym(4))
-    _write(inputs / "a64.txt", sym(64))  # drawn last: earlier inputs keep their values
+    # each later input is drawn after those above, so they keep their values
+    _write(inputs / "a64.txt", sym(64))
+    _write(inputs / "a128.txt", sym(128))
+    _write(inputs / "v128.txt", rng.uniform(-1.0, 1.0, 128))
     for name, diagonal in (("diag-neg", [-1000.0, -2000.0]), ("diag-big", [800.0, 1.0]),
                            ("diag-zero-neg", [0.0, -1000.0]), ("diag-tiny", [1e-200, 2e-200]),
                            ("diag-huge", [1e200, 1.0])):
