@@ -24,7 +24,6 @@ from .circuit import (
     StateVector,
     apply_circuit,
     apply_good_reflection,
-    apply_image_reflection,
     build_lcu_encoding,
     build_row_encoding,
     collapse_good,

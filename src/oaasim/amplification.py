@@ -1,20 +1,24 @@
 """Amplitude amplification over structured block-encoding circuits.
 
-Every iterate runs one loop (_amplify): record the state after the
-circuit, then record the good amplitudes after each iteration of a step
-iterator. On the grid (_grid_steps) an iteration reflects about the good
-states (S), runs one middle reflection as a layer under the norm guard
-and negates. The middle reflection is
-- "adjoint": U S U^-1, the image reflection (O(M N) for the row encoding);
+Every iterate runs one loop (_amplify) over a step iterator: record the
+state after the circuit, then the good amplitudes each iteration yields.
+Every step iterator leaves out the iterate's global -1, so it yields the
+good amplitudes up to sign, and checks each iteration's norm against the
+previous one's (circuit._check_norm); the loop applies the sign (-1)^k
+once, to the final state when it is asked for. Every layer is odd under
+round-to-nearest, so the records and the final state are those of the
+signed iterate bit for bit. On the grid (_grid_steps) an iteration
+reflects about the good states (S) and runs one middle reflection:
+- "adjoint": U S U^-1, the image reflection (inverse, S, forward);
 - "literal": U S U, the circuit applied forward both times; for the row
   encoding one layer with no register swap (see circuit);
-- standard: I - 2 s s^T about the start state s = U P |0>; the -1 turns
-  it into 2 s s^T - I bit for bit.
+- standard: I - 2 s s^T about the start state s = U P |0>; with the -1
+  it is 2 s s^T - I.
 The adjoint iterate of a row encoding skips the grid: it runs on the
 structured state of the circuit module (RowEncodingCircuit._adjoint_steps),
-two matrix-vector products per iteration under the same norm rule, and
-writes the grid only when the final state is asked for. oblivious_aa
-picks the route from the circuit type and the variant.
+two matrix-vector products per iteration, and writes the grid only when
+the final state is asked for. oblivious_aa picks the route from the
+circuit type and the variant.
 The two oblivious variants need nothing but the circuit and the fixed
 reflection S, so they run without knowing the input, which is what makes
 chains of encoded operators composable (Berry et al., arXiv:1312.1414);
@@ -47,10 +51,9 @@ from .circuit import (
     RowEncodingCircuit,
     StateVector,
     _check_dims,
+    _check_norm,
     _good_mass,
-    _norm_preserving,
     apply_circuit,
-    apply_good_reflection,
 )
 from .errors import DimensionError, NoGoodAmplitudeError, ValidationError
 from .linalg import _check_count, _check_orthogonal, _check_unit_norm, _float_array, _pow2_scaled
@@ -120,11 +123,6 @@ def _scaled_target(target) -> tuple[np.ndarray, float]:
     return scaled, math.sqrt(float((scaled * scaled).sum()))
 
 
-def _record(c, state, target, iteration) -> TraceRecord:
-    """The record of one state against an unscaled target."""
-    return _record_good(c.good_first(state.grid)[0], _scaled_target(target), iteration)
-
-
 def _record_good(good, target, iteration) -> TraceRecord:
     """The record of the good amplitudes `good` (of either sign) against
     target = _scaled_target(t): mass and fidelity of its first len(t)
@@ -142,24 +140,30 @@ def _record_good(good, target, iteration) -> TraceRecord:
 
 
 def _grid_steps(c: CircuitU, middle, state: StateVector, k: int):
-    """k iterations on the grid of `state`, in place: the good reflection,
-    the layer middle(x, out, scratch) under the norm guard and the -1.
-    Yields the good amplitudes after each."""
-    good = c.good_first(state.grid)[0]
+    """k iterations on the grid of `state`, in place, the -1 left out: the
+    good reflection, then the layer middle(x, out, scratch) under the norm
+    guard. Yields the good amplitudes after each."""
+    x = state.grid
+    good = c.good_first(x)[0]
+    before = state.norm()
     for _ in range(k):
-        apply_good_reflection(c, state, out=state)
-        _norm_preserving(c, middle, state, state)
-        np.negative(state.grid, out=state.grid)
+        good *= -1.0
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check
+            middle(x, x, c._scratch)
+            after = state.norm()
+        _check_norm(before, after)
+        before = after
         yield good
 
 
 def _amplify(c: CircuitU, state: StateVector, steps, target, return_final_state: bool):
     """The one amplification loop. Records `state` (the circuit already
-    applied) as iteration 0, then the good amplitudes that the iterator
-    `steps` yields after each iteration. Returns the trace, and `state`
-    too when return_final_state is set; the steps then leave the final
-    state in it. The target is checked once, first: a finite, nonzero
-    real array as long as the data register or half of it."""
+    applied) as iteration 0, then the good amplitudes, of either sign,
+    that the iterator `steps` yields after each iteration. Returns the
+    trace, and `state` too when return_final_state is set; the steps then
+    leave the final state in it up to the sign (-1)^k, applied here. The
+    target is checked once, first: a finite, nonzero real array as long
+    as the data register or half of it."""
     target = _float_array(target, "target").ravel()
     data_dim = c.good_first(state.grid).shape[1]
     if target.size not in (data_dim, data_dim / 2):
@@ -170,6 +174,8 @@ def _amplify(c: CircuitU, state: StateVector, steps, target, return_final_state:
     trace = IterationTrace([_record_good(c.good_first(state.grid)[0], target, 0)])
     for i, good in enumerate(steps, 1):
         trace.records.append(_record_good(good, target, i))
+    if return_final_state and len(trace.records) % 2 == 0:  # (-1)^k for odd k
+        np.negative(state.grid, out=state.grid)
     return (trace, state) if return_final_state else trace
 
 
@@ -181,12 +187,12 @@ def oblivious_aa(c: CircuitU, input_state: StateVector, k: int, variant: str,
     register at index 0 and norm 1 within 1e-12, as prepare_input makes it.
     The circuit is applied once, the (probability, fidelity against
     `target`) pair is recorded, then each iteration of the shared loop
-    applies the good reflection, the middle reflection (U S U^-1 for the
-    adjoint variant, U S U for the literal one, each as one guarded step)
-    and the literal global -1 phase of the iterate. Fidelity takes an
-    absolute value, so the phase never shows up in the records. A row
-    encoding's adjoint iterations run on its structured state instead of
-    the grid (see the module docstring).
+    applies the good reflection and the middle reflection (U S U^-1 for
+    the adjoint variant, U S U for the literal one, each as one guarded
+    step); the iterate's global -1 phase is applied once, to the final
+    state. Fidelity takes an absolute value, so the phase never shows up
+    in the records. A row encoding's adjoint iterations run on its
+    structured state instead of the grid (see the module docstring).
 
     A target half as long as the data register selects projected fidelity,
     one as long as it embedded fidelity (see TraceRecord). Any other length
@@ -215,7 +221,8 @@ def standard_aa(c: CircuitU, input_prep, k: int, target,
     the desired input. The circuit is applied once to P |0>, giving the
     start state s (taken at unit norm); then the shared loop runs with the
     middle reflection I - 2 s s^T, so each iteration applies the good-state
-    reflection and then 2 s s^T - I. The target works as in oblivious_aa.
+    reflection and then 2 s s^T - I, its -1 applied once as in
+    oblivious_aa. The target works as in oblivious_aa.
     """
     prep = _float_array(input_prep, "input_prep")
     start = np.zeros((c.m_dim, c.n_dim))

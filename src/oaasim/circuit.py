@@ -28,33 +28,32 @@ No application materializes the M N x M N operator. The Hadamard layer is
 two small matrix products (see _fwht_axis0) costing O(M N (a + b)) with
 a + b <= 2.2 sqrt(M); the row encoding's Householder layer is O(M N); the
 LCU form adds O(M N^2) for its blocks and O(M^2 N) for its reflector.
-apply_image_reflection, W R W^-1 for the good-state reflection R, runs
-inverse, R, forward; in the row encoding the swaps cancel and H R H is
-I - 2 u u^T, u the uniform state (Grover's diffusion), so it is
-L (I - 2 u u^T (x) I) L, L the Householder layer. Every block of L is an
-involution, so L L = I and the product is one rank-structured update,
-x - (2/M) 1 c^T + (4/M) (hh c) o hh with c = x.sum(axis=0) - 2 hh^T d,
-d_i = <hh_i, x_i>: one row-dot, one column sum, two matrix-vector
-products and three elementwise passes, O(M N) with no Hadamard.
 dense_matrix_of exists only as a small-dimension oracle for tests.
 
 Amplification reads only the good amplitudes between iterations, so the
-row encoding's adjoint iterate -L D L R runs on a structured state
-(_adjoint_steps). With x the grid after the circuit, the state after i
-iterations is (-1)^i y, y = x + 1 a^T + diag(s) hh + w e0^T: R negates
-the good column g of y, which sets w -= 2 g; L D L sets a -= (2/M) c and
-s += (4/M) hh c; the -1 is the sign. From the row dots hh.x, colsum(x),
-x e0 and ||x||^2, taken once, and hh a, kept up to date, an iteration
-finds c, d and g with two matrix-vector products, hh^T (s - 2 d) and
-hh c, and O(M) work besides; the grid is written only when the final
-state is asked for. The norm guard reads the norm of y off the same terms:
+row encoding's adjoint iterate -W R W^-1 R, R the good-state reflection,
+runs on a structured state (_adjoint_steps). In W R W^-1 the register
+swaps cancel and H R H is I - 2 u u^T, u the uniform state (Grover's
+diffusion), so W R W^-1 = L D L with L the Householder layer and
+D = I - 2 u u^T (x) I. Every block of L is an involution, so L L = I and
+L D L x is one rank-structured update, x - (2/M) 1 c^T + (4/M) (hh c) o hh
+with c = x.sum(axis=0) - 2 hh^T d, d_i = <hh_i, x_i>. With x the grid
+after the circuit, the state after i iterations is (-1)^i y,
+y = x + 1 a^T + diag(s) hh + w e0^T: R negates the good column g of y,
+which sets w -= 2 g; L D L sets a -= (2/M) c and s += (4/M) hh c; the
+amplification loop applies the sign (-1)^k once, to the final state.
+From the row dots hh.x, colsum(x), x e0 and ||x||^2, taken once, and
+hh a, kept up to date, an iteration finds c, d and g with two
+matrix-vector products, hh^T (s - 2 d) and hh c, and O(M) work besides;
+the grid is written only when the final state is asked for. The norm
+guard reads the norm of y off the same terms:
 ||y||^2 = ||x||^2 + 2 colsum(x).a + (hh.x).s + (x e0).w + M a.a
 + s.(d + hh a) + w.g + a_0 sum(w), with d and g those of y.
 The literal middle step W R W = L H P R L H P, P the register swap,
 needs no swap either: P L H P = Lc Hc, the Hadamard layer on axis 1
 (_fwht_axis1) and the Householder layer with block i on column i, and
 P R P = R' negates row 0, so W R W = L H R' Lc Hc.
-The public applies and the LCU form keep the grid route.
+The LCU form keeps the grid route: W R W^-1 as inverse, R, forward.
 
 Memory: the layers write into a destination the caller may own (the `out`
 of apply_circuit, which may be the input state) and work in one scratch
@@ -90,8 +89,9 @@ from .linalg import (
 from .metrics import check_fidelity_mode
 
 DENSE_ORACLE_CAP = 256
-GOOD_MASS_FLOOR = 1e-30
 NORM_DRIFT_TOL = 1e-12
+# good mass below the square of the drift tolerance is rounding residue
+GOOD_MASS_FLOOR = NORM_DRIFT_TOL ** 2
 
 
 @dataclass
@@ -128,9 +128,10 @@ class CircuitU:
     """Immutable structured block-encoding operator.
 
     good_register names the register whose index 0 marks good states; only
-    good_first reads it. Each subclass owns its layers: _forward, _inverse
-    and _image_reflection read the (M, N) amplitude grid x and write the
-    result into out (which may be x), working in scratch (may be neither).
+    good_first reads it. Each subclass owns its layers: _forward and
+    _inverse read the (M, N) amplitude grid x and write the result into
+    out (which may be x), working in scratch (may be neither); so do the
+    middle reflections of the amplification iterates built from them.
     """
 
     good_register = ""
@@ -188,17 +189,6 @@ class RowEncodingCircuit(CircuitU):
         _fwht_axis0(scratch, scratch, out)
         np.copyto(out, scratch.T)
 
-    def _image_reflection(self, x, out, scratch):
-        # L D L x as one update, since L L = I (see the module docstring);
-        # c is the column sum of L x
-        hh, m = self._hh, self.m_dim
-        dots = np.einsum("ij,ij->i", hh, x)
-        c = x.sum(axis=0)
-        c -= 2.0 * (dots @ hh)
-        np.multiply(hh, ((4.0 / m) * (hh @ c))[:, None], out=scratch)
-        np.subtract(x, (2.0 / m) * c, out=out)
-        out += scratch
-
     @functools.cached_property
     def _hh_columns(self) -> np.ndarray:
         """_hh transposed, C-contiguous: column i is block i's vector."""
@@ -219,8 +209,8 @@ class RowEncodingCircuit(CircuitU):
         """Run the adjoint iterate -L D L R k times on the structured state
         y of the module docstring, yielding its good amplitudes (the sign
         left out) after each step under the norm guard. state holds x, the
-        grid after the circuit; with keep set, the final state is written
-        into it after the last step."""
+        grid after the circuit; with keep set, y is written into it after
+        the last step."""
         x, hh, m = state.grid, self._hh, self.m_dim
         h0, x0 = hh[:, 0].copy(), x[:, 0].copy()
         hn, rdx = np.einsum("ij,ij->i", hh, hh), np.einsum("ij,ij->i", hh, x)
@@ -233,27 +223,28 @@ class RowEncodingCircuit(CircuitU):
         g, d = x0.copy(), rdx.copy()  # good column and row dots of y
         before = math.sqrt(xx)
         for _ in range(k):
-            g += g
-            w -= g  # R
-            d -= g * h0
-            np.matmul(s - 2.0 * d, hh, out=c)  # c = colsum(R y) - 2 hh^T d
-            c += csx
-            c += m * a
-            c[0] += w.sum()
-            np.matmul(hh, c, out=t)
-            a -= (2.0 / m) * c  # L D L
-            s += (4.0 / m) * t
-            ha -= (2.0 / m) * t
-            np.multiply(s, h0, out=g)
-            g += x0
-            g += w
-            g += a[0]
-            np.multiply(s, hn, out=d)
-            d += rdx
-            d += ha
-            d += w * h0
-            after = math.sqrt(max(xx + p @ z + m * (a @ a) + s @ (d + ha) + w @ g
-                                  + a[0] * w.sum(), 0.0))
+            with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check
+                g += g
+                w -= g  # R
+                d -= g * h0
+                np.matmul(s - 2.0 * d, hh, out=c)  # c = colsum(R y) - 2 hh^T d
+                c += csx
+                c += m * a
+                c[0] += w.sum()
+                np.matmul(hh, c, out=t)
+                a -= (2.0 / m) * c  # L D L
+                s += (4.0 / m) * t
+                ha -= (2.0 / m) * t
+                np.multiply(s, h0, out=g)
+                g += x0
+                g += w
+                g += a[0]
+                np.multiply(s, hn, out=d)
+                d += rdx
+                d += ha
+                d += w * h0
+                after = math.sqrt(max(xx + p @ z + m * (a @ a) + s @ (d + ha) + w @ g
+                                      + a[0] * w.sum(), 0.0))
             _check_norm(before, after)
             before = after
             yield g
@@ -261,8 +252,6 @@ class RowEncodingCircuit(CircuitU):
             x += a
             x += s[:, None] * hh
             x[:, 0] += w
-            if k % 2:
-                np.negative(x, out=x)
 
 
 class LcuCircuit(CircuitU):
@@ -402,20 +391,9 @@ def _destination(c: CircuitU, s: StateVector, out: StateVector | None) -> StateV
     return out
 
 
-def _norm_preserving(c: CircuitU, layer, s: StateVector,
-                     out: StateVector | None) -> StateVector:
-    """Run layer(s.grid, out.grid, c._scratch), `out` as in _destination,
-    and return `out`. The one norm guard: NumericalError when the norm
-    drifts by more than NORM_DRIFT_TOL * max(1, norm)."""
-    out = _destination(c, s, out)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check
-        before = s.norm()  # read first: out may be s
-        layer(s.grid, out.grid, c._scratch)
-        _check_norm(before, out.norm())
-    return out
-
-
 def _check_norm(before: float, after: float) -> None:
+    """The one norm guard of every apply and iteration: NumericalError when
+    the norm drifts by more than NORM_DRIFT_TOL * max(1, before)."""
     if not (abs(after - before) <= NORM_DRIFT_TOL * max(1.0, before)):
         raise NumericalError("circuit application failed to preserve the norm")
 
@@ -430,15 +408,12 @@ def apply_circuit(c: CircuitU, s: StateVector, inverse: bool = False,
     state written. When the norm guard raises NumericalError, `out` holds
     no usable state; `s` is untouched when `out` is a different state.
     """
-    return _norm_preserving(c, c._inverse if inverse else c._forward, s, out)
-
-
-def apply_image_reflection(c: CircuitU, s: StateVector,
-                           out: StateVector | None = None) -> StateVector:
-    """Reflect about the circuit's image of the good subspace, W R W^-1;
-    `out` and the norm guard work as in apply_circuit: after a refusal
-    `out` holds no usable state, and `s` is untouched if `out` is not `s`."""
-    return _norm_preserving(c, c._image_reflection, s, out)
+    out = _destination(c, s, out)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check
+        before = s.norm()  # read first: out may be s
+        (c._inverse if inverse else c._forward)(s.grid, out.grid, c._scratch)
+        _check_norm(before, out.norm())
+    return out
 
 
 def apply_good_reflection(c: CircuitU, s: StateVector,
@@ -472,7 +447,7 @@ def collapse_good(c: CircuitU, s: StateVector) -> tuple[np.ndarray, float]:
     """Project onto the good states and renormalize: the next input of a
     chain. Returns (collapsed, probability), probability being the squared
     amplitude mass on good states. Amplification runs read their records
-    through amplification._record instead, which also projects.
+    through amplification._record_good instead, which also projects.
     """
     _check_dims(c, s)
     prob, collapsed = _good_mass(c.good_first(s.grid)[0])

@@ -168,7 +168,8 @@ def test_ensemble_records_order_and_determinism():
         assert rec.k_used == (2 if rec.dim == 8 else 3)
 
 
-# row encodings of orders 2-256, both variants, the final states too at 256,
+# row encodings of orders 2-256, both variants, the final states too at 256
+# after an even and an odd k (the iterate's -1 is applied once, at the end),
 # and a small ensemble; every float printed in hex so that equal output means
 # bit-identical records
 BLAS_RECORDS_SCRIPT = """
@@ -201,9 +202,11 @@ for order in (32, 64):  # closeness at embedded dims 64 and 128
     out.append([report.c2.hex(), report.cF.hex(), report.phi.hex()])
 enc = encode(random_symmetric(128, SplitMix64(3000)), random_input(128, SplitMix64(3001)))
 for variant in VARIANTS:  # the structured adjoint state; literal's axis-1 GEMM
-    trace, final = oblivious_aa(enc.circuit, enc.state, 12, variant, enc.target,
-                                return_final_state=True)
-    out.append([hexed(r) for r in trace.records] + [x.hex() for x in final.grid.ravel().tolist()])
+    for k in (11, 12):
+        trace, final = oblivious_aa(enc.circuit, enc.state, k, variant, enc.target,
+                                    return_final_state=True)
+        out.append([hexed(r) for r in trace.records]
+                   + [x.hex() for x in final.grid.ravel().tolist()])
 pair = sym_eigen(random_symmetric(256, SplitMix64(256)))
 print(json.dumps([out, pair.values.tolist(), pair.vectors.tolist()]))
 """
@@ -214,7 +217,7 @@ def test_records_independent_of_blas_threads(run_child):
     # across BLAS thread counts only within a tolerance
     outputs = [json.loads(run_child(BLAS_RECORDS_SCRIPT, threads)) for threads in (1, 2)]
     (exact, values, vectors), (exact_2, values_2, vectors_2) = outputs
-    assert len(exact) == 29
+    assert len(exact) == 31
     assert exact == exact_2
     values, values_2 = np.array(values), np.array(values_2)
     assert np.abs(values - values_2).max() <= 1e-14 * np.abs(values).max()

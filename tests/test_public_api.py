@@ -19,6 +19,7 @@ public name is listed in EXCLUDED, so a new public name without a row
 fails test_every_public_name_has_a_row.
 """
 
+import ast
 import dataclasses
 import math
 import tempfile
@@ -186,8 +187,6 @@ TABLE = {
                          out=st.one_of(st.none(), STATES)),
     "apply_good_reflection": row(oaasim.apply_good_reflection, CIRCUITS, STATES,
                                  out=st.one_of(st.none(), STATES)),
-    "apply_image_reflection": row(oaasim.apply_image_reflection, CIRCUITS, STATES,
-                                  out=st.one_of(st.none(), STATES)),
     "build_estimated_embedding": row(oaasim.build_estimated_embedding, ARRAYS,
                                      mu=st.one_of(ARRAYS, st.floats())),
     "build_lcu_encoding": row(oaasim.build_lcu_encoding, st.lists(ARRAYS, max_size=3), ARRAYS),
@@ -257,6 +256,20 @@ def reads_finite(argument) -> bool:
 def test_every_public_name_has_a_row():
     assert not set(TABLE) & EXCLUDED
     assert set(TABLE) | EXCLUDED == set(oaasim.__all__)
+
+
+def test_every_private_helper_has_a_reader_in_the_package():
+    # a module-level private function or class that only tests read is dead code
+    trees = [ast.parse(path.read_text())
+             for path in sorted(Path(oaasim.__file__).parent.glob("*.py"))]
+    defined = {node.name for tree in trees for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and node.name.startswith("_") and not node.name.startswith("__")}
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            or isinstance(node, ast.Attribute)}
+    assert sorted(defined - read) == []
 
 
 @pytest.fixture(scope="module")

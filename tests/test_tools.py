@@ -22,7 +22,7 @@ def test_seeded_call_names_are_unique():
     # each call's directory is named by the call alone
     module = _load()
     names = [name for name, _ in module.CALLS]
-    assert len(set(names)) == len(names) == 28
+    assert len(set(names)) == len(names) == 29
 
 
 def test_seeded_outputs_are_complete_and_repeatable(tmp_path, child_env):
@@ -30,7 +30,7 @@ def test_seeded_outputs_are_complete_and_repeatable(tmp_path, child_env):
         subprocess.run([sys.executable, str(SCRIPT), str(tmp_path / name)], env=child_env(1),
                        check=True, capture_output=True, timeout=300)
     calls = sorted(p for p in (tmp_path / "a").iterdir() if p.name != "inputs")
-    assert len(calls) == 28
+    assert len(calls) == 29
     for call in calls:
         assert {"exit", "stdout", "stderr"} <= {p.name for p in call.iterdir()}
         assert (call / "exit").read_text() == "0\n", call.name

@@ -87,6 +87,11 @@ CALLS = [
        ["amplify", "--matrix", "../inputs/a128.txt", "--input", "../inputs/v128.txt",
         "--k", "12", "--variant", variant, "--out", "trace.csv"])
       for variant in ("literal", "adjoint")],
+    # order 1, k = 20: the literal iterate empties the good states, leaving
+    # rounding residue that the good-mass floor records as zero
+    ("amplify-literal-emptied", ["amplify", "--matrix", "../inputs/a1.txt", "--input",
+                                 "../inputs/v1.txt", "--k", "20", "--variant", "literal",
+                                 "--out", "trace.csv"]),
 ]
 
 
@@ -121,6 +126,9 @@ def write_inputs(inputs: Path) -> None:
                            ("diag-huge", [1e200, 1.0])):
         _write(inputs / f"{name}.txt", np.diag(diagonal))
     _write(inputs / "e1.txt", np.array([0.0, 1.0]))
+    # positive: only then does the literal iterate empty the good states
+    _write(inputs / "a1.txt", abs(sym(1)))
+    _write(inputs / "v1.txt", np.array([1.0]))
 
 
 def run_call(workdir: Path, argv: list) -> None:
