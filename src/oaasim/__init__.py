@@ -23,7 +23,6 @@ from .circuit import (
     CircuitU,
     StateVector,
     apply_circuit,
-    apply_good_reflection,
     build_lcu_encoding,
     build_row_encoding,
     collapse_good,

@@ -218,11 +218,11 @@ def standard_aa(c: CircuitU, input_prep, k: int, target,
     """Input-dependent amplitude amplification.
 
     input_prep is an orthogonal operator on the data register mapping e0 to
-    the desired input. The circuit is applied once to P |0>, giving the
-    start state s (taken at unit norm); then the shared loop runs with the
-    middle reflection I - 2 s s^T, so each iteration applies the good-state
-    reflection and then 2 s s^T - I, its -1 applied once as in
-    oblivious_aa. The target works as in oblivious_aa.
+    the desired input. One allocating apply_circuit on P |0> gives the
+    start state s (taken at unit norm), which the shared loop then steps in
+    place with the middle reflection I - 2 s s^T: each iteration applies
+    the good-state reflection and then 2 s s^T - I, its -1 applied once as
+    in oblivious_aa. The target works as in oblivious_aa.
     """
     prep = _float_array(input_prep, "input_prep")
     start = np.zeros((c.m_dim, c.n_dim))
@@ -233,8 +233,7 @@ def standard_aa(c: CircuitU, input_prep, k: int, target,
     k = _check_count(k, "iteration count", 0)
 
     c.good_first(start)[0] = prep[:, 0]  # P |0>
-    state = StateVector(start)
-    apply_circuit(c, state, out=state)
+    state = apply_circuit(c, StateVector(start))
     unit = state.grid / state.norm()  # s
 
     def reflect_about_start(x, out, _scratch):  # I - 2 s s^T

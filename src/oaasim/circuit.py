@@ -42,8 +42,9 @@ after the circuit, the state after i iterations is (-1)^i y,
 y = x + 1 a^T + diag(s) hh + w e0^T: R negates the good column g of y,
 which sets w -= 2 g; L D L sets a -= (2/M) c and s += (4/M) hh c; the
 amplification loop applies the sign (-1)^k once, to the final state.
-From the row dots hh.x, colsum(x), x e0 and ||x||^2, taken once, and
-hh a, kept up to date, an iteration finds c, d and g with two
+Both start at 0, so hh a = -s/2, bit for bit outside the subnormal range
+(M is a power of two). From the row dots hh.x, colsum(x), x e0 and
+||x||^2, taken once, an iteration finds c, d and g with two
 matrix-vector products, hh^T (s - 2 d) and hh c, and O(M) work besides;
 the grid is written only when the final state is asked for. The norm
 guard reads the norm of y off the same terms:
@@ -55,11 +56,11 @@ needs no swap either: P L H P = Lc Hc, the Hadamard layer on axis 1
 P R P = R' negates row 0, so W R W = L H R' Lc Hc.
 The LCU form keeps the grid route: W R W^-1 as inverse, R, forward.
 
-Memory: the layers write into a destination the caller may own (the `out`
-of apply_circuit, which may be the input state) and work in one scratch
-grid per circuit, made on first use, so an amplification loop allocates
-its full-size grids once. Hence one circuit is never applied from two
-threads at once.
+Memory: apply_circuit writes into a new state and never into its input.
+The layers take a destination that may be their input and work in one
+scratch grid per circuit, made on first use, so an amplification loop,
+which steps its one state in place, allocates its full-size grids once.
+Hence one circuit is never applied from two threads at once.
 """
 
 from __future__ import annotations
@@ -219,7 +220,7 @@ class RowEncodingCircuit(CircuitU):
         xx = float(x.ravel() @ x.ravel())
         z = np.zeros(3 * m)
         a, s, w = z[:m], z[m : 2 * m], z[2 * m :]
-        ha, c, t = np.zeros(m), np.empty(m), np.empty(m)  # ha = hh @ a
+        c, t = np.empty(m), np.empty(m)
         g, d = x0.copy(), rdx.copy()  # good column and row dots of y
         before = math.sqrt(xx)
         for _ in range(k):
@@ -234,16 +235,15 @@ class RowEncodingCircuit(CircuitU):
                 np.matmul(hh, c, out=t)
                 a -= (2.0 / m) * c  # L D L
                 s += (4.0 / m) * t
-                ha -= (2.0 / m) * t
                 np.multiply(s, h0, out=g)
                 g += x0
                 g += w
                 g += a[0]
                 np.multiply(s, hn, out=d)
                 d += rdx
-                d += ha
+                d -= 0.5 * s  # hh a = -s / 2
                 d += w * h0
-                after = math.sqrt(max(xx + p @ z + m * (a @ a) + s @ (d + ha) + w @ g
+                after = math.sqrt(max(xx + p @ z + m * (a @ a) + s @ (d - 0.5 * s) + w @ g
                                       + a[0] * w.sum(), 0.0))
             _check_norm(before, after)
             before = after
@@ -383,14 +383,6 @@ def _check_dims(c: CircuitU, s: StateVector) -> None:
         )
 
 
-def _destination(c: CircuitU, s: StateVector, out: StateVector | None) -> StateVector:
-    _check_dims(c, s)
-    if out is None:
-        return StateVector(np.empty_like(s.grid))
-    _check_dims(c, out)
-    return out
-
-
 def _check_norm(before: float, after: float) -> None:
     """The one norm guard of every apply and iteration: NumericalError when
     the norm drifts by more than NORM_DRIFT_TOL * max(1, before)."""
@@ -398,35 +390,15 @@ def _check_norm(before: float, after: float) -> None:
         raise NumericalError("circuit application failed to preserve the norm")
 
 
-def apply_circuit(c: CircuitU, s: StateVector, inverse: bool = False,
-                  out: StateVector | None = None) -> StateVector:
+def apply_circuit(c: CircuitU, s: StateVector, inverse: bool = False) -> StateVector:
     """Apply the structured operator (or its inverse as the reversed
-    sequence of inverted layers). Preserves the state norm to 1e-12.
-
-    The result is written into `out`, a state of the circuit's shape, which
-    may be `s` itself; with out=None a new state is allocated. Returns the
-    state written. When the norm guard raises NumericalError, `out` holds
-    no usable state; `s` is untouched when `out` is a different state.
-    """
-    out = _destination(c, s, out)
+    sequence of inverted layers) to a new state; `s` is never written.
+    Preserves the state norm to 1e-12, else raises NumericalError."""
+    _check_dims(c, s)
+    out = StateVector(np.empty_like(s.grid))
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check
-        before = s.norm()  # read first: out may be s
         (c._inverse if inverse else c._forward)(s.grid, out.grid, c._scratch)
-        _check_norm(before, out.norm())
-    return out
-
-
-def apply_good_reflection(c: CircuitU, s: StateVector,
-                          out: StateVector | None = None) -> StateVector:
-    """Negate exactly the amplitudes whose good-register component is 0.
-
-    The result is written into `out`, a state of the circuit's shape, which
-    may be `s` itself; with out=None a new state is allocated.
-    """
-    out = _destination(c, s, out)
-    if out is not s:
-        np.copyto(out.grid, s.grid)
-    c.good_first(out.grid)[0] *= -1.0
+        _check_norm(s.norm(), out.norm())
     return out
 
 

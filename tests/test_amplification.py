@@ -1,7 +1,6 @@
 """Amplification iterates checked against closed forms and dense-matrix
 reconstructions built independently in the tests."""
 
-import functools
 import math
 
 import numpy as np
@@ -23,7 +22,6 @@ from oaasim import (
     UnitNormError,
     ValidationError,
     apply_circuit,
-    apply_good_reflection,
     build_estimated_embedding,
     build_lcu_encoding,
     build_row_encoding,
@@ -305,27 +303,23 @@ def test_overflow_inside_a_run_is_refused_without_a_warning():
 
 def composed_reference(circ, state, k, target, iterate):
     """(records, grids) of iterations 0..k, each step composed from public
-    calls as separate steps: the old per-iterate loop bodies. A projected
-    target is read off the top half of the good amplitudes directly."""
+    applies and good-row negations as separate steps: the old per-iterate
+    loop bodies. A projected target is read off the top half of the good
+    amplitudes directly."""
     state = apply_circuit(circ, state)
     unit = state.grid / state.norm()
     records, grids = [], []
     for i in range(k + 1):
         if i > 0:
-            apply_good_reflection(circ, state, out=state)
-            x = state.grid
+            circ.good_first(state.grid)[0] *= -1.0
             if iterate == "standard":  # 2 s s^T - I
+                x = state.grid
                 np.subtract((2.0 * float(unit.ravel() @ x.ravel())) * unit, x, out=x)
-            elif iterate == "adjoint":  # -U S U^-1
-                apply_circuit(circ, state, inverse=True, out=state)
-                apply_good_reflection(circ, state, out=state)
-                apply_circuit(circ, state, out=state)
-                np.negative(x, out=x)
-            else:  # -U S U
-                apply_circuit(circ, state, out=state)
-                apply_good_reflection(circ, state, out=state)
-                apply_circuit(circ, state, out=state)
-                np.negative(x, out=x)
+            else:  # -U S U^-1 (adjoint) or -U S U (literal)
+                state = apply_circuit(circ, state, inverse=iterate == "adjoint")
+                circ.good_first(state.grid)[0] *= -1.0
+                state = apply_circuit(circ, state)
+                np.negative(state.grid, out=state.grid)
         good = circ.good_first(state.grid)[0]
         if target.size < good.size:
             top = good[: target.size]
@@ -476,22 +470,21 @@ def test_forward_inverse_is_identity(circ, seed):
 
 
 @given(circuits(), st.integers(0, 2**32 - 1))
-def test_out_may_alias_the_input(circ, seed):
-    grid = random_grid(circ, seed)
-    wrong = StateVector(np.zeros((circ.m_dim + 1, circ.n_dim)))
-    for apply in (apply_circuit, functools.partial(apply_circuit, inverse=True),
-                  apply_good_reflection):
-        state = StateVector(grid.copy())
-        fresh = apply(circ, state)
-        assert np.array_equal(state.grid, grid)
-        other = StateVector(np.full_like(grid, np.nan))
-        assert apply(circ, state, out=other) is other
-        assert np.array_equal(other.grid, fresh.grid)
-        assert np.array_equal(state.grid, grid)
-        assert apply(circ, state, out=state) is state
-        assert np.array_equal(state.grid, fresh.grid)
-        with pytest.raises(DimensionError):
-            apply(circ, StateVector(grid.copy()), out=wrong)
+def test_apply_leaves_its_input_untouched(circ, seed):
+    # every apply writes a new state, also one the norm guard refuses
+    # (a 1e308 grid, whose norm overflows)
+    for grid, refused in ((random_grid(circ, seed), False),
+                          (np.full((circ.m_dim, circ.n_dim), 1e308), True)):
+        for inverse in (False, True):
+            state = StateVector(grid.copy())
+            try:
+                out = apply_circuit(circ, state, inverse=inverse)
+            except NumericalError:
+                assert refused
+            else:
+                assert not refused
+                assert not np.shares_memory(out.grid, state.grid)
+            assert state.grid.tobytes() == grid.tobytes()
 
 
 def test_runs_leave_their_inputs_alone():

@@ -17,7 +17,6 @@ from oaasim import (
     UnitNormError,
     ValidationError,
     apply_circuit,
-    apply_good_reflection,
     build_estimated_embedding,
     build_lcu_encoding,
     build_row_encoding,
@@ -199,20 +198,6 @@ def test_prepare_input_layouts():
         prepare_input(row, np.array([1.0, 0.0]))
 
 
-def test_good_reflection_negates_good_slice():
-    u = seeded_embedded(4, 37)
-    circ = build_row_encoding(u)
-    gen = SplitMix64(8)
-    amps = gen.uniform_signed_array(16)
-    amps = amps / np.linalg.norm(amps)
-    state = StateVector(amps.reshape(4, 4))
-    flipped = apply_good_reflection(circ, state)
-    grid = flipped.grid
-    original = state.grid
-    assert np.array_equal(grid[:, 0], -original[:, 0])
-    assert np.array_equal(grid[:, 1:], original[:, 1:])
-
-
 def test_collapse_good_probability_and_vector():
     u = seeded_embedded(4, 41)
     circ = build_row_encoding(u)
@@ -341,21 +326,21 @@ def test_apply_rejects_nan_result():
 
 
 @pytest.mark.parametrize("apply", [
-    pytest.param(lambda c, s, out: apply_circuit(c, s, out=out), id="forward"),
-    pytest.param(lambda c, s, out: apply_circuit(c, s, inverse=True, out=out), id="inverse"),
+    pytest.param(apply_circuit, id="forward"),
+    pytest.param(lambda c, s: apply_circuit(c, s, inverse=True), id="inverse"),
 ])
 @pytest.mark.parametrize("build", [
     pytest.param(lambda: build_row_encoding(np.eye(4)), id="row"),
     pytest.param(lambda: build_lcu_encoding([np.eye(4), -np.eye(4)], [0.6, 0.8]), id="lcu"),
 ])
 def test_refused_apply_leaves_its_input_untouched(apply, build):
-    # the guard runs after the layer wrote into out, so out holds no usable
-    # state; s, a different state, is bitwise what it was
+    # the guard runs after the layer wrote its new state; s is bitwise
+    # what it was
     circ = build()
     s = StateVector(np.full((circ.m_dim, circ.n_dim), 1e308))
     kept = s.grid.tobytes()
     with pytest.raises(NumericalError, match="preserve the norm"):
-        apply(circ, s, StateVector(np.zeros_like(s.grid)))
+        apply(circ, s)
     assert s.grid.tobytes() == kept
 
 

@@ -1,8 +1,8 @@
 """Every public entry point meets generated arguments with a documented
 refusal: only SimulatorError subclasses escape, no warning is raised, and
 every float or float array returned (also inside a returned tuple, list or
-record) is finite; see CARRIES_INPUT for the two results that may only
-carry non-finite values they were given.
+record) is finite; see CARRIES_INPUT for the one result that may only
+carry non-finite values it was given.
 
 TABLE has one row per function in oaasim.__all__, plus the constructors of
 ExperimentConfig, SplitMix64 and StateVector: the function and a strategy
@@ -118,7 +118,7 @@ CIRCUITS = st.sampled_from([enc.circuit for enc in ENCODED]
                            + [build_lcu_encoding([np.eye(2), np.diag([1.0, -1.0])], [0.6, 0.8])])
 GRIDS = st.sampled_from(((2, 2), (4, 4), (8, 8), (4, 2))).flatmap(
     lambda shape: arrays(float, shape, elements=ELEMENTS))
-# fresh copies: a state passed as `out` is written over
+# fresh copies: no example sees what another wrote
 STATES = st.one_of(st.sampled_from([enc.state.grid for enc in ENCODED]), GRIDS).map(
     lambda grid: StateVector(grid.copy()))
 PLANS = st.one_of(
@@ -161,10 +161,9 @@ FILE_TEXT = st.one_of(
 
 
 # results that hold the amplitudes they are given: StateVector keeps its
-# grid (NaN states are built on purpose elsewhere), and the good-state
-# reflection only negates entries. Their results are checked for finite
-# inputs only.
-CARRIES_INPUT = {"StateVector", "apply_good_reflection"}
+# grid (NaN states are built on purpose elsewhere). Its results are checked
+# for finite inputs only.
+CARRIES_INPUT = {"StateVector"}
 
 
 def row(fn, *args, **kwargs):
@@ -183,10 +182,7 @@ TABLE = {
                             variant=TEXT, fidelity_mode=TEXT, experiment=TEXT),
     "SplitMix64": row(_sm64, SEEDS, BAD_COUNTS),
     "StateVector": row(StateVector, ARRAYS),
-    "apply_circuit": row(oaasim.apply_circuit, CIRCUITS, STATES, inverse=st.booleans(),
-                         out=st.one_of(st.none(), STATES)),
-    "apply_good_reflection": row(oaasim.apply_good_reflection, CIRCUITS, STATES,
-                                 out=st.one_of(st.none(), STATES)),
+    "apply_circuit": row(oaasim.apply_circuit, CIRCUITS, STATES, inverse=st.booleans()),
     "build_estimated_embedding": row(oaasim.build_estimated_embedding, ARRAYS,
                                      mu=st.one_of(ARRAYS, st.floats())),
     "build_lcu_encoding": row(oaasim.build_lcu_encoding, st.lists(ARRAYS, max_size=3), ARRAYS),
@@ -258,18 +254,43 @@ def test_every_public_name_has_a_row():
     assert set(TABLE) | EXCLUDED == set(oaasim.__all__)
 
 
+PACKAGE = Path(oaasim.__file__).parent
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _names_read(paths):
+    """Every name the files read (as a name or an attribute), except the
+    reads of a module-level function or class inside its own definition."""
+    read = set()
+    for path in paths:
+        for top in ast.parse(path.read_text()).body:
+            names = {node.id if isinstance(node, ast.Name) else node.attr
+                     for node in ast.walk(top)
+                     if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                     or isinstance(node, ast.Attribute)}
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                names.discard(top.name)
+            read |= names
+    return read
+
+
 def test_every_private_helper_has_a_reader_in_the_package():
     # a module-level private function or class that only tests read is dead code
-    trees = [ast.parse(path.read_text())
-             for path in sorted(Path(oaasim.__file__).parent.glob("*.py"))]
-    defined = {node.name for tree in trees for node in tree.body
+    paths = sorted(PACKAGE.glob("*.py"))
+    defined = {node.name for path in paths for node in ast.parse(path.read_text()).body
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                and node.name.startswith("_") and not node.name.startswith("__")}
-    read = {node.id if isinstance(node, ast.Name) else node.attr
-            for tree in trees for node in ast.walk(tree)
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
-            or isinstance(node, ast.Attribute)}
-    assert sorted(defined - read) == []
+    assert sorted(defined - _names_read(paths)) == []
+
+
+def test_every_public_function_and_class_has_a_reader():
+    # a public name that only its own tests read is dead code; the
+    # acceptance tests count as a reader, the other tests do not
+    paths = ([path for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
+             + sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "tools").glob("*.py"))
+             + [ROOT / "tests" / "test_acceptance.py"])
+    public = {name for name in oaasim.__all__ if callable(getattr(oaasim, name))}
+    assert sorted(public - _names_read(paths)) == []
 
 
 @pytest.fixture(scope="module")
