@@ -141,15 +141,17 @@ def _record_good(good, target, iteration) -> TraceRecord:
 
 def _grid_steps(c: CircuitU, middle, state: StateVector, k: int):
     """k iterations on the grid of `state`, in place, the -1 left out: the
-    good reflection, then the layer middle(x, out, scratch) under the norm
-    guard. Yields the good amplitudes after each."""
+    good reflection, then the in-place layer middle(x, scratch) under the
+    norm guard, with one scratch grid for the run. Yields the good
+    amplitudes after each."""
     x = state.grid
+    scratch = np.empty_like(x)
     good = c.good_first(x)[0]
     before = state.norm()
     for _ in range(k):
         good *= -1.0
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check
-            middle(x, x, c._scratch)
+            middle(x, scratch)
             after = state.norm()
         _check_norm(before, after)
         before = after
@@ -236,8 +238,8 @@ def standard_aa(c: CircuitU, input_prep, k: int, target,
     state = apply_circuit(c, StateVector(start))
     unit = state.grid / state.norm()  # s
 
-    def reflect_about_start(x, out, _scratch):  # I - 2 s s^T
-        np.subtract(x, (2.0 * float(unit.ravel() @ x.ravel())) * unit, out=out)
+    def reflect_about_start(x, scratch):  # I - 2 s s^T
+        x -= np.multiply(unit, 2.0 * float(unit.ravel() @ x.ravel()), out=scratch)
 
     steps = _grid_steps(c, reflect_about_start, state, k)
     return _amplify(c, state, steps, target, return_final_state)

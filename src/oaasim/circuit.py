@@ -56,11 +56,12 @@ needs no swap either: P L H P = Lc Hc, the Hadamard layer on axis 1
 P R P = R' negates row 0, so W R W = L H R' Lc Hc.
 The LCU form keeps the grid route: W R W^-1 as inverse, R, forward.
 
-Memory: apply_circuit writes into a new state and never into its input.
-The layers take a destination that may be their input and work in one
-scratch grid per circuit, made on first use, so an amplification loop,
-which steps its one state in place, allocates its full-size grids once.
-Hence one circuit is never applied from two threads at once.
+Memory: a circuit holds no grid of its own, so one circuit may serve any
+number of runs, also from several threads. Every layer transforms its grid
+x in place, working in one scratch grid of x's shape that its caller
+owns. apply_circuit copies its input into a new state and transforms
+that; an amplification loop steps its one state in place with one
+scratch grid per run.
 """
 
 from __future__ import annotations
@@ -130,9 +131,9 @@ class CircuitU:
 
     good_register names the register whose index 0 marks good states; only
     good_first reads it. Each subclass owns its layers: _forward and
-    _inverse read the (M, N) amplitude grid x and write the result into
-    out (which may be x), working in scratch (may be neither); so do the
-    middle reflections of the amplification iterates built from them.
+    _inverse transform the (M, N) amplitude grid x in place, working in
+    scratch, a C-contiguous grid of x's shape that the caller owns; so do
+    the middle reflections of the amplification iterates built from them.
     """
 
     good_register = ""
@@ -141,27 +142,22 @@ class CircuitU:
         self.m_dim = int(m_dim)
         self.n_dim = int(n_dim)
 
-    @functools.cached_property
-    def _scratch(self) -> np.ndarray:
-        """Work grid of the layers, shared by every apply of this circuit."""
-        return np.empty((self.m_dim, self.n_dim))
-
     def good_first(self, x: np.ndarray) -> np.ndarray:
         """View of the (M, N) grid x whose row 0 holds the good amplitudes
         and whose axis 1 is the data register. Writes go through to x."""
         return x.T if self.good_register == "second" else x
 
-    def _image_reflection(self, x, out, scratch):
-        self._sandwich(self._inverse, x, out, scratch)
+    def _image_reflection(self, x, scratch):
+        self._sandwich(self._inverse, x, scratch)
 
-    def _literal_reflection(self, x, out, scratch):
-        self._sandwich(self._forward, x, out, scratch)
+    def _literal_reflection(self, x, scratch):
+        self._sandwich(self._forward, x, scratch)
 
-    def _sandwich(self, first, x, out, scratch):
+    def _sandwich(self, first, x, scratch):
         # first, R, forward: W R W^-1 from _inverse, literal's W R W from _forward
-        first(x, out, scratch)
-        self.good_first(out)[0] *= -1.0
-        self._forward(out, out, scratch)
+        first(x, scratch)
+        self.good_first(x)[0] *= -1.0
+        self._forward(x, scratch)
 
 
 class RowEncodingCircuit(CircuitU):
@@ -180,31 +176,31 @@ class RowEncodingCircuit(CircuitU):
         np.multiply(self._hh, (-2.0 * dots)[:, None], out=out)
         out += x
 
-    def _forward(self, x, out, scratch):
+    def _forward(self, x, scratch):
         np.copyto(scratch, x.T)
-        _fwht_axis0(scratch, scratch, out)
-        self._householder_layer(scratch, out)
+        _fwht_axis0(scratch, x)
+        self._householder_layer(scratch, x)
 
-    def _inverse(self, x, out, scratch):
+    def _inverse(self, x, scratch):
         self._householder_layer(x, scratch)
-        _fwht_axis0(scratch, scratch, out)
-        np.copyto(out, scratch.T)
+        _fwht_axis0(scratch, x)
+        np.copyto(x, scratch.T)
 
     @functools.cached_property
     def _hh_columns(self) -> np.ndarray:
         """_hh transposed, C-contiguous: column i is block i's vector."""
         return np.ascontiguousarray(self._hh.T)
 
-    def _literal_reflection(self, x, out, scratch):
+    def _literal_reflection(self, x, scratch):
         # W R W as L H R' Lc Hc, the register swaps moved through (module docstring)
-        _fwht_axis1(x, out, scratch)
+        _fwht_axis1(x, scratch)
         hc = self._hh_columns
-        dots = np.einsum("ij,ij->j", hc, out)
+        dots = np.einsum("ij,ij->j", hc, x)
         np.multiply(hc, -2.0 * dots, out=scratch)
-        scratch += out
+        scratch += x
         scratch[0] *= -1.0
-        _fwht_axis0(scratch, scratch, out)
-        self._householder_layer(scratch, out)
+        _fwht_axis0(scratch, x)
+        self._householder_layer(scratch, x)
 
     def _adjoint_steps(self, state: StateVector, k: int, keep: bool):
         """Run the adjoint iterate -L D L R k times on the structured state
@@ -265,15 +261,15 @@ class LcuCircuit(CircuitU):
         self._stack = block_stack
         self.k_reflector = k_reflector
 
-    def _forward(self, x, out, scratch):
+    def _forward(self, x, scratch):
         np.matmul(self.k_reflector, x, out=scratch)
-        np.einsum("aij,aj->ai", self._stack, scratch, out=out)
-        _fwht_axis0(out, out, scratch)
+        np.einsum("aij,aj->ai", self._stack, scratch, out=x)
+        _fwht_axis0(x, scratch)
 
-    def _inverse(self, x, out, scratch):
-        _fwht_axis0(x, out, scratch)
-        np.einsum("aji,aj->ai", self._stack, out, out=scratch)
-        np.matmul(self.k_reflector.T, scratch, out=out)
+    def _inverse(self, x, scratch):
+        _fwht_axis0(x, scratch)
+        np.einsum("aji,aj->ai", self._stack, x, out=scratch)
+        np.matmul(self.k_reflector.T, scratch, out=x)
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -292,34 +288,34 @@ def _hadamard(m: int) -> np.ndarray:
     return h
 
 
-def _fwht_axis0(x: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+def _fwht_axis0(x: np.ndarray, scratch: np.ndarray) -> None:
     """Normalized Walsh-Hadamard transform over axis 0 (length M must be a
-    power of two), written into out. Self-inverse.
+    power of two), in place. Self-inverse.
 
     The Sylvester matrix factors as H_M = H_a (x) H_b with a =
     2^ceil(log2(M) / 2) and b = M / a, so the transform is two matrix
     products with the small cached factors: H_a over the leading index of
     the (a, b, N) view, into scratch, then H_b broadcast over that index,
-    into out. That costs O(M N (a + b)) and keeps only sqrt(M)-sized
-    matrices in memory. out and scratch are C-contiguous arrays of x's
-    size; out may be x, scratch may be neither.
+    back into x. That costs O(M N (a + b)) and keeps only sqrt(M)-sized
+    matrices in memory. x and scratch are distinct C-contiguous arrays
+    of one size.
     """
     m = x.shape[0]
     a = 1 << (m.bit_length() // 2)
     b = m // a
     y = np.matmul(_hadamard(a), x.reshape(a, -1), out=scratch.reshape(a, -1))
-    np.matmul(_hadamard(b), y.reshape(a, b, -1), out=out.reshape(a, b, -1))
+    np.matmul(_hadamard(b), y.reshape(a, b, -1), out=x.reshape(a, b, -1))
 
 
-def _fwht_axis1(x: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+def _fwht_axis1(x: np.ndarray, scratch: np.ndarray) -> None:
     """_fwht_axis0 over axis 1 (length N a power of two), with no transposed
     copy: H_b on the last index of the (M, a, b) view as one (M a, b) @
-    (b, b) product, into scratch, then H_a on its middle index, into out."""
+    (b, b) product, into scratch, then H_a on its middle index, back into x."""
     n = x.shape[1]
     a = 1 << (n.bit_length() // 2)
     b = n // a
     y = np.matmul(x.reshape(-1, b), _hadamard(b), out=scratch.reshape(-1, b))
-    np.matmul(_hadamard(a), y.reshape(-1, a, b), out=out.reshape(-1, a, b))
+    np.matmul(_hadamard(a), y.reshape(-1, a, b), out=x.reshape(-1, a, b))
 
 
 def build_row_encoding(u) -> RowEncodingCircuit:
@@ -392,12 +388,12 @@ def _check_norm(before: float, after: float) -> None:
 
 def apply_circuit(c: CircuitU, s: StateVector, inverse: bool = False) -> StateVector:
     """Apply the structured operator (or its inverse as the reversed
-    sequence of inverted layers) to a new state; `s` is never written.
+    sequence of inverted layers) to a copy of `s`; `s` is never written.
     Preserves the state norm to 1e-12, else raises NumericalError."""
     _check_dims(c, s)
-    out = StateVector(np.empty_like(s.grid))
+    out = StateVector(s.grid.copy())
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check
-        (c._inverse if inverse else c._forward)(s.grid, out.grid, c._scratch)
+        (c._inverse if inverse else c._forward)(out.grid, np.empty_like(out.grid))
         _check_norm(s.norm(), out.norm())
     return out
 

@@ -535,6 +535,38 @@ def test_amplification_loop_reuses_its_grids(run_child, iterate):
     assert int(run_child(PAGE_FAULT_SCRIPT.format(run=PAGE_FAULT_RUNS[iterate]), 1)) < 1000
 
 
+# two Python threads (never more) share one circuit, 15 runs each; a circuit
+# that kept a work grid of its own mixed the threads' iterations in it
+SHARED_CIRCUIT_SCRIPT = """
+import threading
+from oaasim import NumericalError, SplitMix64, encode, oblivious_aa, random_input, random_symmetric
+
+enc = encode(random_symmetric(128, SplitMix64(5)), random_input(128, SplitMix64(6)))
+want = oblivious_aa(enc.circuit, enc.state, 12, "literal", enc.target).records
+outcomes = []
+
+def runs():
+    for _ in range(15):
+        try:
+            got = oblivious_aa(enc.circuit, enc.state, 12, "literal", enc.target).records
+        except NumericalError:
+            outcomes.append("refused")
+        else:
+            outcomes.append("equal" if got == want else "differ")
+
+threads = [threading.Thread(target=runs) for _ in range(2)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join()
+print(*(outcomes.count(o) for o in ("equal", "differ", "refused")))
+"""
+
+
+def test_one_circuit_serves_two_threads(run_child):
+    assert run_child(SHARED_CIRCUIT_SCRIPT, 1).split() == ["30", "0", "0"]
+
+
 @given(circuits(), st.integers(0, 8), st.integers(0, 2**32 - 1))
 def test_norm_conserved_over_iterations(circ, k, seed):
     data_dim = len(good_indices(circ))
