@@ -239,14 +239,21 @@ def polar_symmetric(s) -> tuple[np.ndarray, np.ndarray]:
 def _householder_vectors(rows: np.ndarray) -> np.ndarray:
     """Unit Householder vectors, one per row u of the 2-D array rows.
 
-    Row i of the result is v = (e0 - u) / ||e0 - u||, so I - 2 v v^T
-    exchanges e0 and u when u has unit norm. When ||e0 - u|| < 1e-12 the
-    reflector formula degenerates; that row is all zero, whose reflector
-    is the identity.
+    Row i of the result is v = (||u|| e0 - u) / || ||u|| e0 - u ||, so
+    I - 2 v v^T maps u to ||u|| e0, and exchanges e0 and u when u has unit
+    norm. Its first entry ||u|| - u0 is taken as ||u[1:]||^2 / (||u|| + u0)
+    when u0 > 0 (Golub and Van Loan, Matrix Computations, Algorithm
+    5.1.1), so it does not cancel when u is close to e0. When the vector
+    has norm below 1e-12 the reflector formula degenerates; that row is
+    all zero, whose reflector is the identity.
     """
-    # row i is e0 - rows[i]; in C order each row sums like a lone vector
+    # in C order each row sums like a lone vector
     v = np.negative(rows, order="C")
-    v[:, 0] += 1.0
+    u0 = rows[:, 0]
+    tail = (v[:, 1:] * v[:, 1:]).sum(axis=1)
+    norm = np.sqrt(u0 * u0 + tail)
+    with np.errstate(divide="ignore", invalid="ignore"):  # np.where drops that branch
+        v[:, 0] = np.where(u0 > 0.0, tail / (norm + u0), norm - u0)
     nv = np.sqrt((v * v).sum(axis=1))
     keep = nv >= HOUSEHOLDER_DEGENERATE
     np.divide(v, nv[:, None], out=v, where=keep[:, None])
@@ -257,7 +264,7 @@ def _householder_vectors(rows: np.ndarray) -> np.ndarray:
 def householder_from_vector(u) -> np.ndarray:
     """Reflector R with R e0 = u and R u = e0 for a unit vector u (norm 1
     within 1e-12): R = I - 2 v v^T with v from _householder_vectors, the
-    identity exactly when u is within 1e-12 of e0."""
+    identity exactly when u is within 1e-12 of ||u|| e0."""
     vec = _float_array(u, "vector").ravel()
     if vec.size < 1:
         raise DimensionError("vector must have at least one entry")

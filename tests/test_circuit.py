@@ -124,6 +124,17 @@ def test_row_encoding_good_block_carries_scaled_matrix():
     assert np.max(np.abs(block - u / math.sqrt(circ.m_dim))) < 1e-12
 
 
+def test_row_encoding_realizes_rows_near_e0():
+    # mu_normalize gives the largest row a zero D entry, so row 0 of U lies
+    # within about eps of e0; its reflector must still carry it exactly
+    for eps in (1e-4, 1e-6, 1e-8, 1e-10):
+        enc = encode(np.array([[1.0, eps], [eps, 0.5]]), np.array([1.0, 0.0]))
+        circ = enc.circuit
+        idx = [a * circ.n_dim for a in range(circ.m_dim)]
+        block = dense_matrix_of(circ)[np.ix_(idx, idx)] * math.sqrt(circ.m_dim)
+        assert np.max(np.abs(block - enc.embedding.u)) < 1e-14, eps
+
+
 def test_lcu_dense_matches_independent_construction():
     for m, n, seed in ((2, 2, 1), (2, 4, 2), (4, 4, 3), (3, 4, 4)):
         unitaries = [random_orthogonal(n, 50 * seed + i) for i in range(m)]

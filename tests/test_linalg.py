@@ -288,6 +288,28 @@ def test_householder_exchanges_first_basis_vector():
         householder_from_vector(np.array([1.0, 1.0]))
 
 
+def near_e0(order, distance, seed):
+    """A unit vector at angle `distance` from e0, in a seeded direction."""
+    tail = SplitMix64(seed).uniform_signed_array(order - 1)
+    tail *= math.sin(distance) / np.linalg.norm(tail)
+    return np.concatenate([[math.cos(distance)], tail])
+
+
+def test_householder_exchanges_vectors_near_first_basis_vector():
+    # the reflector's vector ||u|| e0 - u has its first entry formed without
+    # cancellation, so rows of U near e0 are realized to roundoff
+    e0 = np.eye(16)[0]
+    for distance in (1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10, 1e-11):
+        for seed in range(20):
+            u = near_e0(16, distance, seed)
+            h = householder_from_vector(u)
+            assert np.max(np.abs(h @ e0 - u)) <= 1e-15, (distance, seed)
+            assert np.max(np.abs(h @ u - e0)) <= 1e-15, (distance, seed)
+    # within 1e-12 of e0 the reflector is the identity
+    for seed in range(5):
+        assert np.array_equal(householder_from_vector(near_e0(16, 1e-14, seed)), np.eye(16))
+
+
 def test_empty_operands_rejected():
     with pytest.raises(DimensionError, match="at least one row"):
         as_square_array(np.zeros((0, 0)))
