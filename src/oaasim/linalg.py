@@ -243,9 +243,9 @@ def _householder_vectors(rows: np.ndarray) -> np.ndarray:
     I - 2 v v^T maps u to ||u|| e0, and exchanges e0 and u when u has unit
     norm. Its first entry ||u|| - u0 is taken as ||u[1:]||^2 / (||u|| + u0)
     when u0 > 0 (Golub and Van Loan, Matrix Computations, Algorithm
-    5.1.1), so it does not cancel when u is close to e0. When the vector
-    has norm below 1e-12 the reflector formula degenerates; that row is
-    all zero, whose reflector is the identity.
+    5.1.1), so it does not cancel when u is close to e0. When
+    || ||u|| e0 - u || < 1e-12 the reflector formula degenerates; that row
+    is all zero, whose reflector is the identity.
     """
     # in C order each row sums like a lone vector
     v = np.negative(rows, order="C")

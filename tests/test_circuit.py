@@ -186,6 +186,21 @@ def test_norm_preserved_across_many_applies():
         assert abs(state.norm() - 1.0) < 1e-12
 
 
+def test_norm_guard_tolerance_is_1e_12():
+    # build_lcu_encoding accepts an orthogonality defect up to 1e-10, so the
+    # apply's norm guard is what refuses a drift of 1e-11; 1e-14 applies
+    state = StateVector(np.array([[1.0, 0.0]]))
+    for defect, refused in ((1e-11, True), (1e-14, False)):
+        circ = build_lcu_encoding([np.diag([1.0 + defect, 1.0])], [1.0])
+        for inverse in (False, True):
+            if refused:
+                with pytest.raises(NumericalError):
+                    apply_circuit(circ, state, inverse=inverse)
+            else:
+                out = apply_circuit(circ, state, inverse=inverse)
+                assert out.norm() == pytest.approx(1.0 + defect, abs=1e-16)
+
+
 def test_prepare_input_layouts():
     u = seeded_embedded(4, 31)
     row = build_row_encoding(u)  # good register is the second one
@@ -231,6 +246,20 @@ def test_collapse_good_probability_and_vector():
     empty[1, 2] = 1.0
     with pytest.raises(NoGoodAmplitudeError):
         collapse_good(circ, StateVector(empty))
+
+
+def test_collapse_keeps_good_mass_down_to_1e_24():
+    # one side of GOOD_MASS_FLOOR each, with a 100x margin
+    circ = build_row_encoding(np.eye(2))
+    for mass, kept in ((1e-22, True), (1e-26, False)):
+        grid = np.array([[math.sqrt(mass), 1.0], [0.0, 0.0]])
+        if kept:
+            collapsed, prob = collapse_good(circ, StateVector(grid))
+            assert prob == pytest.approx(mass, rel=1e-15)
+            assert np.array_equal(collapsed, [1.0, 0.0])
+        else:
+            with pytest.raises(NoGoodAmplitudeError):
+                collapse_good(circ, StateVector(grid))
 
 
 def test_collapse_rejects_nan_good_mass():

@@ -117,6 +117,15 @@ def test_estimated_embedding_rejects_large_rows():
         build_estimated_embedding(np.full((2, 2), 1e200))
 
 
+def test_row_norm_overshoot_is_clamped_up_to_1e_12():
+    # a squared row norm of 1 + 1e-14 reads as 1 (a zero D entry); one of
+    # 1 + 1e-11 is refused
+    emb = build_estimated_embedding(np.array([[math.sqrt(1.0 + 1e-14)]]))
+    assert emb.u[0, 1] == 0.0
+    with pytest.raises(RowNormError):
+        build_estimated_embedding(np.array([[math.sqrt(1.0 + 1e-11)]]))
+
+
 @pytest.mark.parametrize("builder", [build_estimated_embedding])
 @pytest.mark.parametrize("mu", [math.nan, -1.0, 0.0, math.inf, "x", np.ones(1)])
 def test_embeddings_refuse_a_bad_mu(builder, mu):

@@ -99,6 +99,15 @@ def test_eigen_rejects_asymmetric():
         sym_eigen(np.ones((2, 3)))
 
 
+def test_symmetry_tolerance_is_1e_12_relative():
+    # one side of the documented bound each, with a 10-100x margin
+    for asymmetry in (1e-11, 1e-10):
+        with pytest.raises(SymmetryError):
+            mu_normalize(np.array([[1.0, 1.0 + asymmetry], [1.0, 1.0]]))
+    for asymmetry in (1e-13, 1e-14):
+        mu_normalize(np.array([[1.0, 1.0 + asymmetry], [1.0, 1.0]]))
+
+
 def test_eigen_near_overflow_is_the_scaled_spectrum():
     # entries near 1e200 overflowed the Frobenius norm: the stop test passed
     # before any rotation and the diagonal [0, 5e199] came back as values

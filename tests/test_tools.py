@@ -1,5 +1,6 @@
 """tools/seeded_outputs.py records every call, repeats itself exactly, and
-compares two records within a relative tolerance."""
+compares two records within a relative tolerance; tools/mutants.py names
+source text that exists."""
 
 import filecmp
 import importlib.util
@@ -8,11 +9,12 @@ import subprocess
 import sys
 from pathlib import Path
 
-SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "seeded_outputs.py"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPT = ROOT / "tools" / "seeded_outputs.py"
 
 
-def _load():
-    spec = importlib.util.spec_from_file_location("seeded_outputs", SCRIPT)
+def _load(script=SCRIPT):
+    spec = importlib.util.spec_from_file_location(script.stem, script)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -75,3 +77,11 @@ def test_compare_reports_files_on_one_side(tmp_path):
             (tmp_path / side / name).write_text("0\n")
     lines, ok = module.compare(tmp_path / "a", tmp_path / "b", 1.0)
     assert not ok and lines == [f"u.txt: only in {tmp_path / 'a'}"]
+
+
+def test_every_mutant_pattern_matches_its_source_once():
+    mutants = _load(ROOT / "tools" / "mutants.py").MUTANTS
+    assert len(mutants) == 8
+    for name, path, old, new in mutants:
+        assert (ROOT / path).read_text().count(old) == 1, name
+        assert new != old, name
