@@ -16,13 +16,12 @@ Also defines the plain-text matrix file format used across the package:
 line one holds "rows cols", each following line one matrix row, entries
 written with 17 significant digits so values round-trip exactly. The body
 must be rectangular: a ragged body is rejected even when its entry count
-matches the header.
+matches the header. np.savetxt writes and np.loadtxt reads the files.
 """
 
 from __future__ import annotations
 
 import functools
-import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -283,9 +282,9 @@ def spectral_norm_symmetric(s) -> float:
 
 
 def write_matrix(path, m) -> None:
-    """Write a dense matrix: header "rows cols", then one line per row with
-    entries at 17 significant digits. A matrix read_matrix would refuse
-    (empty, or with a non-finite entry) is refused here."""
+    """Write a dense matrix by np.savetxt: header "rows cols", then one line
+    per row with entries at 17 significant digits. A matrix read_matrix
+    would refuse (empty, or with a non-finite entry) is refused here."""
     a = _float_array(m, "matrix")
     if a.ndim == 1:
         a = a[:, None]
@@ -293,22 +292,20 @@ def write_matrix(path, m) -> None:
         raise DimensionError(f"expected a nonempty matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValidationError("matrix has a non-finite entry")
-    lines = [f"{a.shape[0]} {a.shape[1]}"]
-    for row in a:
-        lines.append(" ".join(f"{x:.16e}" for x in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    # an open file: given a name ending in .gz, savetxt would compress
+    with open(path, "w") as f:
+        np.savetxt(f, a, fmt="%.16e", header=f"{a.shape[0]} {a.shape[1]}", comments="")
 
 
 def read_matrix(path) -> np.ndarray:
     """Parse a write_matrix file: the "rows cols" header, then a rectangular
     body of finite entries (one matrix row per line; a ragged body is
-    rejected). The body is read by numpy's C text reader, whose correctly
+    rejected). np.loadtxt reads the body's lines in C, and its correctly
     rounded conversion gives the same floats as Python's float()."""
-    try:
-        text = Path(path).read_text()
+    try:  # the whole text is freed once split
+        head = Path(path).read_text().split(maxsplit=2)
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not a text file") from exc
-    head = text.split(maxsplit=2)
     if len(head) < 2:
         raise ValidationError(f"{path}: missing 'rows cols' header")
     try:
@@ -321,7 +318,7 @@ def read_matrix(path) -> np.ndarray:
     if len(head) == 2:
         raise ValidationError(f"{path}: expected {rows * cols} entries, found 0")
     try:
-        flat = np.loadtxt(io.StringIO(head[2]), comments=None, ndmin=1).ravel()
+        flat = np.loadtxt(head[2].split("\n"), comments=None, ndmin=1).ravel()
     except ValueError as exc:
         raise ValidationError(f"{path}: non-numeric entry or ragged rows") from exc
     if flat.size != rows * cols:

@@ -196,7 +196,7 @@ for order in (1, 2, 4, 8, 16, 32, 64, 128):
     out.append([[x.hex() for x in m.ravel().tolist()] for m in factors])
 cfg = ExperimentConfig(dims=(16, 32), trials=2, seed=7, variant="adjoint")
 out.append([hexed(r) for r in run_ensemble(cfg)])
-for order in (32, 64):  # closeness at embedded dims 64 and 128
+for order in (8, 16, 32, 64, 128):  # closeness at embedded dims 16 to 256
     normalized, mu = mu_normalize(random_symmetric(order, SplitMix64(order + 2000)))
     report = closeness(build_estimated_embedding(normalized, mu).u)
     out.append([report.c2.hex(), report.cF.hex(), report.phi.hex()])
@@ -213,11 +213,12 @@ print(json.dumps([out, pair.values.tolist(), pair.vectors.tolist()]))
 
 
 def test_records_independent_of_blas_threads(run_child):
-    # bitwise up to order 128; LAPACK eigh at order 256 is reproducible
-    # across BLAS thread counts only within a tolerance
+    # bitwise up to order 128 and for closeness up to embedded order 256;
+    # LAPACK eigh at order 256 is reproducible across BLAS thread counts
+    # only within a tolerance
     outputs = [json.loads(run_child(BLAS_RECORDS_SCRIPT, threads)) for threads in (1, 2)]
     (exact, values, vectors), (exact_2, values_2, vectors_2) = outputs
-    assert len(exact) == 31
+    assert len(exact) == 34
     assert exact == exact_2
     values, values_2 = np.array(values), np.array(values_2)
     assert np.abs(values - values_2).max() <= 1e-14 * np.abs(values).max()

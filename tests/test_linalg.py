@@ -3,6 +3,7 @@ matrix file format, each checked against an independent route."""
 
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -392,6 +393,46 @@ def test_write_matrix_refuses_what_read_matrix_refuses(tmp_path):
     with pytest.raises(DimensionError):
         write_matrix(path, np.zeros((2, 2, 2)))
     assert not path.exists()
+
+
+def test_write_matrix_text_is_exact(tmp_path):
+    path = tmp_path / "m.txt"
+    write_matrix(path, np.array([[-0.0, 5e-324], [1.7976931348623157e308, 1.0]]))
+    assert path.read_bytes() == (b"2 2\n"
+                                 b"-0.0000000000000000e+00 4.9406564584124654e-324\n"
+                                 b"1.7976931348623157e+308 1.0000000000000000e+00\n")
+    # a vector is one column
+    write_matrix(path, np.array([0.5, -3.0]))
+    assert path.read_bytes() == b"2 1\n5.0000000000000000e-01\n-3.0000000000000000e+00\n"
+    # a name that numpy reads as a compression suffix still gets plain text
+    gz = tmp_path / "m.txt.gz"
+    write_matrix(gz, np.array([0.5, -3.0]))
+    assert gz.read_bytes() == path.read_bytes()
+
+
+def test_read_matrix_takes_crlf_and_blank_body_lines_like_lf(tmp_path):
+    lf = tmp_path / "lf.txt"
+    lf.write_bytes(b"2 2\n1.5 -2\n-2 4e-300\n")
+    expect = read_matrix(lf)
+    for i, text in enumerate((b"2 2\r\n1.5 -2\r\n-2 4e-300\r\n", b"2 2\n1.5 -2\n\n-2 4e-300\n",
+                              b"2 2\r\n\r\n1.5 -2\r\n\r\n-2 4e-300\r\n")):
+        path = tmp_path / f"m{i}.txt"
+        path.write_bytes(text)
+        assert np.array_equal(read_matrix(path), expect), text
+
+
+def test_read_matrix_traced_peak_is_below_five_file_sizes(tmp_path):
+    # order 128: the benchmark's amplify matrix
+    path = tmp_path / "m.txt"
+    write_matrix(path, random_symmetric(128, SplitMix64(128)))
+    read_matrix(path)  # numpy's first parse builds caches the peak should not count
+    tracemalloc.start()
+    try:
+        read_matrix(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * path.stat().st_size
 
 
 # signed zeros, subnormals (smallest and largest) and near-overflow values

@@ -1,5 +1,6 @@
 """Check that the fast tests kill a fixed list of one-line mutants of the
-package: each loosens a documented threshold or breaks a kernel term.
+package: each loosens a documented threshold, breaks a kernel term or
+changes the matrix file format.
 
     python tools/mutants.py
 
@@ -43,6 +44,10 @@ MUTANTS = [
      "(r.probability, -r.iteration)", "(r.probability, r.iteration)"),
     ("unit-norm check loosened to 1e-6", "src/oaasim/linalg.py",
      "tol: float = 1e-12) -> None:", "tol: float = 1e-6) -> None:"),
+    ("matrix files written at 16 significant digits", "src/oaasim/linalg.py",
+     'fmt="%.16e"', 'fmt="%.15e"'),
+    ("matrix body split on whitespace, not lines", "src/oaasim/linalg.py",
+     'head[2].split("\\n")', "head[2].split()"),
 ]
 PYTEST = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests",
           "--ignore=tests/test_acceptance.py"]

@@ -2,7 +2,7 @@
 and write, so two checkouts can be compared with `diff -r`.
 
     python tools/seeded_outputs.py OUTDIR
-    python tools/seeded_outputs.py --compare A B --rtol R
+    python tools/seeded_outputs.py --compare A B --rtol R --atol F
 
 The package is imported from the `src` directory next to this script, so
 each checkout runs its own code. Input files are drawn from numpy's PCG64
@@ -17,9 +17,13 @@ count.
 
 The compare form checks two such directories when a numerical route
 changes: every file must be in both, its text outside numbers must match
-exactly, and each number may differ from its counterpart by at most R
-relative to the larger magnitude. It prints one line per file that is not
-identical and exits 1 if any file breaks these rules.
+exactly, and each number may differ from its counterpart by at most F,
+or else by at most R relative to the larger magnitude. It prints one line
+per file that is not identical and exits 1 if any file breaks these rules.
+
+tests/seeded holds this script's output at the current code, without
+`inputs` and the order-128 `u.txt`; tests/test_tools.py compares a fresh
+run with it.
 """
 
 from __future__ import annotations
@@ -98,8 +102,7 @@ CALLS = [
 def _write(path: Path, m) -> None:
     """The package's matrix file format: "rows cols", then one row per line."""
     m = np.atleast_2d(m)
-    rows = [" ".join(f"{x:.16e}" for x in row) for row in m]
-    path.write_text("\n".join([f"{m.shape[0]} {m.shape[1]}", *rows]) + "\n")
+    np.savetxt(path, m, fmt="%.16e", header=f"{m.shape[0]} {m.shape[1]}", comments="")
 
 
 def write_inputs(inputs: Path) -> None:
@@ -163,11 +166,12 @@ def run_all(outdir: Path) -> None:
 NUMBER = re.compile(r"(?<![\w.])([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:inf|nan))")
 
 
-def relative_drift(a: str, b: str) -> float | None:
+def relative_drift(a: str, b: str, atol: float = 0.0) -> float | None:
     """The largest relative difference |x - y| / max(|x|, |y|) between the
-    numbers of a and b, taken in order, or None when the text around them
-    differs. Numbers written alike count as equal, nan included; a
-    non-finite number against another number drifts by inf."""
+    numbers of a and b, taken in order, over the pairs with |x - y| > atol,
+    or None when the text around them differs. Numbers written alike count
+    as equal, nan included; a non-finite number against another number
+    drifts by inf."""
     parts_a, parts_b = NUMBER.split(a), NUMBER.split(b)
     if len(parts_a) != len(parts_b) or parts_a[::2] != parts_b[::2]:
         return None
@@ -175,16 +179,18 @@ def relative_drift(a: str, b: str) -> float | None:
     for x, y in zip(parts_a[1::2], parts_b[1::2]):
         if x != y and float(x) != float(y):
             x, y = float(x), float(y)
+            if abs(x - y) <= atol:
+                continue
             drift = abs(x - y) / max(abs(x), abs(y))
             worst = max(worst, math.inf if math.isnan(drift) else drift)
     return worst
 
 
-def compare(a: Path, b: Path, rtol: float) -> tuple[list, bool]:
+def compare(a: Path, b: Path, rtol: float, atol: float = 0.0) -> tuple[list, bool]:
     """(report lines, ok) for the directories a and b: a line per file that
     is missing on one side, differs outside its numbers, or differs in a
-    number (with its largest relative drift); ok unless a drift exceeds rtol
-    or a file is missing or differs as text."""
+    number (with its largest relative drift beyond atol); ok unless such a
+    drift exceeds rtol or a file is missing or differs as text."""
     files_a = {p.relative_to(a) for p in a.rglob("*") if p.is_file()}
     files_b = {p.relative_to(b) for p in b.rglob("*") if p.is_file()}
     lines, ok = [], True
@@ -196,7 +202,7 @@ def compare(a: Path, b: Path, rtol: float) -> tuple[list, bool]:
         text_a, text_b = (a / rel).read_text(), (b / rel).read_text()
         if text_a == text_b:
             continue
-        drift = relative_drift(text_a, text_b)
+        drift = relative_drift(text_a, text_b, atol)
         if drift is None:
             lines.append(f"{rel}: text differs")
             ok = False
@@ -211,10 +217,12 @@ if __name__ == "__main__":
     parser.add_argument("outdir", nargs="?", type=Path, help="directory to write")
     parser.add_argument("--compare", nargs=2, type=Path, metavar=("A", "B"))
     parser.add_argument("--rtol", type=float, default=0.0)
+    parser.add_argument("--atol", type=float, default=0.0)
     args = parser.parse_args()
     if args.compare:
-        report, ok = compare(*args.compare, args.rtol)
-        print("\n".join(report + [f"{'within' if ok else 'NOT within'} rtol {args.rtol:g}"]))
+        report, ok = compare(*args.compare, args.rtol, args.atol)
+        verdict = f"{'within' if ok else 'NOT within'} rtol {args.rtol:g} atol {args.atol:g}"
+        print("\n".join(report + [verdict]))
         sys.exit(0 if ok else 1)
     if args.outdir is None:
         parser.error("give OUTDIR, or --compare A B")
