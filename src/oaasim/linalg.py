@@ -1,11 +1,11 @@
 """Dense real symmetric linear algebra built on LAPACK's symmetric eigensolver.
 
-Everything downstream (embeddings, closeness metrics, classical oracles)
+Everything downstream (embeddings, the spectral norm, classical oracles)
 reduces to the symmetric eigendecomposition computed here by sym_eigen
 (np.linalg.eigh on a power-of-two-scaled copy), and every matrix function
 f(S) = V f(L) V^T is formed from it by one private helper, _spectral_map.
-Callers that read only |eigenvalues| (closeness, the spectral norm) take
-_abs_eigenvalues: one-sided Jacobi rotates row pairs, with no eigenvectors,
+closeness alone, which reads only |eigenvalues|, takes _abs_eigenvalues
+instead: one-sided Jacobi rotates row pairs, with no eigenvectors,
 until the rows are orthogonal and their norms are the |eigenvalues|. It
 rotates the h disjoint pairs of a round-robin round (schedule built once per
 order) as one gather, one (h, 2, 2) @ (h, 2, n) product and one scatter.
@@ -273,8 +273,8 @@ def householder_from_vector(u) -> np.ndarray:
 
 
 def spectral_norm_symmetric(s) -> float:
-    """Largest eigenvalue magnitude of a symmetric matrix."""
-    return float(_abs_eigenvalues(s)[-1])
+    """Largest eigenvalue magnitude of a symmetric matrix, from sym_eigen."""
+    return float(np.abs(sym_eigen(s).values).max())
 
 
 # ---------------------------------------------------------------------------

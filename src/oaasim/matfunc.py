@@ -56,24 +56,16 @@ class StageRecord:
     mu_scale: float
 
 
-def _check_factor(w: np.ndarray, order: int | None) -> int:
-    w = check_symmetric(w)
-    if order is not None and w.shape[0] != order:
-        raise DimensionError(
-            f"factor order {w.shape[0]} does not match {order}"
-        )
-    return w.shape[0]
-
-
 def _checked_factors(factors: Sequence[np.ndarray]) -> tuple:
     """The factors as float arrays, refused unless there is at least one
     and all are symmetric of one order."""
     factors = tuple(_float_array(w, "factor") for w in factors)
     if not factors:
         raise ValidationError("product needs at least one factor")
-    order = None
-    for w in factors:
-        order = _check_factor(w, order)
+    for w in {id(w): w for w in factors}.values():  # each distinct factor object once
+        check_symmetric(w)
+        if w.shape != factors[0].shape:
+            raise DimensionError(f"factor order {len(w)} does not match {len(factors[0])}")
     return factors
 
 
@@ -172,18 +164,18 @@ def chained_product_circuit(
     """Apply the plan's factors to input_vec through chained embedded
     circuits. input_vec, of the factor order d (encode puts it in the top
     half of the embedded space) or the embedded order 2d, is normalized
-    first. A factor object that repeats in the plan is encoded once and its
-    circuit reused. Returns the final collapsed vector and the per-stage
-    records."""
+    first. The plan is refused as product_of_factors refuses it, once and
+    before the first stage runs. A factor object that repeats in the plan
+    is encoded once and its circuit reused. Returns the final collapsed
+    vector and the per-stage records."""
     if not plan.factors:
         raise ValidationError("plan has no factors")
-    order = _check_factor(plan.factors[0], None)
+    _checked_factors(plan.factors)
     vec = _unit_vector(input_vec, "input vector")
 
     records, matrices = [], {}  # encode's matrix half, once per distinct factor object
     for stage, w in enumerate(plan.factors):
         if id(w) not in matrices:
-            _check_factor(w, order)
             matrices[id(w)] = _encode_matrix(w)
         enc = _encode_input(matrices[id(w)], vec, "embedded")
         k = iteration_count(enc.embedding.order)

@@ -198,6 +198,11 @@ def test_closeness_makes_one_eigendecomposition(eigen_calls):
     assert eigen_calls == ["_abs_eigenvalues"]  # no eigenvectors built
 
 
+def test_spectral_norm_takes_the_eigendecomposition(eigen_calls):
+    spectral_norm_symmetric(seeded_estimated_embedding(8, 5).u)
+    assert eigen_calls == ["sym_eigen"]  # not the route closeness takes
+
+
 def test_closeness_rejects_degenerate_spectrum():
     with pytest.raises(PolarDegenerateError):
         closeness(np.diag([1.0, 0.0]))

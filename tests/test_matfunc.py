@@ -9,10 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oaasim.matfunc
 from oaasim import (
     DimensionError,
     ProductPlan,
     SplitMix64,
+    SymmetryError,
     ValidationError,
     chained_product_circuit,
     cos_product_factors,
@@ -212,6 +214,22 @@ def test_chain_input_handling():
     empty = ProductPlan(factors=())
     with pytest.raises(ValidationError, match="no factors"):
         chained_product_circuit(empty, padded, "adjoint")
+
+
+def test_chain_refuses_a_bad_later_factor_before_any_stage(monkeypatch):
+    encoded = []
+    real = oaasim.matfunc._encode_matrix
+    monkeypatch.setattr(oaasim.matfunc, "_encode_matrix", lambda w: encoded.append(w) or real(w))
+    w4 = householder_from_vector(np.full(4, 0.5))
+    w8 = householder_from_vector(np.full(8, 1.0 / math.sqrt(8.0)))
+    asym4 = np.eye(4)
+    asym4[0, 1] = 0.5
+    vec = random_input(4, SplitMix64(339))
+    with pytest.raises(DimensionError, match="does not match"):
+        chained_product_circuit(ProductPlan((w4, w8)), vec, "adjoint")
+    with pytest.raises(SymmetryError):
+        chained_product_circuit(ProductPlan((w4, w4, asym4)), vec, "adjoint")
+    assert encoded == []
 
 
 def test_chain_input_scale_is_immaterial():

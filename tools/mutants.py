@@ -1,6 +1,6 @@
 """Check that the fast tests kill a fixed list of one-line mutants of the
-package: each loosens a documented threshold, breaks a kernel term or
-changes the matrix file format.
+package: each loosens a documented threshold, breaks a kernel term,
+changes the matrix file format or drops a refusal.
 
     python tools/mutants.py
 
@@ -48,6 +48,8 @@ MUTANTS = [
      'fmt="%.16e"', 'fmt="%.15e"'),
     ("matrix body split on whitespace, not lines", "src/oaasim/linalg.py",
      'head[2].split("\\n")', "head[2].split()"),
+    ("chain skips its plan check", "src/oaasim/matfunc.py",
+     "_checked_factors(plan.factors)", "plan.factors"),
 ]
 PYTEST = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests",
           "--ignore=tests/test_acceptance.py"]
