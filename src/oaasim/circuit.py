@@ -85,6 +85,7 @@ from .linalg import (
     _check_unit_norm,
     _float_array,
     _householder_vectors,
+    _items,
     _pow2_scaled,
     as_square_array,
 )
@@ -340,15 +341,15 @@ def build_row_encoding(u) -> RowEncodingCircuit:
 def build_lcu_encoding(unitaries, coeffs) -> LcuCircuit:
     """Circuit encoding sum_i k_i U_i / sqrt(M) in its top-left block.
 
-    The unitary list is padded with identity blocks (and zero coefficients)
-    up to the next power of two; coefficients must already have 2-norm 1
-    within 1e-10.
+    The unitaries, any iterable of orthogonal matrices of one order, are
+    padded with identity blocks (and zero coefficients) up to the next
+    power of two; coefficients must already have 2-norm 1 within 1e-10.
     """
-    mats = [as_square_array(u, f"unitaries[{i}]") for i, u in enumerate(unitaries)]
+    mats = [as_square_array(u, f"unitaries[{i}]")
+            for i, u in enumerate(_items(unitaries, "unitaries"))]
     if not mats:
         raise ValidationError("need at least one unitary")
     n = mats[0].shape[0]
-    eye = np.eye(n)
     for i, mat in enumerate(mats):
         if mat.shape[0] != n:
             raise DimensionError("all unitaries must share one order")
@@ -357,17 +358,9 @@ def build_lcu_encoding(unitaries, coeffs) -> LcuCircuit:
     if k.size != len(mats):
         raise DimensionError("one coefficient per unitary required")
     _check_unit_norm(k, "coefficient", 1e-10)
-    m = 1
-    while m < len(mats):
-        m *= 2
-    stack = np.zeros((m, n, n))
-    for i, mat in enumerate(mats):
-        stack[i] = mat
-    for i in range(len(mats), m):
-        stack[i] = eye
-    padded = np.zeros(m)
-    padded[: k.size] = k
-    v = _householder_vectors(padded[None, :])[0]
+    m = 1 << (len(mats) - 1).bit_length()  # the next power of two
+    v = _householder_vectors(np.pad(k, (0, m - k.size))[None, :])[0]
+    stack = np.stack(mats + [np.eye(n)] * (m - len(mats)))
     return LcuCircuit(stack, np.eye(m) - 2.0 * np.outer(v, v))
 
 

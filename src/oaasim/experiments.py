@@ -34,7 +34,7 @@ from .amplification import VARIANTS, IterationTrace, iteration_count, oblivious_
 from .circuit import Encoded, _encode_input, _encode_matrix, _is_power_of_two
 from .embedding import closeness
 from .errors import NumericalError, ValidationError
-from .linalg import _check_count
+from .linalg import _check_count, _items
 from .metrics import check_fidelity_mode
 from .rng import SplitMix64, _check_seed, derive_seed
 from .svgplot import line_chart
@@ -208,7 +208,7 @@ def emit_outputs(results, fmt: str, path) -> list:
     TraceResult); each chart plots record fields named in its legend."""
     if fmt not in ("csv", "svg"):
         raise ValidationError(f"format must be csv or svg, got {fmt!r}")
-    results = list(results)
+    results = _items(results, "results")
     kinds = {type(r) for r in results}
     if kinds not in ({EnsembleRecord}, {TraceResult}):
         raise ValidationError("results must be nonempty, all EnsembleRecord or all TraceResult")

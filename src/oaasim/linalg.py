@@ -91,12 +91,20 @@ def check_symmetric(m, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def _check_count(n, name: str, minimum: int | None = None) -> int:
+def _items(x, name: str) -> list:
+    """list(x): the one conversion of a list argument. A non-iterable raises ValidationError."""
+    try:
+        return list(x)
+    except TypeError:
+        raise ValidationError(f"{name} must be a list, got {type(x).__name__}") from None
+
+
+def _check_count(n, name: str, minimum: int) -> int:
     """n as an int, refused unless it is an integer (numpy integers pass,
     bool does not) no smaller than `minimum`."""
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
         raise ValidationError(f"{name} must be an integer, got {n!r}")
-    if minimum is not None and n < minimum:
+    if n < minimum:
         raise ValidationError(f"{name} must be at least {minimum}, got {n}")
     return int(n)
 

@@ -12,9 +12,9 @@ provided:
   prod_{j=0}^{J-1} (I - 2A/(2j+1)) (I + 2A/(2j+1)),
   whose j = 0 pair makes the product vanish exactly at A = I/2.
 
-A plan holds only its factors. A chain is checked against a classical
-vector, exact up to a positive scale, that never forms the product or
-f(A), so it neither overflows nor underflows.
+A plan holds only its factors, checked when it is made. A chain is
+checked against a classical vector, exact up to a positive scale, that
+never forms the product or f(A), so it neither overflows nor underflows.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .errors import DimensionError, ValidationError
 from .linalg import (
     _check_count,
     _float_array,
+    _items,
     _pow2_scaled,
     _spectral_map,
     _unit_vector,
@@ -40,9 +41,23 @@ from .linalg import (
 
 @dataclass(frozen=True)
 class ProductPlan:
-    """Ordered factors of a matrix product, in application order."""
+    """Ordered factors of a matrix product, in application order: any
+    iterable of at least one symmetric factor, all of one order. Each
+    distinct factor object is converted to a float array and checked once."""
 
     factors: tuple
+
+    def __post_init__(self):
+        given = _items(self.factors, "factors")
+        converted = {id(w): _float_array(w, "factor") for w in given}  # a repeat stays one object
+        factors = tuple(converted[id(w)] for w in given)
+        if not factors:
+            raise ValidationError("product needs at least one factor")
+        for w in converted.values():
+            check_symmetric(w)
+            if w.shape != factors[0].shape:
+                raise DimensionError(f"factor order {len(w)} does not match {len(factors[0])}")
+        object.__setattr__(self, "factors", factors)
 
 
 @dataclass(frozen=True)
@@ -56,24 +71,11 @@ class StageRecord:
     mu_scale: float
 
 
-def _checked_factors(factors: Sequence[np.ndarray]) -> tuple:
-    """The factors as float arrays, refused unless there is at least one
-    and all are symmetric of one order."""
-    factors = tuple(_float_array(w, "factor") for w in factors)
-    if not factors:
-        raise ValidationError("product needs at least one factor")
-    for w in {id(w): w for w in factors}.values():  # each distinct factor object once
-        check_symmetric(w)
-        if w.shape != factors[0].shape:
-            raise DimensionError(f"factor order {len(w)} does not match {len(factors[0])}")
-    return factors
-
-
 def product_of_factors(factors: Sequence[np.ndarray]) -> np.ndarray:
     """Classical product of the factors in application order: the first
     factor in the list acts on the input first. A product that overflows
-    a float is refused."""
-    factors = _checked_factors(factors)
+    a float is refused. The factors are refused as ProductPlan refuses them."""
+    factors = ProductPlan(factors).factors
     out = np.eye(factors[0].shape[0])
     with np.errstate(over="ignore", invalid="ignore"):
         for w in factors:
@@ -151,9 +153,8 @@ def cos_product_factors(a: np.ndarray, truncation: int) -> ProductPlan:
 
 
 def custom_product_plan(factors: Sequence[np.ndarray]) -> ProductPlan:
-    """Plan for an explicit factor list, refused as product_of_factors
-    refuses it."""
-    return ProductPlan(factors=_checked_factors(factors))
+    """Plan for an explicit factor list, refused as ProductPlan refuses it."""
+    return ProductPlan(factors)
 
 
 def chained_product_circuit(
@@ -164,13 +165,9 @@ def chained_product_circuit(
     """Apply the plan's factors to input_vec through chained embedded
     circuits. input_vec, of the factor order d (encode puts it in the top
     half of the embedded space) or the embedded order 2d, is normalized
-    first. The plan is refused as product_of_factors refuses it, once and
-    before the first stage runs. A factor object that repeats in the plan
-    is encoded once and its circuit reused. Returns the final collapsed
-    vector and the per-stage records."""
-    if not plan.factors:
-        raise ValidationError("plan has no factors")
-    _checked_factors(plan.factors)
+    first. The plan was checked when it was made and is taken as given. A
+    factor object that repeats in the plan is encoded once and its circuit
+    reused. Returns the final collapsed vector and the per-stage records."""
     vec = _unit_vector(input_vec, "input vector")
 
     records, matrices = [], {}  # encode's matrix half, once per distinct factor object

@@ -12,9 +12,9 @@ with all arithmetic modulo 2^64. Outputs map to floats by taking the top
 53 bits: uniform() = (z >> 11) * 2^-53 in [0, 1), and the signed variant
 is 2 u - 1 in [-1, 1). Because the i-th output depends only on seed and i,
 draws can be produced in vectorized batches and independent streams can be
-derived per (dimension, trial) without any sequential coupling, which keeps
-parallel experiment runs reproducible. Seeds and stream indices are
-integers in [0, 2^64); anything else raises ValidationError.
+derived per (dimension, trial) without sequential coupling: records do not
+depend on the order trials run in or on the batch size. Seeds and stream
+indices are integers in [0, 2^64); anything else raises ValidationError.
 """
 
 from __future__ import annotations

@@ -329,14 +329,14 @@ def test_empty_operands_rejected():
 
 @pytest.mark.parametrize("value", [5, np.int64(5), np.uint8(5), np.int32(-5)])
 def test_check_count_accepts_integers(value):
-    got = _check_count(value, "n")
+    got = _check_count(value, "n", -5)
     assert type(got) is int and got == int(value)
 
 
 @pytest.mark.parametrize("value", [2.5, 5.0, np.float64(5.0), "5", True, np.True_, None])
 def test_check_count_refuses_non_integers(value):
     with pytest.raises(ValidationError, match="n must be an integer"):
-        _check_count(value, "n")
+        _check_count(value, "n", 0)
 
 
 def test_check_count_minimum():

@@ -27,7 +27,9 @@ from oaasim import (
     random_input,
     random_symmetric,
     spectral_norm_symmetric,
+    write_matrix,
 )
+from oaasim.cli import main
 from oaasim.experiments import csv_lines
 from oaasim.matfunc import _function_reference, _product_reference
 
@@ -211,9 +213,8 @@ def test_chain_input_handling():
     for bad in ([np.inf, 1.0, 0.0, 0.0], [np.nan, 1.0, 0.0, 0.0]):
         with pytest.raises(ValidationError, match="non-finite"):
             chained_product_circuit(plan, np.array(bad), "adjoint")
-    empty = ProductPlan(factors=())
-    with pytest.raises(ValidationError, match="no factors"):
-        chained_product_circuit(empty, padded, "adjoint")
+    with pytest.raises(ValidationError, match="at least one factor"):
+        ProductPlan(factors=())
 
 
 def test_chain_refuses_a_bad_later_factor_before_any_stage(monkeypatch):
@@ -230,6 +231,26 @@ def test_chain_refuses_a_bad_later_factor_before_any_stage(monkeypatch):
     with pytest.raises(SymmetryError):
         chained_product_circuit(ProductPlan((w4, w4, asym4)), vec, "adjoint")
     assert encoded == []
+
+
+def test_plan_checks_each_distinct_factor_once(tmp_path, monkeypatch, capsys):
+    # the chain checked every plan a second time: 4 checks for two factors
+    checked = []
+    real = oaasim.matfunc.check_symmetric
+    monkeypatch.setattr(oaasim.matfunc, "check_symmetric",
+                        lambda m, *rest: checked.append(m) or real(m, *rest))
+    w = householder_from_vector(np.full(4, 0.5))
+    for name in ("w0.txt", "w1.txt"):
+        write_matrix(tmp_path / name, w)
+    assert main(["product", "--factors", str(tmp_path / "w0.txt"),
+                 str(tmp_path / "w1.txt")]) == 0
+    assert "final_fidelity_vs_oracle=" in capsys.readouterr().out
+    assert len(checked) == 2
+    checked.clear()
+    a = np.diag([0.3, -0.2, 0.1, 0.4])
+    plan = exp_product_factors(a, 16)
+    assert checked[0] is a and [id(m) for m in checked[1:]] == [id(plan.factors[0])]
+    assert all(f is plan.factors[0] for f in plan.factors)
 
 
 def test_chain_input_scale_is_immaterial():

@@ -5,18 +5,19 @@ record) is finite; see CARRIES_INPUT for the one result that may only
 carry non-finite values it was given.
 
 TABLE has one row per function in oaasim.__all__, plus the constructors of
-ExperimentConfig, SplitMix64 and StateVector: the function and a strategy
-of its positional and keyword arguments. Array arguments draw from ARRAYS,
-which mixes small valid arrays (symmetric, row-normalized, orthogonal, unit
-vectors, at scales from subnormal to near overflow) with text, complex
-values, ragged nesting, integers beyond the float range, empty shapes and
-NaN or infinite entries. Circuits, states, plans, configs and result lists
-are built from small valid pieces; names (variant, mode, format) are drawn
-as text. Counts that size a loop or an allocation (k, trials, dims, order,
-length, truncation, count) draw only invalid values. Paths name files in a
-pytest temporary directory, and file contents are generated. Every other
-public name is listed in EXCLUDED, so a new public name without a row
-fails test_every_public_name_has_a_row.
+ExperimentConfig, ProductPlan, SplitMix64 and StateVector: the function and
+a strategy of its positional and keyword arguments. Array arguments draw
+from ARRAYS, which mixes small valid arrays (symmetric, row-normalized,
+orthogonal, unit vectors, at scales from subnormal to near overflow) with
+text, complex values, ragged nesting, integers beyond the float range,
+empty shapes and NaN or infinite entries. List arguments (unitaries,
+factors, results) draw lists or a non-list (None, a number). Circuits,
+states, plans, configs and records are built from small valid pieces;
+names (variant, mode, format) are drawn as text. Counts that size a loop or
+an allocation (k, trials, dims, order, length, truncation, count) draw only
+invalid values. Paths name files in a pytest temporary directory, and file
+contents are generated. Every other public name is listed in EXCLUDED, so a
+new public name without a row fails test_every_public_name_has_a_row.
 """
 
 import ast
@@ -55,7 +56,7 @@ EXCLUDED = {
     "UnitNormError", "ValidationError", "ZeroMatrixError",
     # record and container types
     "CircuitU", "ClosenessReport", "EigenPair", "Embedding", "EnsembleRecord",
-    "IterationTrace", "ProductPlan", "StageRecord", "TraceRecord",
+    "IterationTrace", "StageRecord", "TraceRecord",
     # constants
     "VARIANTS", "FIDELITY_MODES", "__version__",
 }
@@ -111,6 +112,8 @@ def valid_arrays(draw):
 
 
 ARRAYS = st.one_of(JUNK, valid_arrays(), valid_arrays().map(lambda a: a.tolist()))
+NOT_LISTS = st.sampled_from([None, 5])
+ARRAY_LISTS = st.one_of(st.lists(ARRAYS, max_size=3), NOT_LISTS)
 
 SMALL = np.array([[0.25, -0.125], [-0.125, 0.5]])
 ENCODED = [encode(SMALL, [0.6, 0.8]), encode(np.diag([0.5, -0.25, 0.125, 1.0]), np.eye(4)[1])]
@@ -121,10 +124,8 @@ GRIDS = st.sampled_from(((2, 2), (4, 4), (8, 8), (4, 2))).flatmap(
 # fresh copies: no example sees what another wrote
 STATES = st.one_of(st.sampled_from([enc.state.grid for enc in ENCODED]), GRIDS).map(
     lambda grid: StateVector(grid.copy()))
-PLANS = st.one_of(
-    st.sampled_from([exp_product_factors(SMALL, 1), cos_product_factors(SMALL, 1),
-                     custom_product_plan([SMALL, -SMALL])]),
-    st.builds(ProductPlan, st.tuples(ARRAYS)))
+PLANS = st.sampled_from([exp_product_factors(SMALL, 1), cos_product_factors(SMALL, 1),
+                         custom_product_plan([SMALL, -SMALL])])
 CONFIGS = st.builds(ExperimentConfig, dims=st.just((2,)), trials=st.just(1),
                     variant=st.sampled_from(oaasim.VARIANTS),
                     fidelity_mode=st.sampled_from(oaasim.FIDELITY_MODES),
@@ -132,7 +133,7 @@ CONFIGS = st.builds(ExperimentConfig, dims=st.just((2,)), trials=st.just(1),
 _CFG = dict(dims=(2, 4), trials=2)
 _RECORDS = (run_ensemble(ExperimentConfig(**_CFG))
             + run_trace(ExperimentConfig(**_CFG, experiment="trace")) + ["not a record"])
-RESULTS = st.lists(st.sampled_from(_RECORDS), max_size=4)
+RESULTS = st.one_of(st.lists(st.sampled_from(_RECORDS), max_size=4), NOT_LISTS)
 SEEDS = st.one_of(st.integers(-(2**65), 2**65), BAD_COUNTS, st.just(2**64 - 1))
 
 
@@ -180,19 +181,20 @@ def _sm64(seed, count):
 TABLE = {
     "ExperimentConfig": row(ExperimentConfig, dims=BAD_DIMS, trials=BAD_COUNTS, seed=SEEDS,
                             variant=TEXT, fidelity_mode=TEXT, experiment=TEXT),
+    "ProductPlan": row(ProductPlan, ARRAY_LISTS),
     "SplitMix64": row(_sm64, SEEDS, BAD_COUNTS),
     "StateVector": row(StateVector, ARRAYS),
     "apply_circuit": row(oaasim.apply_circuit, CIRCUITS, STATES, inverse=st.booleans()),
     "build_estimated_embedding": row(oaasim.build_estimated_embedding, ARRAYS,
                                      mu=st.one_of(ARRAYS, st.floats())),
-    "build_lcu_encoding": row(oaasim.build_lcu_encoding, st.lists(ARRAYS, max_size=3), ARRAYS),
+    "build_lcu_encoding": row(oaasim.build_lcu_encoding, ARRAY_LISTS, ARRAYS),
     "build_row_encoding": row(oaasim.build_row_encoding, ARRAYS),
     "chained_product_circuit": row(oaasim.chained_product_circuit, PLANS, ARRAYS,
                                    variant=TEXT),
     "closeness": row(oaasim.closeness, ARRAYS),
     "collapse_good": row(oaasim.collapse_good, CIRCUITS, STATES),
     "cos_product_factors": row(oaasim.cos_product_factors, ARRAYS, BAD_COUNTS),
-    "custom_product_plan": row(oaasim.custom_product_plan, st.lists(ARRAYS, max_size=3)),
+    "custom_product_plan": row(oaasim.custom_product_plan, ARRAY_LISTS),
     "dense_matrix_of": row(oaasim.dense_matrix_of, CIRCUITS),
     "derive_seed": row(lambda seed, indices: oaasim.derive_seed(seed, *indices), SEEDS,
                        st.lists(SEEDS, max_size=3)),
@@ -209,7 +211,7 @@ TABLE = {
     "oblivious_aa": row(oaasim.oblivious_aa, CIRCUITS, STATES, BAD_COUNTS, TEXT, ARRAYS),
     "polar_symmetric": row(oaasim.polar_symmetric, ARRAYS),
     "prepare_input": row(oaasim.prepare_input, CIRCUITS, ARRAYS),
-    "product_of_factors": row(oaasim.product_of_factors, st.lists(ARRAYS, max_size=3)),
+    "product_of_factors": row(oaasim.product_of_factors, ARRAY_LISTS),
     "random_input": row(oaasim.random_input, BAD_COUNTS, st.just(SplitMix64(1))),
     "random_symmetric": row(oaasim.random_symmetric, BAD_COUNTS, st.just(SplitMix64(1))),
     "read_matrix": row(oaasim.read_matrix, FILE_TEXT.map(lambda data: _Path("in.txt", data))),
@@ -349,3 +351,19 @@ def test_unreadable_array_is_refused(array):
     # a ComplexWarning, ValueError, OverflowError or TypeError escaped
     with pytest.raises(oaasim.ValidationError, match="is not an array of real numbers"):
         oaasim.closeness(array)
+
+
+@pytest.mark.parametrize("not_a_list", [None, 5])
+@pytest.mark.parametrize("name", ["ProductPlan", "build_lcu_encoding", "custom_product_plan",
+                                  "emit_outputs", "product_of_factors"])
+def test_list_argument_refuses_a_non_list(name, not_a_list, tmp_path):
+    # each let a bare TypeError escape from iterating its list argument
+    calls = {
+        "ProductPlan": lambda: ProductPlan(not_a_list),
+        "build_lcu_encoding": lambda: build_lcu_encoding(not_a_list, [1.0]),
+        "custom_product_plan": lambda: custom_product_plan(not_a_list),
+        "emit_outputs": lambda: oaasim.emit_outputs(not_a_list, "csv", tmp_path / "out.csv"),
+        "product_of_factors": lambda: oaasim.product_of_factors(not_a_list),
+    }
+    with pytest.raises(oaasim.ValidationError, match="must be a list"):
+        calls[name]()

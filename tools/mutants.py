@@ -48,8 +48,10 @@ MUTANTS = [
      'fmt="%.16e"', 'fmt="%.15e"'),
     ("matrix body split on whitespace, not lines", "src/oaasim/linalg.py",
      'head[2].split("\\n")', "head[2].split()"),
-    ("chain skips its plan check", "src/oaasim/matfunc.py",
-     "_checked_factors(plan.factors)", "plan.factors"),
+    ("plan skips its symmetry check", "src/oaasim/matfunc.py",
+     "check_symmetric(w)", "w"),
+    ("LCU list skips its orthogonality check", "src/oaasim/circuit.py",
+     '_check_orthogonal(mat, f"unitaries[{i}]")', "mat"),
 ]
 PYTEST = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests",
           "--ignore=tests/test_acceptance.py"]
