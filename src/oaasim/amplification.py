@@ -56,9 +56,10 @@ from .circuit import (
     apply_circuit,
 )
 from .errors import DimensionError, NoGoodAmplitudeError, ValidationError
-from .linalg import _check_count, _check_orthogonal, _check_unit_norm, _float_array, _pow2_scaled
+from .linalg import (_check_choice, _check_count, _check_orthogonal, _check_unit_norm,
+                     _float_array, _pow2_scaled)
 
-VARIANTS = ("literal", "adjoint")
+VARIANTS = ("literal", "adjoint")  # the first is the default
 
 
 @dataclass(frozen=True)
@@ -201,8 +202,7 @@ def oblivious_aa(c: CircuitU, input_state: StateVector, k: int, variant: str,
     raises DimensionError, and a text, non-finite or zero target
     ValidationError, before the first record.
     """
-    if variant not in VARIANTS:
-        raise ValidationError(f"unknown variant {variant!r}")
+    _check_choice(variant, VARIANTS, "variant")
     k = _check_count(k, "iteration count", 0)
     _check_input_state(c, input_state)
     state = apply_circuit(c, input_state)

@@ -81,6 +81,7 @@ from .errors import (
     ValidationError,
 )
 from .linalg import (
+    _check_choice,
     _check_orthogonal,
     _check_unit_norm,
     _float_array,
@@ -89,7 +90,7 @@ from .linalg import (
     _pow2_scaled,
     as_square_array,
 )
-from .metrics import check_fidelity_mode
+from .metrics import FIDELITY_MODES
 
 DENSE_ORACLE_CAP = 256
 NORM_DRIFT_TOL = 1e-12
@@ -97,7 +98,7 @@ NORM_DRIFT_TOL = 1e-12
 GOOD_MASS_FLOOR = NORM_DRIFT_TOL ** 2
 
 
-@dataclass
+@dataclass(eq=False)
 class StateVector:
     """Real amplitudes over the (ancilla-role, system) space: an (M, N) grid."""
 
@@ -433,7 +434,7 @@ def prepare_input(c: CircuitU, system) -> StateVector:
     return StateVector(x)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Encoded:
     """A matrix made ready for amplification: its estimated embedding, the
     row-encoding circuit of the embedded operator, the prepared input
@@ -446,7 +447,7 @@ class Encoded:
     target: np.ndarray
 
 
-def encode(a, vec, fidelity_mode: str = "embedded") -> Encoded:
+def encode(a, vec, fidelity_mode: str = FIDELITY_MODES[0]) -> Encoded:
     """Scale the symmetric matrix `a` by mu, embed it, build its row
     encoding, and prepare the unit vector `vec` as the circuit input: the
     matrix half _encode_matrix followed by the input half _encode_input.
@@ -454,9 +455,9 @@ def encode(a, vec, fidelity_mode: str = "embedded") -> Encoded:
     A vec of the matrix order is placed in the top half of the embedded
     space; one of the embedded order is taken as is, in embedded mode
     only. The target is U @ input in embedded mode and (a / mu) @ vec in
-    projected mode.
+    projected mode; fidelity_mode is one of FIDELITY_MODES, the first by default.
     """
-    check_fidelity_mode(fidelity_mode)
+    _check_choice(fidelity_mode, FIDELITY_MODES, "fidelity_mode")
     return _encode_input(_encode_matrix(a), vec, fidelity_mode)
 
 

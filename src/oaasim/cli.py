@@ -30,6 +30,7 @@ from .errors import NumericalError, ValidationError
 from .experiments import ExperimentConfig, csv_lines, emit_outputs, run_ensemble, run_trace
 from .linalg import _read_vector, _unit_vector, read_matrix, write_matrix
 from .matfunc import (
+    FUNCTIONS,
     _function_reference,
     _product_reference,
     chained_product_circuit,
@@ -65,8 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", required=True)
     p.add_argument("--input", required=True, help="input vector file")
     p.add_argument("--k", type=int, default=None, help="iteration count (default pi/4 sqrt rule)")
-    p.add_argument("--variant", choices=VARIANTS, default="literal")
-    p.add_argument("--fidelity", choices=FIDELITY_MODES, default="embedded")
+    p.add_argument("--variant", choices=VARIANTS, default=VARIANTS[0])
+    p.add_argument("--fidelity", choices=FIDELITY_MODES, default=FIDELITY_MODES[0])
     p.add_argument("--out", default=None, help="trace CSV file (default stdout)")
 
     p = sub.add_parser("experiment", help="run a random-matrix experiment family")
@@ -74,22 +75,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dims", default="16,32,64,128", help="comma separated embedded dimensions")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--variant", choices=VARIANTS, default="literal")
-    p.add_argument("--fidelity", choices=FIDELITY_MODES, default="embedded")
+    p.add_argument("--variant", choices=VARIANTS, default=VARIANTS[0])
+    p.add_argument("--fidelity", choices=FIDELITY_MODES, default=FIDELITY_MODES[0])
     p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("product", help="apply a product of symmetric factors by chained circuits")
     p.add_argument("--factors", nargs="+", required=True, help="factor matrix files in application order")
     p.add_argument("--input", default=None, help="input vector file (default first basis vector)")
-    p.add_argument("--variant", choices=VARIANTS, default="literal")
+    p.add_argument("--variant", choices=VARIANTS, default=VARIANTS[0])
     p.add_argument("--out", default=None, help="output directory (default stdout)")
 
     p = sub.add_parser("matfunc", help="apply an exp or cos truncation by chained circuits")
-    p.add_argument("--fn", choices=("exp", "cos"), required=True)
+    p.add_argument("--fn", choices=FUNCTIONS, required=True)
     p.add_argument("--matrix", required=True)
     p.add_argument("--trunc", type=int, required=True, help="truncation order")
     p.add_argument("--input", default=None, help="input vector file (default first basis vector)")
-    p.add_argument("--variant", choices=VARIANTS, default="literal")
+    p.add_argument("--variant", choices=VARIANTS, default=VARIANTS[0])
     p.add_argument("--out", default=None, help="output directory (default stdout)")
     return parser
 
@@ -113,11 +114,8 @@ def _cmd_embed(args) -> int:
     emb = build_estimated_embedding(normalized, mu)
     report = closeness(emb.u)
     write_matrix(args.out, emb.u)
-    print(f"mu={mu!r}")
-    print(f"c2={report.c2!r}")
-    print(f"cF={report.cF!r}")
-    print(f"phi={report.phi!r}")
-    print(f"ef={report.ef!r}")
+    for name, value in {"mu": mu, **asdict(report)}.items():
+        print(f"{name}={value!r}")
     print(f"u_written={args.out}")
     return 0
 

@@ -36,7 +36,7 @@ from .linalg import (
 ROW_NORM_CLAMP = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Embedding:
     """The scale of a normalized matrix and the block operator built from it.
     The scale mu must be a finite positive real (ValidationError otherwise)."""
@@ -103,14 +103,8 @@ def build_estimated_embedding(a_normalized, mu: float = 1.0) -> Embedding:
         raise RowNormError(
             f"row norm {math.sqrt(row2.max()):.15g} exceeds 1; normalize first"
         )
-    d = ap.shape[0]
     off = np.diag(np.sqrt(np.clip(1.0 - row2, 0.0, None)))
-    u = np.zeros((2 * d, 2 * d))
-    u[:d, :d] = ap
-    u[:d, d:] = off
-    u[d:, :d] = off
-    u[d:, d:] = -ap
-    return Embedding(mu=mu, u=u)
+    return Embedding(mu=mu, u=np.block([[ap, off], [off, -ap]]))
 
 
 def closeness(u) -> ClosenessReport:

@@ -34,24 +34,26 @@ from .amplification import VARIANTS, IterationTrace, iteration_count, oblivious_
 from .circuit import Encoded, _encode_input, _encode_matrix, _is_power_of_two
 from .embedding import closeness
 from .errors import NumericalError, ValidationError
-from .linalg import _check_count, _items
-from .metrics import check_fidelity_mode
+from .linalg import _check_choice, _check_count, _items
+from .metrics import FIDELITY_MODES
 from .rng import SplitMix64, _check_seed, derive_seed
 from .svgplot import line_chart
 
-EXPERIMENT_KINDS = ("ensemble", "fixed-matrix", "trace")
+EXPERIMENT_KINDS = ("ensemble", "fixed-matrix", "trace")  # the first is the default
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated settings for one experiment run."""
+    """Validated settings for one experiment run. variant, fidelity_mode and
+    experiment are entries of VARIANTS, FIDELITY_MODES and EXPERIMENT_KINDS,
+    the first of each by default."""
 
     dims: tuple = (16, 32, 64, 128)
     trials: int = 100
     seed: int = 0
-    variant: str = "literal"
-    fidelity_mode: str = "embedded"
-    experiment: str = "ensemble"
+    variant: str = VARIANTS[0]
+    fidelity_mode: str = FIDELITY_MODES[0]
+    experiment: str = EXPERIMENT_KINDS[0]
 
     def __post_init__(self):
         dims = self.dims
@@ -66,11 +68,9 @@ class ExperimentConfig:
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "trials", _check_count(self.trials, "trials", 1))
         object.__setattr__(self, "seed", _check_seed(self.seed, "seed"))
-        check_fidelity_mode(self.fidelity_mode)
-        for name, allowed in (("variant", VARIANTS), ("experiment", EXPERIMENT_KINDS)):
-            value = getattr(self, name)
-            if value not in allowed:
-                raise ValidationError(f"{name} must be one of {allowed}, got {value!r}")
+        _check_choice(self.variant, VARIANTS, "variant")
+        _check_choice(self.fidelity_mode, FIDELITY_MODES, "fidelity_mode")
+        _check_choice(self.experiment, EXPERIMENT_KINDS, "experiment")
 
 
 @dataclass(frozen=True)
@@ -206,8 +206,7 @@ def emit_outputs(results, fmt: str, path) -> list:
 
     The CSV columns are the record fields (see EnsembleRecord and
     TraceResult); each chart plots record fields named in its legend."""
-    if fmt not in ("csv", "svg"):
-        raise ValidationError(f"format must be csv or svg, got {fmt!r}")
+    _check_choice(fmt, ("csv", "svg"), "format")
     results = _items(results, "results")
     kinds = {type(r) for r in results}
     if kinds not in ({EnsembleRecord}, {TraceResult}):

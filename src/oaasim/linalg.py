@@ -46,7 +46,7 @@ _NOT_CONVERGED = "Jacobi sweeps did not converge within {} sweeps"
 _TINY = np.finfo(float).tiny
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenPair:
     """Eigendecomposition S = vectors @ diag(values) @ vectors.T.
 
@@ -107,6 +107,12 @@ def _check_count(n, name: str, minimum: int) -> int:
     if n < minimum:
         raise ValidationError(f"{name} must be at least {minimum}, got {n}")
     return int(n)
+
+
+def _check_choice(value, allowed: tuple, name: str) -> None:
+    """ValidationError unless value is a str in allowed."""
+    if not (isinstance(value, str) and value in allowed):
+        raise ValidationError(f"{name} must be one of {allowed}, got {value!r}")
 
 
 def _pow2_scaled(x) -> tuple[np.ndarray, int]:

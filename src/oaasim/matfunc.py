@@ -24,10 +24,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .amplification import iteration_count, oblivious_aa
+from .amplification import VARIANTS, iteration_count, oblivious_aa
 from .circuit import _encode_input, _encode_matrix, collapse_good
 from .errors import DimensionError, ValidationError
 from .linalg import (
+    _check_choice,
     _check_count,
     _float_array,
     _items,
@@ -38,8 +39,10 @@ from .linalg import (
     sym_eigen,
 )
 
+FUNCTIONS = ("exp", "cos")
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class ProductPlan:
     """Ordered factors of a matrix product, in application order: any
     iterable of at least one symmetric factor, all of one order. Each
@@ -96,18 +99,18 @@ def _product_reference(factors: Sequence[np.ndarray], vec: np.ndarray) -> np.nda
 
 def matrix_function_oracle(a: np.ndarray, function: str) -> np.ndarray:
     """Exact matrix function through the symmetric eigendecomposition:
-    exp(A) for "exp", cos(pi A) for "cos". exp refuses an eigenvalue above
-    709, whose exp would leave less than a factor 2 below float overflow."""
+    exp(A) for "exp", cos(pi A) for "cos", the two FUNCTIONS. exp refuses an
+    eigenvalue above 709, whose exp would leave less than a factor 2 below
+    float overflow."""
+    _check_choice(function, FUNCTIONS, "function")
     pair = sym_eigen(a)
     if function == "exp":
         top = float(pair.values.max())
         if top > 709.0:
             raise ValidationError(f"exp overflows: eigenvalue {top!r} is above 709")
         mapped = np.exp(pair.values)
-    elif function == "cos":
-        mapped = np.cos(np.pi * pair.values)
     else:
-        raise ValidationError(f"no oracle for function {function!r}")
+        mapped = np.cos(np.pi * pair.values)
     return _spectral_map(pair, mapped)
 
 
@@ -160,14 +163,17 @@ def custom_product_plan(factors: Sequence[np.ndarray]) -> ProductPlan:
 def chained_product_circuit(
     plan: ProductPlan,
     input_vec: np.ndarray,
-    variant: str = "literal",
+    variant: str = VARIANTS[0],
 ):
     """Apply the plan's factors to input_vec through chained embedded
     circuits. input_vec, of the factor order d (encode puts it in the top
     half of the embedded space) or the embedded order 2d, is normalized
-    first. The plan was checked when it was made and is taken as given. A
-    factor object that repeats in the plan is encoded once and its circuit
-    reused. Returns the final collapsed vector and the per-stage records."""
+    first. variant is one of VARIANTS, the first by default, checked before
+    any stage is encoded. The plan was checked when it was made and is taken
+    as given. A factor object that repeats in the plan is encoded once and
+    its circuit reused. Returns the final collapsed vector and the per-stage
+    records."""
+    _check_choice(variant, VARIANTS, "variant")
     vec = _unit_vector(input_vec, "input vector")
 
     records, matrices = [], {}  # encode's matrix half, once per distinct factor object

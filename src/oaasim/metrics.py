@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DimensionError, ValidationError
 from .linalg import _float_array, _pow2_scaled
 
-FIDELITY_MODES = ("embedded", "projected")
+FIDELITY_MODES = ("embedded", "projected")  # the first is the default
 
 
 def fidelity(collapsed, target) -> float:
@@ -42,9 +42,3 @@ def fidelity(collapsed, target) -> float:
     if nu == 0.0 or nv == 0.0:
         raise ValidationError("fidelity of a zero vector is undefined")
     return abs(float(u @ v)) / (nu * nv)
-
-
-def check_fidelity_mode(mode: str) -> str:
-    if mode not in FIDELITY_MODES:
-        raise ValidationError(f"unknown fidelity mode {mode!r}")
-    return mode

@@ -1,7 +1,9 @@
 """Command line behavior: exit codes, config echo, payload formats, and
 deterministic experiment output."""
 
+import argparse
 import contextlib
+import inspect
 import io
 import math
 import re
@@ -15,8 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oaasim import SplitMix64, random_input, random_symmetric, write_matrix
+from oaasim import (FIDELITY_MODES, VARIANTS, ExperimentConfig, SplitMix64,
+                    chained_product_circuit, encode, random_input, random_symmetric,
+                    write_matrix)
 from oaasim.cli import build_parser, main
+from oaasim.experiments import EXPERIMENT_KINDS
 from oaasim.linalg import _read_vector
 
 
@@ -216,6 +221,22 @@ def test_parser_serves_calls_after_an_error(matrix_file, input_file, capsys):
     assert main(argv) == 0
     assert capsys.readouterr().out == first
     assert build_parser.cache_info().misses == 1
+
+
+def test_every_choice_defaults_to_the_first_entry_of_its_tuple():
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    variants = {name: p.get_default("variant") for name, p in commands.items()}
+    modes = {name: p.get_default("fidelity") for name, p in commands.items()}
+    assert variants == {"embed": None, "amplify": VARIANTS[0], "experiment": VARIANTS[0],
+                        "product": VARIANTS[0], "matfunc": VARIANTS[0]}
+    assert modes == {"embed": None, "amplify": FIDELITY_MODES[0],
+                     "experiment": FIDELITY_MODES[0], "product": None, "matfunc": None}
+    cfg = ExperimentConfig()
+    assert (cfg.variant, cfg.fidelity_mode, cfg.experiment) == (
+        VARIANTS[0], FIDELITY_MODES[0], EXPERIMENT_KINDS[0])
+    assert inspect.signature(encode).parameters["fidelity_mode"].default == FIDELITY_MODES[0]
+    assert inspect.signature(chained_product_circuit).parameters["variant"].default == VARIANTS[0]
 
 
 def test_missing_file_exits_one(capsys):

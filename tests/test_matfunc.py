@@ -230,6 +230,9 @@ def test_chain_refuses_a_bad_later_factor_before_any_stage(monkeypatch):
         chained_product_circuit(ProductPlan((w4, w8)), vec, "adjoint")
     with pytest.raises(SymmetryError):
         chained_product_circuit(ProductPlan((w4, w4, asym4)), vec, "adjoint")
+    # a bad variant was refused by oblivious_aa, after stage 0 was encoded
+    with pytest.raises(ValidationError, match="variant must be one of"):
+        chained_product_circuit(ProductPlan((w4,)), vec, "other")
     assert encoded == []
 
 

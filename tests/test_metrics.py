@@ -5,8 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from oaasim import DimensionError, ValidationError, fidelity
-from oaasim.metrics import check_fidelity_mode
+from oaasim import FIDELITY_MODES, DimensionError, ValidationError, encode, fidelity
 
 
 def test_hand_values():
@@ -50,7 +49,8 @@ def test_rejects_non_finite():
 
 
 def test_mode_names():
-    assert check_fidelity_mode("embedded") == "embedded"
-    assert check_fidelity_mode("projected") == "projected"
-    with pytest.raises(ValidationError):
-        check_fidelity_mode("other")
+    a, vec = np.diag([0.5, -0.25]), [0.6, 0.8]
+    for mode in FIDELITY_MODES:
+        assert encode(a, vec, mode).target.size == (4 if mode == "embedded" else 2)
+    with pytest.raises(ValidationError, match="fidelity_mode must be one of"):
+        encode(a, vec, "other")

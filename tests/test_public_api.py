@@ -13,14 +13,16 @@ text, complex values, ragged nesting, integers beyond the float range,
 empty shapes and NaN or infinite entries. List arguments (unitaries,
 factors, results) draw lists or a non-list (None, a number). Circuits,
 states, plans, configs and records are built from small valid pieces;
-names (variant, mode, format) are drawn as text. Counts that size a loop or
-an allocation (k, trials, dims, order, length, truncation, count) draw only
-invalid values. Paths name files in a pytest temporary directory, and file
-contents are generated. Every other public name is listed in EXCLUDED, so a
-new public name without a row fails test_every_public_name_has_a_row.
+names (variant, mode, format) are drawn as text or as a numpy string
+array. Counts that size a loop or an allocation (k, trials, dims, order,
+length, truncation, count) draw only invalid values. Paths name files in
+a pytest temporary directory, and file contents are generated. Every other
+public name is listed in EXCLUDED, so a new public name without a row fails
+test_every_public_name_has_a_row.
 """
 
 import ast
+import copy
 import dataclasses
 import math
 import tempfile
@@ -80,9 +82,9 @@ BAD_DIMS = st.one_of(
     BAD_COUNTS, st.sampled_from(["16", b"16", (), (2, 2), [4, 4]]),
     st.lists(st.sampled_from([0, 1, 3, 6, 12, -4, 2.0, True, "2", None]), min_size=1,
              max_size=3))
-TEXT = st.one_of(st.sampled_from(oaasim.VARIANTS + oaasim.FIDELITY_MODES
-                                 + ("exp", "cos", "csv", "svg", "ensemble", "trace")),
-                 st.text(max_size=4))
+NAMES = st.sampled_from(oaasim.VARIANTS + oaasim.FIDELITY_MODES
+                        + ("exp", "cos", "csv", "svg", "ensemble", "trace"))
+TEXT = st.one_of(NAMES, st.text(max_size=4), st.lists(NAMES, max_size=2).map(np.array))
 
 
 @st.composite
@@ -367,3 +369,35 @@ def test_list_argument_refuses_a_non_list(name, not_a_list, tmp_path):
     }
     with pytest.raises(oaasim.ValidationError, match="must be a list"):
         calls[name]()
+
+
+@pytest.mark.parametrize("name", ["ExperimentConfig", "chained_product_circuit", "emit_outputs",
+                                  "encode", "matrix_function_oracle", "oblivious_aa"])
+def test_choice_argument_refuses_an_array(name, tmp_path):
+    # each let numpy's ValueError escape from comparing an array with its names
+    choice = np.array(["literal", "adjoint"])
+    enc = ENCODED[0]
+    calls = {
+        "ExperimentConfig": lambda: ExperimentConfig(variant=choice),
+        "chained_product_circuit": lambda: oaasim.chained_product_circuit(
+            custom_product_plan([SMALL]), [0.6, 0.8], choice),
+        "emit_outputs": lambda: oaasim.emit_outputs(_RECORDS[:1], choice, tmp_path / "out.csv"),
+        "encode": lambda: encode(SMALL, [0.6, 0.8], choice),
+        "matrix_function_oracle": lambda: oaasim.matrix_function_oracle(SMALL, choice),
+        "oblivious_aa": lambda: oaasim.oblivious_aa(enc.circuit, enc.state, 1, choice,
+                                                    enc.target),
+    }
+    with pytest.raises(oaasim.ValidationError, match="must be one of"):
+        calls[name]()
+
+
+@pytest.mark.parametrize("record", [custom_product_plan([SMALL]), oaasim.sym_eigen(SMALL),
+                                    ENCODED[0].embedding, ENCODED[0], ENCODED[0].state],
+                         ids=lambda r: type(r).__name__)
+def test_array_records_compare_by_identity(record):
+    # the generated __eq__ compared arrays, so an equal copy raised numpy's
+    # ValueError, and the generated __hash__ (None for StateVector) a TypeError
+    twin = copy.deepcopy(record)
+    assert record == record and record in [record]
+    assert record != twin and twin not in [record]
+    assert len({record, twin, record}) == 2

@@ -96,7 +96,7 @@ def test_compare_reports_files_on_one_side(tmp_path):
 
 def test_every_mutant_pattern_matches_its_source_once():
     mutants = _load(ROOT / "tools" / "mutants.py").MUTANTS
-    assert len(mutants) == 12
+    assert len(mutants) == 13
     for name, path, old, new in mutants:
         assert (ROOT / path).read_text().count(old) == 1, name
         assert new != old, name

@@ -52,6 +52,8 @@ MUTANTS = [
      "check_symmetric(w)", "w"),
     ("LCU list skips its orthogonality check", "src/oaasim/circuit.py",
      '_check_orthogonal(mat, f"unitaries[{i}]")', "mat"),
+    ("choice check accepts a non-string", "src/oaasim/linalg.py",
+     "isinstance(value, str) and ", ""),
 ]
 PYTEST = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests",
           "--ignore=tests/test_acceptance.py"]
