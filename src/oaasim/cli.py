@@ -27,7 +27,8 @@ from .amplification import VARIANTS, iteration_count, oblivious_aa
 from .circuit import encode
 from .embedding import build_estimated_embedding, closeness, mu_normalize
 from .errors import NumericalError, ValidationError
-from .experiments import ExperimentConfig, csv_lines, emit_outputs, run_ensemble, run_trace
+from .experiments import (EXPERIMENT_KINDS, ExperimentConfig, csv_lines, emit_outputs,
+                          run_ensemble, run_trace)
 from .linalg import _read_vector, _unit_vector, read_matrix, write_matrix
 from .matfunc import (
     FUNCTIONS,
@@ -71,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="trace CSV file (default stdout)")
 
     p = sub.add_parser("experiment", help="run a random-matrix experiment family")
-    p.add_argument("--kind", choices=("ensemble", "fixed", "trace"), required=True)
+    p.add_argument("--kind", choices=EXPERIMENT_KINDS, required=True)
     p.add_argument("--dims", default="16,32,64,128", help="comma separated embedded dimensions")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
@@ -142,20 +143,10 @@ def _cmd_experiment(args) -> int:
         dims = tuple(int(part) for part in args.dims.split(",") if part.strip())
     except ValueError:
         raise ValidationError(f"cannot parse dims {args.dims!r}")
-    kind = {"ensemble": "ensemble", "fixed": "fixed-matrix", "trace": "trace"}[args.kind]
-    cfg = ExperimentConfig(
-        dims=dims,
-        trials=args.trials,
-        seed=args.seed,
-        variant=args.variant,
-        fidelity_mode=args.fidelity,
-        experiment=kind,
-    )
+    cfg = ExperimentConfig(dims=dims, trials=args.trials, seed=args.seed, variant=args.variant,
+                           fidelity_mode=args.fidelity, experiment=args.kind)
     out_dir = Path(args.out)
-    if kind == "trace":
-        results = run_trace(cfg)
-    else:
-        results = run_ensemble(cfg)
+    results = (run_trace if args.kind == "trace" else run_ensemble)(cfg)
     written = emit_outputs(results, "csv", out_dir / f"{args.kind}.csv")
     written += emit_outputs(results, "svg", out_dir)
     for path in written:

@@ -7,6 +7,8 @@ converge, lost amplitude mass). The command line maps them to exit codes 1
 and 2.
 """
 
+from contextlib import contextmanager
+
 
 class SimulatorError(Exception):
     """Base class for every error raised by this package."""
@@ -51,3 +53,14 @@ class ConvergenceError(NumericalError):
 
 class NoGoodAmplitudeError(NumericalError):
     """State carries no measurable mass on the good subspace."""
+
+
+@contextmanager
+def _located(where: str):
+    """Re-raise a NumericalError from the block as the same class, its
+    message prefixed with `where: `. A ValidationError names its input
+    already and passes unchanged."""
+    try:
+        yield
+    except NumericalError as exc:
+        raise type(exc)(f"{where}: {exc}") from exc

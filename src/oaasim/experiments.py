@@ -1,6 +1,9 @@
 """Random-matrix amplification experiments.
 
-Three experiment kinds share one trial mechanic:
+The three experiment kinds, EXPERIMENT_KINDS, share one trial mechanic.
+The tuple is the only list of their names: ExperimentConfig checks
+against it, each runner accepts its own entries of it, and the command
+line's --kind takes it as its choices.
 
 * ``ensemble``: every trial draws a fresh random symmetric matrix and a
   fresh random input, amplifies, and records closeness plus the
@@ -19,7 +22,9 @@ half once per ensemble trial, or once per dimension for the other kinds,
 whose trials share the circuit; ``_encode_trial`` runs its input half per
 trial. emit_outputs writes files in one loop. Per-trial generator seeds
 are derived from (seed, dim, trial, purpose) so results are independent
-of execution order.
+of execution order. A NumericalError raised in a trial keeps its class,
+and its message starts with `dim D trial T (seed S): `, the values that
+re-run the trial alone.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ import numpy as np
 from .amplification import VARIANTS, IterationTrace, iteration_count, oblivious_aa
 from .circuit import Encoded, _encode_input, _encode_matrix, _is_power_of_two
 from .embedding import closeness
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, _located
 from .linalg import _check_choice, _check_count, _items
 from .metrics import FIDELITY_MODES
 from .rng import SplitMix64, _check_seed, derive_seed
@@ -160,26 +165,30 @@ def _run_trial(cfg: ExperimentConfig, dim: int, trial: int,
 
 def run_ensemble(cfg: ExperimentConfig) -> list:
     """Run the ensemble or fixed-matrix experiment and return records in
-    (dim, trial) order."""
-    if cfg.experiment not in ("ensemble", "fixed-matrix"):
-        raise ValidationError(f"not an ensemble experiment: {cfg.experiment!r}")
+    (dim, trial) order. A trial's NumericalError names its dim, trial and
+    seed; a fixed-matrix dimension's shared matrix counts as trial 0."""
+    _check_choice(cfg.experiment, EXPERIMENT_KINDS[:2], "experiment")
     records = []
     for dim in cfg.dims:
-        shared = _matrix_and_report(cfg, dim, 0) if cfg.experiment == "fixed-matrix" else None
-        records += [_run_trial(cfg, dim, trial, shared) for trial in range(cfg.trials)]
+        shared = None
+        for trial in range(cfg.trials):
+            with _located(f"dim {dim} trial {trial} (seed {cfg.seed})"):
+                if trial == 0 and cfg.experiment == "fixed-matrix":
+                    shared = _matrix_and_report(cfg, dim, 0)
+                records.append(_run_trial(cfg, dim, trial, shared))
     return records
 
 
 def run_trace(cfg: ExperimentConfig) -> list:
     """Run the per-iteration trace experiment: one matrix and input per
     dimension, recorded through two iterations past the standard count."""
-    if cfg.experiment != "trace":
-        raise ValidationError(f"not a trace experiment: {cfg.experiment!r}")
+    _check_choice(cfg.experiment, EXPERIMENT_KINDS[2:], "experiment")
     results = []
     for dim in cfg.dims:
-        enc = _encode_trial(cfg, dim, 0, _trial_matrix(cfg, dim, 0))
-        k_marker = iteration_count(dim)
-        trace = oblivious_aa(enc.circuit, enc.state, k_marker + 2, cfg.variant, enc.target)
+        with _located(f"dim {dim} trial 0 (seed {cfg.seed})"):
+            enc = _encode_trial(cfg, dim, 0, _trial_matrix(cfg, dim, 0))
+            k_marker = iteration_count(dim)
+            trace = oblivious_aa(enc.circuit, enc.state, k_marker + 2, cfg.variant, enc.target)
         results.append(TraceResult(dim=dim, k_marker=k_marker, trace=trace))
     return results
 

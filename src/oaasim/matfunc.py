@@ -26,7 +26,7 @@ import numpy as np
 
 from .amplification import VARIANTS, iteration_count, oblivious_aa
 from .circuit import _encode_input, _encode_matrix, collapse_good
-from .errors import DimensionError, ValidationError
+from .errors import DimensionError, ValidationError, _located
 from .linalg import (
     _check_choice,
     _check_count,
@@ -171,22 +171,24 @@ def chained_product_circuit(
     first. variant is one of VARIANTS, the first by default, checked before
     any stage is encoded. The plan was checked when it was made and is taken
     as given. A factor object that repeats in the plan is encoded once and
-    its circuit reused. Returns the final collapsed vector and the per-stage
+    its circuit reused. A NumericalError raised in a stage keeps its class,
+    and its message starts with `stage i of n: `, i counted from 0 as the
+    records count it. Returns the final collapsed vector and the per-stage
     records."""
     _check_choice(variant, VARIANTS, "variant")
     vec = _unit_vector(input_vec, "input vector")
 
     records, matrices = [], {}  # encode's matrix half, once per distinct factor object
     for stage, w in enumerate(plan.factors):
-        if id(w) not in matrices:
-            matrices[id(w)] = _encode_matrix(w)
-        enc = _encode_input(matrices[id(w)], vec, "embedded")
-        k = iteration_count(enc.embedding.order)
-        trace, final_state = oblivious_aa(
-            enc.circuit, enc.state, k, variant, enc.target, return_final_state=True
-        )
-        collapsed, probability = collapse_good(enc.circuit, final_state)
+        with _located(f"stage {stage} of {len(plan.factors)}"):
+            if id(w) not in matrices:
+                matrices[id(w)] = _encode_matrix(w)
+            enc = _encode_input(matrices[id(w)], vec, "embedded")
+            k = iteration_count(enc.embedding.order)
+            trace, final_state = oblivious_aa(
+                enc.circuit, enc.state, k, variant, enc.target, return_final_state=True
+            )
+            vec, probability = collapse_good(enc.circuit, final_state)
         records.append(StageRecord(stage=stage, probability=probability,
                                    fidelity=trace.final.fidelity, mu_scale=enc.embedding.mu))
-        vec = collapsed
     return vec, records

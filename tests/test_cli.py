@@ -23,6 +23,7 @@ from oaasim import (FIDELITY_MODES, VARIANTS, ExperimentConfig, SplitMix64,
 from oaasim.cli import build_parser, main
 from oaasim.experiments import EXPERIMENT_KINDS
 from oaasim.linalg import _read_vector
+from oaasim.matfunc import FUNCTIONS
 
 
 def write_unchecked(path, m):
@@ -239,6 +240,33 @@ def test_every_choice_defaults_to_the_first_entry_of_its_tuple():
     assert inspect.signature(chained_product_circuit).parameters["variant"].default == VARIANTS[0]
 
 
+def test_every_cli_choice_is_its_library_tuple():
+    # the command line keeps no list of names of its own
+    tuples = {"kind": EXPERIMENT_KINDS, "variant": VARIANTS, "fidelity": FIDELITY_MODES,
+              "fn": FUNCTIONS}
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    seen = set()
+    for name, parser in commands.items():
+        for action in parser._actions:
+            if action.choices is not None:
+                assert action.choices is tuples[action.dest], (name, action.dest)
+                seen.add(action.dest)
+    assert seen == set(tuples)
+
+
+def test_fixed_matrix_kind_keeps_its_library_name(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["experiment", "--kind", "fixed-matrix", "--dims", "8", "--trials", "2",
+                 "--out", str(out)]) == 0
+    assert " kind=fixed-matrix " in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["ensemble_dim8.svg", "fixed-matrix.csv"]
+    with pytest.raises(SystemExit) as info:
+        main(["experiment", "--kind", "fixed", "--out", str(out)])
+    assert info.value.code == 1
+    assert "argument --kind: invalid choice: 'fixed'" in capsys.readouterr().err
+
+
 def test_missing_file_exits_one(capsys):
     code = main(["embed", "--matrix", "/nonexistent/a.txt"])
     assert code == 1
@@ -342,6 +370,14 @@ def test_product_chain(tmp_path, capsys):
     assert len(fid_line) == 1
     # an involution applied twice returns the input
     assert float(fid_line[0].split("=")[1]) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_a_failed_chain_names_its_stage(tmp_path, capsys):
+    # the literal iterate on the 2x2 identity empties the good states of stage 0
+    eye = tmp_path / "eye.txt"
+    write_matrix(eye, np.eye(2))
+    assert main(["product", "--factors", str(eye), str(eye), "--variant", "literal"]) == 2
+    assert "numerical error: stage 0 of 2: amplitude mass " in capsys.readouterr().err
 
 
 def test_matfunc_stdout(matrix_file, capsys):
@@ -524,7 +560,7 @@ def cli_calls(draw):
     if command == "matfunc":
         return (["matfunc", "--fn", draw(st.sampled_from(("exp", "cos"))), "--matrix", "{a}",
                  "--trunc", str(draw(st.integers(0, 4)))] + vec + variant + out)
-    return ["experiment", "--kind", draw(st.sampled_from(("ensemble", "fixed", "trace"))),
+    return ["experiment", "--kind", draw(st.sampled_from(EXPERIMENT_KINDS)),
             "--dims", draw(st.sampled_from(("2", "4,2", "8", "2,4,8", "3", "2,2", ""))),
             "--trials", str(draw(st.sampled_from((1, 2, 2, 0)))),
             "--seed", str(draw(st.sampled_from((0, 5, 2**64 - 1, -1, 2**64)))),

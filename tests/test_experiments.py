@@ -2,6 +2,7 @@
 and SVG emission."""
 
 import json
+import re
 import struct
 from dataclasses import asdict, fields
 
@@ -11,9 +12,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oaasim.circuit
+import oaasim.experiments
 from oaasim import (
     EnsembleRecord,
+    ConvergenceError,
     ExperimentConfig,
+    NoGoodAmplitudeError,
     SplitMix64,
     StageRecord,
     TraceRecord,
@@ -34,7 +38,7 @@ from oaasim import (
     run_ensemble,
     run_trace,
 )
-from oaasim.experiments import csv_lines
+from oaasim.experiments import EXPERIMENT_KINDS, _run_trial, csv_lines
 
 SMALL = dict(dims=(8, 16), trials=3, seed=5)
 
@@ -272,10 +276,48 @@ def test_trace_runs_two_past_the_marker():
 
 
 def test_kind_mismatch_rejected():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError,
+                       match=re.escape("experiment must be one of ('trace',), got 'ensemble'")):
         run_trace(ExperimentConfig(experiment="ensemble", **SMALL))
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=re.escape(
+            "experiment must be one of ('ensemble', 'fixed-matrix'), got 'trace'")):
         run_ensemble(ExperimentConfig(experiment="trace", **SMALL))
+
+
+def test_a_failed_trial_names_its_dim_trial_and_seed(monkeypatch):
+    # the failure depends on the trial's seeded input alone, so the place
+    # the message names is enough to re-run that trial by itself
+    def picky(length, rng):
+        vec = random_input(length, rng)
+        if vec[0] > 0.2:
+            raise NoGoodAmplitudeError(f"first entry {vec[0]!r}")
+        return vec
+
+    monkeypatch.setattr(oaasim.experiments, "random_input", picky)
+    cfg = ExperimentConfig(experiment="ensemble", variant="adjoint", **SMALL)
+    with pytest.raises(NoGoodAmplitudeError) as failed:
+        run_ensemble(cfg)
+    place = re.fullmatch(r"dim (\d+) trial (\d+) \(seed (\d+)\): (first entry .*)",
+                         str(failed.value))
+    assert place, str(failed.value)
+    dim, trial, seed = map(int, place.groups()[:3])
+    assert (dim, trial, seed) == (8, 1, SMALL["seed"])
+    alone = ExperimentConfig(dims=(dim,), trials=1, seed=seed, variant="adjoint")
+    with pytest.raises(NoGoodAmplitudeError) as again:
+        _run_trial(alone, dim, trial, None)
+    assert str(again.value) == place.group(4)
+
+
+@pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+def test_a_shared_matrix_failure_names_trial_0(kind, monkeypatch):
+    # a fixed-matrix or trace dimension encodes trial 0's matrix for every trial
+    def refuse(order, rng):
+        raise ConvergenceError(f"order {order}")
+
+    monkeypatch.setattr(oaasim.experiments, "random_symmetric", refuse)
+    cfg = ExperimentConfig(experiment=kind, **SMALL)
+    with pytest.raises(ConvergenceError, match=r"^dim 8 trial 0 \(seed 5\): order 4$"):
+        (run_trace if kind == "trace" else run_ensemble)(cfg)
 
 
 def test_csv_lines_round_trip(tmp_path):

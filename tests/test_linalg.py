@@ -101,8 +101,9 @@ def test_eigen_rejects_asymmetric():
 
 
 def test_symmetry_tolerance_is_1e_12_relative():
-    # one side of the documented bound each, with a 10-100x margin
-    for asymmetry in (1e-11, 1e-10):
+    # one side of the documented bound each, with a 10-100x margin; 3e-12
+    # also refuses a bound raised to 1e-11, which 1e-11 itself may still meet
+    for asymmetry in (3e-12, 1e-11, 1e-10):
         with pytest.raises(SymmetryError):
             mu_normalize(np.array([[1.0, 1.0 + asymmetry], [1.0, 1.0]]))
     for asymmetry in (1e-13, 1e-14):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import oaasim.matfunc
 from oaasim import (
     DimensionError,
+    NoGoodAmplitudeError,
     ProductPlan,
     SplitMix64,
     SymmetryError,
@@ -234,6 +235,23 @@ def test_chain_refuses_a_bad_later_factor_before_any_stage(monkeypatch):
     with pytest.raises(ValidationError, match="variant must be one of"):
         chained_product_circuit(ProductPlan((w4,)), vec, "other")
     assert encoded == []
+
+
+def test_a_failed_stage_keeps_its_class_and_names_its_stage(monkeypatch):
+    collapsed = []
+    real = oaasim.matfunc.collapse_good
+
+    def second_fails(circuit, state):
+        collapsed.append(state)
+        if len(collapsed) == 2:
+            raise NoGoodAmplitudeError("emptied")
+        return real(circuit, state)
+
+    monkeypatch.setattr(oaasim.matfunc, "collapse_good", second_fails)
+    w4 = householder_from_vector(np.full(4, 0.5))
+    with pytest.raises(NoGoodAmplitudeError, match=r"^stage 1 of 3: emptied$"):
+        chained_product_circuit(ProductPlan((w4, w4, w4)), random_input(4, SplitMix64(339)),
+                                "adjoint")
 
 
 def test_plan_checks_each_distinct_factor_once(tmp_path, monkeypatch, capsys):

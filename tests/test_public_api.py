@@ -50,6 +50,7 @@ from oaasim import (
     run_ensemble,
     run_trace,
 )
+from oaasim.experiments import EXPERIMENT_KINDS
 
 EXCLUDED = {
     # exception classes
@@ -131,7 +132,7 @@ PLANS = st.sampled_from([exp_product_factors(SMALL, 1), cos_product_factors(SMAL
 CONFIGS = st.builds(ExperimentConfig, dims=st.just((2,)), trials=st.just(1),
                     variant=st.sampled_from(oaasim.VARIANTS),
                     fidelity_mode=st.sampled_from(oaasim.FIDELITY_MODES),
-                    experiment=st.sampled_from(("ensemble", "fixed-matrix", "trace")))
+                    experiment=st.sampled_from(EXPERIMENT_KINDS))
 _CFG = dict(dims=(2, 4), trials=2)
 _RECORDS = (run_ensemble(ExperimentConfig(**_CFG))
             + run_trace(ExperimentConfig(**_CFG, experiment="trace")) + ["not a record"])

@@ -1,12 +1,16 @@
 """tools/seeded_outputs.py records every call, repeats the committed
 reference tests/seeded, and compares two records within a tolerance;
-tools/mutants.py names source text that exists."""
+tools/mutants.py names source text that exists and cleans up when
+terminated."""
 
 import importlib.util
 import math
+import os
 import shutil
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -96,7 +100,26 @@ def test_compare_reports_files_on_one_side(tmp_path):
 
 def test_every_mutant_pattern_matches_its_source_once():
     mutants = _load(ROOT / "tools" / "mutants.py").MUTANTS
-    assert len(mutants) == 13
+    assert len(mutants) == 14
     for name, path, old, new in mutants:
         assert (ROOT / path).read_text().count(old) == 1, name
         assert new != old, name
+
+
+def test_mutants_removes_its_copy_when_terminated(tmp_path):
+    # SIGTERM ended the script at once and left its copy of the checkout in TMPDIR
+    proc = subprocess.Popen([sys.executable, str(ROOT / "tools" / "mutants.py")],
+                            env=dict(os.environ, TMPDIR=str(tmp_path)),
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 60
+        while not list(tmp_path.glob("*/tree")):
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.005)
+        proc.send_signal(signal.SIGTERM)
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert list(tmp_path.iterdir()) == []
+    assert code == 128 + signal.SIGTERM

@@ -10,15 +10,16 @@ then runs `pytest -x tests --ignore=tests/test_acceptance.py` with one
 BLAS thread, one mutant at a time. The script prints `killed` for a
 mutant when a test fails, `survived` when every test passes and `error`
 when pytest stops for another reason. Exits 1 unless every mutant is
-killed. The run takes a few minutes, so it is not part of tier-1;
-tests/test_tools.py checks that each pattern still matches its source
-once.
+killed. A SIGTERM stops the run and removes the copy. The run takes a
+few minutes, so it is not part of tier-1; tests/test_tools.py checks that
+each pattern still matches its source once.
 """
 
 from __future__ import annotations
 
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -32,6 +33,8 @@ MUTANTS = [
      "<= NORM_DRIFT_TOL * max(1.0, before)", "<= 1000 * NORM_DRIFT_TOL * max(1.0, before)"),
     ("SYMMETRY_TOL 1e-12 -> 1e-9", "src/oaasim/linalg.py",
      "SYMMETRY_TOL = 1e-12", "SYMMETRY_TOL = 1e-9"),
+    ("SYMMETRY_TOL 1e-12 -> 1e-11", "src/oaasim/linalg.py",
+     "SYMMETRY_TOL = 1e-12", "SYMMETRY_TOL = 1e-11"),
     ("ROW_NORM_CLAMP 1e-12 -> 1e-6", "src/oaasim/embedding.py",
      "ROW_NORM_CLAMP = 1e-12", "ROW_NORM_CLAMP = 1e-6"),
     ("GOOD_MASS_FLOOR 1e-24 -> 1e-20", "src/oaasim/circuit.py",
@@ -69,7 +72,14 @@ def mutate(copy: Path, path: str, old: str, new: str) -> None:
     target.write_text(text.replace(old, new))
 
 
+def _terminate(signum, frame):
+    raise SystemExit(128 + signum)
+
+
 def main() -> int:
+    # a SIGTERM unwinds like Ctrl-C: subprocess.run kills its pytest child
+    # and the temporary directory takes the copy with it
+    signal.signal(signal.SIGTERM, _terminate)
     killed = 0
     for name, path, old, new in MUTANTS:
         with tempfile.TemporaryDirectory() as tmp:

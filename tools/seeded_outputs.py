@@ -42,6 +42,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from oaasim.cli import main  # noqa: E402
+from oaasim.experiments import EXPERIMENT_KINDS  # noqa: E402
 
 AMPLIFY = [
     (f"amplify-{variant}-{mode}",
@@ -53,12 +54,12 @@ EXPERIMENTS = [
     (f"experiment-{kind}-{variant}",
      ["experiment", "--kind", kind, "--dims", "16,32", "--trials", "3", "--seed", "7",
       "--variant", variant, "--out", "."])
-    for kind in ("ensemble", "fixed", "trace") for variant in ("literal", "adjoint")
+    for kind in EXPERIMENT_KINDS for variant in ("literal", "adjoint")
 ] + [
     (f"experiment-{kind}-{variant}-projected",
      ["experiment", "--kind", kind, "--dims", "16,32", "--trials", "3", "--seed", "7",
       "--variant", variant, "--fidelity", "projected", "--out", "."])
-    for kind in ("ensemble", "fixed", "trace") for variant in ("literal", "adjoint")
+    for kind in EXPERIMENT_KINDS for variant in ("literal", "adjoint")
 ]
 CALLS = [
     ("embed-estimated", ["embed", "--matrix", "../inputs/a16.txt", "--out", "u.txt"]),
