@@ -3,12 +3,13 @@
 Every iterate runs one loop (_amplify) over a step iterator: record the
 state after the circuit, then the good amplitudes each iteration yields.
 Every step iterator leaves out the iterate's global -1, so it yields the
-good amplitudes up to sign, and checks each iteration's norm against the
-previous one's (circuit._check_norm); the loop applies the sign (-1)^k
-once, to the final state when it is asked for. Every layer is odd under
-round-to-nearest, so the records and the final state are those of the
-signed iterate bit for bit. On the grid (_grid_steps) an iteration
-reflects about the good states (S) and runs one middle reflection:
+good amplitudes up to sign, with the state's norm. The loop alone checks
+each norm against the last (circuit._check_norm) before it records, and
+applies the sign (-1)^k once, to the final state when it is asked for.
+Every layer is odd under round-to-nearest, so the records and the final
+state are those of the signed iterate bit for bit. On the grid
+(_grid_steps) an iteration reflects about the good states (S) and runs
+one middle reflection:
 - "adjoint": U S U^-1, the image reflection (inverse, S, forward);
 - "literal": U S U, the circuit applied forward both times; for the row
   encoding one layer with no register swap (see circuit);
@@ -55,7 +56,7 @@ from .circuit import (
     _good_mass,
     apply_circuit,
 )
-from .errors import DimensionError, NoGoodAmplitudeError, ValidationError
+from .errors import DimensionError, ValidationError
 from .linalg import (_check_choice, _check_count, _check_orthogonal, _check_unit_norm,
                      _float_array, _pow2_scaled)
 
@@ -72,7 +73,7 @@ class TraceRecord:
     Below GOOD_MASS_FLOOR there is nothing to collapse: the record holds
     probability 0.0 and fidelity 0.0, the trace goes on, and
     IterationTrace.peak picks such a record only when no iteration has
-    mass. A non-finite good amplitude raises NoGoodAmplitudeError.
+    mass.
     """
 
     iteration: int
@@ -131,8 +132,6 @@ def _record_good(good, target, iteration) -> TraceRecord:
     The fidelity is metrics.fidelity's bit for bit, whose power-of-two
     scaling of that vector cancels in the quotient."""
     scaled, norm = target
-    if not np.isfinite(good).all():
-        raise NoGoodAmplitudeError("a good amplitude is not finite")
     prob, unit = _good_mass(good[: scaled.size])
     if unit is None:
         return TraceRecord(iteration=iteration, probability=0.0, fidelity=0.0)
@@ -142,27 +141,23 @@ def _record_good(good, target, iteration) -> TraceRecord:
 
 def _grid_steps(c: CircuitU, middle, state: StateVector, k: int):
     """k iterations on the grid of `state`, in place, the -1 left out: the
-    good reflection, then the in-place layer middle(x, scratch) under the
-    norm guard, with one scratch grid for the run. Yields the good
-    amplitudes after each."""
+    good reflection, then the in-place layer middle(x, scratch), with one
+    scratch grid for the run. Yields (good amplitudes, state norm) after
+    each."""
     x = state.grid
     scratch = np.empty_like(x)
     good = c.good_first(x)[0]
-    before = state.norm()
     for _ in range(k):
         good *= -1.0
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check
-            middle(x, scratch)
-            after = state.norm()
-        _check_norm(before, after)
-        before = after
-        yield good
+        middle(x, scratch)
+        yield good, state.norm()
 
 
 def _amplify(c: CircuitU, state: StateVector, steps, target, return_final_state: bool):
     """The one amplification loop. Records `state` (the circuit already
     applied) as iteration 0, then the good amplitudes, of either sign,
-    that the iterator `steps` yields after each iteration. Returns the
+    that `steps` yields after each iteration, each once the norm yielded
+    with it passes _check_norm against the one before. Returns the
     trace, and `state` too when return_final_state is set; the steps then
     leave the final state in it up to the sign (-1)^k, applied here. The
     target is checked once, first: a finite, nonzero real array as long
@@ -175,8 +170,12 @@ def _amplify(c: CircuitU, state: StateVector, steps, target, return_final_state:
         raise ValidationError("target must be finite and nonzero")
     target = _scaled_target(target)
     trace = IterationTrace([_record_good(c.good_first(state.grid)[0], target, 0)])
-    for i, good in enumerate(steps, 1):
-        trace.records.append(_record_good(good, target, i))
+    before = state.norm()
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check
+        for i, (good, after) in enumerate(steps, 1):
+            _check_norm(before, after)
+            before = after
+            trace.records.append(_record_good(good, target, i))
     if return_final_state and len(trace.records) % 2 == 0:  # (-1)^k for odd k
         np.negative(state.grid, out=state.grid)
     return (trace, state) if return_final_state else trace

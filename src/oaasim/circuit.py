@@ -46,8 +46,8 @@ Both start at 0, so hh a = -s/2, bit for bit outside the subnormal range
 (M is a power of two). From the row dots hh.x, colsum(x), x e0 and
 ||x||^2, taken once, an iteration finds c, d and g with two
 matrix-vector products, hh^T (s - 2 d) and hh c, and O(M) work besides;
-the grid is written only when the final state is asked for. The norm
-guard reads the norm of y off the same terms:
+the grid is written only when the final state is asked for. Each step
+yields the norm of y, read off the same terms:
 ||y||^2 = ||x||^2 + 2 colsum(x).a + (hh.x).s + (x e0).w + M a.a
 + s.(d + hh a) + w.g + a_0 sum(w), with d and g those of y.
 The literal middle step W R W = L H P R L H P, P the register swap,
@@ -96,6 +96,9 @@ DENSE_ORACLE_CAP = 256
 NORM_DRIFT_TOL = 1e-12
 # good mass below the square of the drift tolerance is rounding residue
 GOOD_MASS_FLOOR = NORM_DRIFT_TOL ** 2
+# estimated peak bytes of one run per squared embedded dimension: twelve
+# float grids; one trial measured at most 8.5 of them under tracemalloc
+RUN_BYTES_PER_DIM2 = 12 * 8
 
 
 @dataclass(eq=False)
@@ -207,9 +210,9 @@ class RowEncodingCircuit(CircuitU):
     def _adjoint_steps(self, state: StateVector, k: int, keep: bool):
         """Run the adjoint iterate -L D L R k times on the structured state
         y of the module docstring, yielding its good amplitudes (the sign
-        left out) after each step under the norm guard. state holds x, the
-        grid after the circuit; with keep set, y is written into it after
-        the last step."""
+        left out) and its norm after each step; the amplification loop
+        checks the norm. state holds x, the grid after the circuit; with
+        keep set, y is written into it after the last step."""
         x, hh, m = state.grid, self._hh, self.m_dim
         h0, x0 = hh[:, 0].copy(), x[:, 0].copy()
         hn, rdx = np.einsum("ij,ij->i", hh, hh), np.einsum("ij,ij->i", hh, x)
@@ -220,32 +223,27 @@ class RowEncodingCircuit(CircuitU):
         a, s, w = z[:m], z[m : 2 * m], z[2 * m :]
         c, t = np.empty(m), np.empty(m)
         g, d = x0.copy(), rdx.copy()  # good column and row dots of y
-        before = math.sqrt(xx)
         for _ in range(k):
-            with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check
-                g += g
-                w -= g  # R
-                d -= g * h0
-                np.matmul(s - 2.0 * d, hh, out=c)  # c = colsum(R y) - 2 hh^T d
-                c += csx
-                c += m * a
-                c[0] += w.sum()
-                np.matmul(hh, c, out=t)
-                a -= (2.0 / m) * c  # L D L
-                s += (4.0 / m) * t
-                np.multiply(s, h0, out=g)
-                g += x0
-                g += w
-                g += a[0]
-                np.multiply(s, hn, out=d)
-                d += rdx
-                d -= 0.5 * s  # hh a = -s / 2
-                d += w * h0
-                after = math.sqrt(max(xx + p @ z + m * (a @ a) + s @ (d - 0.5 * s) + w @ g
-                                      + a[0] * w.sum(), 0.0))
-            _check_norm(before, after)
-            before = after
-            yield g
+            g += g
+            w -= g  # R
+            d -= g * h0
+            np.matmul(s - 2.0 * d, hh, out=c)  # c = colsum(R y) - 2 hh^T d
+            c += csx
+            c += m * a
+            c[0] += w.sum()
+            np.matmul(hh, c, out=t)
+            a -= (2.0 / m) * c  # L D L
+            s += (4.0 / m) * t
+            np.multiply(s, h0, out=g)
+            g += x0
+            g += w
+            g += a[0]
+            np.multiply(s, hn, out=d)
+            d += rdx
+            d -= 0.5 * s  # hh a = -s / 2
+            d += w * h0
+            yield g, math.sqrt(max(xx + p @ z + m * (a @ a) + s @ (d - 0.5 * s) + w @ g
+                                   + a[0] * w.sum(), 0.0))
         if keep:
             x += a
             x += s[:, None] * hh
@@ -373,6 +371,28 @@ def _check_dims(c: CircuitU, s: StateVector) -> None:
         )
 
 
+@functools.cache
+def _physical_memory() -> float:
+    """Bytes of physical memory, read on first use; inf where the system
+    does not report it."""
+    import os
+
+    try:
+        page, pages = os.sysconf("SC_PAGE_SIZE"), os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no sysconf, or no such name
+        return math.inf
+    return page * pages if min(page, pages) > 0 else math.inf
+
+
+def _check_fits(dim: int) -> None:
+    """ValidationError when a run at embedded dimension dim is estimated to
+    need more than physical memory: RUN_BYTES_PER_DIM2 * dim^2 bytes."""
+    need, have = RUN_BYTES_PER_DIM2 * dim * dim, _physical_memory()
+    if need > have:
+        raise ValidationError(f"embedded dimension {dim} needs an estimated {need:,} bytes, "
+                              f"more than the {have:,} bytes of physical memory")
+
+
 def _check_norm(before: float, after: float) -> None:
     """The one norm guard of every apply and iteration: NumericalError when
     the norm drifts by more than NORM_DRIFT_TOL * max(1, before)."""
@@ -467,6 +487,7 @@ def _encode_matrix(a) -> tuple:
     normalized, mu = mu_normalize(a)
     if not _is_power_of_two(normalized.shape[0]):
         raise ValidationError(f"matrix order {normalized.shape[0]} is not a power of two")
+    _check_fits(2 * normalized.shape[0])
     emb = build_estimated_embedding(normalized, mu)
     return emb, build_row_encoding(emb.u)
 

@@ -148,7 +148,7 @@ def _cmd_experiment(args) -> int:
     out_dir = Path(args.out)
     results = (run_trace if args.kind == "trace" else run_ensemble)(cfg)
     written = emit_outputs(results, "csv", out_dir / f"{args.kind}.csv")
-    written += emit_outputs(results, "svg", out_dir)
+    written += emit_outputs(results, "svg", out_dir / args.kind)
     for path in written:
         print(f"written={path}")
     return 0

@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from .amplification import VARIANTS, IterationTrace, iteration_count, oblivious_aa
-from .circuit import Encoded, _encode_input, _encode_matrix, _is_power_of_two
+from .circuit import Encoded, _check_fits, _encode_input, _encode_matrix, _is_power_of_two
 from .embedding import closeness
 from .errors import NumericalError, ValidationError, _located
 from .linalg import _check_choice, _check_count, _items
@@ -70,6 +70,7 @@ class ExperimentConfig:
         for d in dims:
             if not _is_power_of_two(d):
                 raise ValidationError(f"embedded dimension {d} must be a power of two")
+        _check_fits(max(dims))
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "trials", _check_count(self.trials, "trials", 1))
         object.__setattr__(self, "seed", _check_seed(self.seed, "seed"))

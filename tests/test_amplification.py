@@ -42,7 +42,7 @@ from oaasim import (
     standard_aa,
 )
 
-from oaasim.amplification import _record_good, _scaled_target
+from oaasim import amplification
 from oaasim.circuit import GOOD_MASS_FLOOR, LcuCircuit, RowEncodingCircuit
 
 from dense_reference import random_orthogonal
@@ -597,7 +597,8 @@ def test_emptied_good_states_record_zero():
     circ = build_row_encoding(np.eye(4))
     grid = np.zeros((4, 4))
     grid[3, 0] = 1.0
-    rec = _record_good(circ.good_first(grid)[0], _scaled_target(np.ones(2)), 5)
+    rec = amplification._record_good(circ.good_first(grid)[0],
+                                     amplification._scaled_target(np.ones(2)), 5)
     assert rec == TraceRecord(iteration=5, probability=0.0, fidelity=0.0)
 
 
@@ -616,15 +617,45 @@ def test_emptied_records_agree_across_routes():
         assert not any(0.0 < r.probability < 1e-20 for r in trace.records + records), seed
 
 
-def test_nan_good_mass_still_raises():
-    circ = build_row_encoding(np.eye(4))
-    infinite = np.zeros((4, 4))
-    infinite[0, 0] = np.inf
-    for grid in (np.full((4, 4), np.nan), infinite):
-        for target in (np.ones(4), np.ones(2)):  # embedded, projected
-            # refused before any division: inf/inf would leave NaN
-            with pytest.raises(NoGoodAmplitudeError, match="not finite"):
-                _record_good(circ.good_first(grid)[0], _scaled_target(target), 0)
+def test_the_loop_checks_each_iteration_once(monkeypatch):
+    # every route's iterations pass the one norm check of the loop: k calls
+    # per run, the apply's own check aside
+    calls = []
+    check = amplification._check_norm
+    monkeypatch.setattr(amplification, "_check_norm",
+                        lambda before, after: calls.append(after) or check(before, after))
+    enc = encode(random_symmetric(4, SplitMix64(61)), random_input(8, SplitMix64(62)))
+    lcu = build_lcu_encoding([random_orthogonal(4, 64 + i) for i in range(2)], [0.6, 0.8])
+    prep = householder_from_vector(enc.circuit.good_first(enc.state.grid)[0])
+    for k in (0, 1, 3):
+        for variant in VARIANTS:
+            for circ, state in ((enc.circuit, enc.state), (lcu, prepare_input(lcu, np.eye(4)[0]))):
+                calls.clear()
+                oblivious_aa(circ, state, k, variant, np.ones(4), return_final_state=k == 1)
+                assert len(calls) == k, (type(circ), variant, k)
+        calls.clear()
+        standard_aa(enc.circuit, prep, k, enc.target)
+        assert len(calls) == k
+
+
+def test_no_record_sees_a_non_finite_amplitude(monkeypatch):
+    # the overflow circuits of test_overflow_inside_a_run_is_refused_without_a_warning:
+    # the loop's norm check refuses the step before any record reads it
+    record = amplification._record_good
+
+    def finite_record(good, target, iteration):
+        assert np.isfinite(good).all(), iteration
+        return record(good, target, iteration)
+
+    monkeypatch.setattr(amplification, "_record_good", finite_record)
+    lcu = LcuCircuit(np.stack([np.eye(2), np.eye(2)]), np.diag([1.0, 1e200]))
+    row = RowEncodingCircuit(np.array([[0.0, 0.0], [1.2e200, 1.6e200]]))
+    for circ, state in ((lcu, StateVector(np.array([[0.6, 0.8], [0.0, 0.0]]))),
+                        (row, prepare_input(row, [0.8, -0.6]))):
+        for variant in VARIANTS:
+            for keep in (False, True):
+                with pytest.raises(NumericalError, match="preserve the norm"):
+                    oblivious_aa(circ, state, 2, variant, np.ones(2), keep)
 
 
 def test_standard_iterate_reads_a_projected_target():

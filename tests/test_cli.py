@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from oaasim import (FIDELITY_MODES, VARIANTS, ExperimentConfig, SplitMix64,
                     chained_product_circuit, encode, random_input, random_symmetric,
                     write_matrix)
+from oaasim import circuit
 from oaasim.cli import build_parser, main
 from oaasim.experiments import EXPERIMENT_KINDS
 from oaasim.linalg import _read_vector
@@ -260,11 +261,28 @@ def test_fixed_matrix_kind_keeps_its_library_name(tmp_path, capsys):
     assert main(["experiment", "--kind", "fixed-matrix", "--dims", "8", "--trials", "2",
                  "--out", str(out)]) == 0
     assert " kind=fixed-matrix " in capsys.readouterr().err
-    assert sorted(p.name for p in out.iterdir()) == ["ensemble_dim8.svg", "fixed-matrix.csv"]
+    assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*.*")) == [
+        "fixed-matrix.csv", "fixed-matrix/ensemble_dim8.svg"]
     with pytest.raises(SystemExit) as info:
         main(["experiment", "--kind", "fixed", "--out", str(out)])
     assert info.value.code == 1
     assert "argument --kind: invalid choice: 'fixed'" in capsys.readouterr().err
+
+
+def test_each_kind_keeps_its_charts_in_one_directory(tmp_path, capsys):
+    # both ensemble-record kinds name their charts ensemble_dim*.svg: in one
+    # directory the second run overwrote the first run's charts
+    out = tmp_path / "run"
+    for kind in EXPERIMENT_KINDS[:2]:
+        assert main(["experiment", "--kind", kind, "--dims", "8", "--trials", "2", "--seed", "3",
+                     "--out", str(out)]) == 0
+    written = capsys.readouterr().out.split()
+    assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*.*")) == [
+        "ensemble.csv", "ensemble/ensemble_dim8.svg",
+        "fixed-matrix.csv", "fixed-matrix/ensemble_dim8.svg"]
+    assert written[1] == f"written={out / 'ensemble' / 'ensemble_dim8.svg'}"
+    ensemble, fixed = (out / kind / "ensemble_dim8.svg" for kind in EXPERIMENT_KINDS[:2])
+    assert ensemble.read_bytes() != fixed.read_bytes()
 
 
 def test_missing_file_exits_one(capsys):
@@ -284,15 +302,15 @@ def test_experiment_outputs_and_determinism(tmp_path, capsys):
     assert "seed=11" in captured.err
     csv1 = (tmp_path / "run1" / "trace.csv").read_text()
     assert csv1.startswith("dim,iteration,probability,fidelity,k_marker")
-    assert (tmp_path / "run1" / "trace_dim8.svg").exists()
-    assert (tmp_path / "run1" / "trace_dim16.svg").exists()
+    assert (tmp_path / "run1" / "trace" / "trace_dim8.svg").exists()
+    assert (tmp_path / "run1" / "trace" / "trace_dim16.svg").exists()
 
     code = main(args + ["--out", str(tmp_path / "run2")])
     capsys.readouterr()
     assert code == 0
     assert (tmp_path / "run2" / "trace.csv").read_text() == csv1
-    svg1 = (tmp_path / "run1" / "trace_dim8.svg").read_bytes()
-    assert (tmp_path / "run2" / "trace_dim8.svg").read_bytes() == svg1
+    svg1 = (tmp_path / "run1" / "trace" / "trace_dim8.svg").read_bytes()
+    assert (tmp_path / "run2" / "trace" / "trace_dim8.svg").read_bytes() == svg1
 
 
 def test_experiment_ensemble_csv_shape(tmp_path, capsys):
@@ -320,9 +338,11 @@ def test_experiment_rejects_bad_dims(tmp_path, capsys):
     assert code == 1
 
 
-def test_allocation_failure_exits_one(tmp_path, capsys):
+def test_allocation_failure_exits_one(tmp_path, capsys, monkeypatch):
     # a dim-2^30 ensemble asks for 1 EiB, beyond the address space, so the
-    # allocation fails at once; never try a size that could be allocated
+    # allocation fails at once; never try a size that could be allocated.
+    # With the size ceiling off, numpy's MemoryError still exits 1
+    monkeypatch.setattr(circuit, "_physical_memory", lambda: math.inf)
     out = tmp_path / "x"
     code = main([
         "experiment", "--kind", "ensemble", "--dims", "1073741824", "--trials", "1",
@@ -331,6 +351,24 @@ def test_allocation_failure_exits_one(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert "error: Unable to allocate" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_a_size_beyond_physical_memory_exits_one(tmp_path, capsys, monkeypatch, matrix_file,
+                                                input_file):
+    # the memory read is patched small: never look for the ceiling by allocating
+    monkeypatch.setattr(circuit, "_physical_memory", lambda: 5000)
+    out = tmp_path / "x"
+    assert main(["experiment", "--kind", "ensemble", "--dims", "8,16", "--trials", "1",
+                 "--out", str(out)]) == 1
+    assert ("error: embedded dimension 16 needs an estimated 24,576 bytes, "
+            "more than the 5,000 bytes of physical memory") in capsys.readouterr().err
+    assert not out.exists()
+    # an order-4 matrix embeds at dimension 8
+    assert main(["amplify", "--matrix", str(matrix_file), "--input", str(input_file),
+                 "--out", str(out)]) == 1
+    assert ("error: embedded dimension 8 needs an estimated 6,144 bytes, "
+            "more than the 5,000 bytes of physical memory") in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -4,6 +4,7 @@ and SVG emission."""
 import json
 import re
 import struct
+import tracemalloc
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -14,10 +15,12 @@ from hypothesis import strategies as st
 import oaasim.circuit
 import oaasim.experiments
 from oaasim import (
+    VARIANTS,
     EnsembleRecord,
     ConvergenceError,
     ExperimentConfig,
     NoGoodAmplitudeError,
+    NumericalError,
     SplitMix64,
     StageRecord,
     TraceRecord,
@@ -28,6 +31,7 @@ from oaasim import (
     cos_product_factors,
     derive_seed,
     emit_outputs,
+    encode,
     exp_product_factors,
     iteration_count,
     mu_normalize,
@@ -156,6 +160,41 @@ def test_random_input_unit_norm():
     vec = random_input(16, SplitMix64(3))
     assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-14)
     assert np.array_equal(vec, random_input(16, SplitMix64(3)))
+
+
+def test_random_input_redraws_a_zero_draw_once(monkeypatch):
+    draws = iter([np.zeros(2), np.array([3.0, -4.0]), np.zeros(2)])
+    monkeypatch.setattr(SplitMix64, "uniform_signed_array", lambda self, count: next(draws))
+    assert np.array_equal(random_input(2, SplitMix64(1)), [0.6, -0.8])
+    draws = iter([np.zeros(2), np.zeros(2), np.array([3.0, -4.0])])
+    with pytest.raises(NumericalError, match="zero vector twice"):
+        random_input(2, SplitMix64(1))
+
+
+def _traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_one_run_stays_below_the_size_estimate(variant):
+    # the constant of the size ceiling covers the measured peak of one trial
+    # and of one encode + oblivious_aa, each at embedded dimension 256
+    dim = 256
+    cfg = ExperimentConfig(dims=(dim,), trials=1, variant=variant)
+    a, vec = random_symmetric(dim // 2, SplitMix64(1)), random_input(dim, SplitMix64(2))
+
+    def amplify():
+        enc = encode(a, vec)
+        oblivious_aa(enc.circuit, enc.state, iteration_count(dim), variant, enc.target,
+                     return_final_state=True)
+
+    for run in (lambda: _run_trial(cfg, dim, 0, None), amplify):
+        assert _traced_peak(run) < oaasim.circuit.RUN_BYTES_PER_DIM2 * dim * dim
 
 
 def test_ensemble_records_order_and_determinism():

@@ -97,6 +97,12 @@ def test_cos_scalar_converges():
     assert err < 5e-3
 
 
+def test_exp_oracle_refuses_an_eigenvalue_above_709():
+    with pytest.raises(ValidationError, match=r"eigenvalue 709\.5 is above 709"):
+        matrix_function_oracle(np.diag([709.5, 0.0]), "exp")
+    assert np.isfinite(matrix_function_oracle(np.diag([709.0, 0.0]), "exp")).all()
+
+
 def test_matrix_function_oracle_against_numpy_route():
     a = random_symmetric(5, SplitMix64(310))
     vals, vecs = np.linalg.eigh(a)

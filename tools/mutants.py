@@ -57,6 +57,12 @@ MUTANTS = [
      '_check_orthogonal(mat, f"unitaries[{i}]")', "mat"),
     ("choice check accepts a non-string", "src/oaasim/linalg.py",
      "isinstance(value, str) and ", ""),
+    ("random input never redraws a zero draw", "src/oaasim/experiments.py",
+     "for _ in range(2):", "for _ in range(1):"),
+    ("exp oracle refuses only above 710", "src/oaasim/matfunc.py",
+     "top > 709.0", "top > 710.0"),
+    ("amplification loop skips its norm check", "src/oaasim/amplification.py",
+     "_check_norm(before, after)", "None"),
 ]
 PYTEST = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests",
           "--ignore=tests/test_acceptance.py"]
